@@ -6,7 +6,13 @@ Three mutually checking evaluation paths:
 - exact: closed-form crossing intensity integrated by adaptive quadrature;
 - asymptotic: large-degree expansions assembled from kernel integrals;
 - monte-carlo: direct simulation of sampled polynomials.
+
+The expansion tier (``expansion``, ``reference`` and, through them, the
+kernel tables of ``kernels``) is imported on first use of one of its names,
+so the exact and Monte Carlo paths do not pay for building its series.
 """
+
+import importlib
 
 from .counts import CountQuery, NumericResult, expected_count, split_points
 from .density import density_split, maxima_density
@@ -18,14 +24,6 @@ from .errors import (
     ToleranceNotMet,
     VerificationFailure,
 )
-from .expansion import (
-    FAMILY_BOUNDS,
-    FAMILY_INTERVALS,
-    ExpansionResult,
-    h_integral,
-    kernel_pieces,
-    theorem_expansion,
-)
 from .model import PolynomialModel, basis_eval, scale_model
 from .moments import MomentSet, moments
 from .montecarlo import (
@@ -36,10 +34,33 @@ from .montecarlo import (
     estimate_many,
     sample_coefficients,
 )
-from .reference import VerifyRow, verify_constants
 from .scaled import ScaledValue
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported lazily (PEP 562)
+_LAZY = {
+    "FAMILY_BOUNDS": "expansion",
+    "FAMILY_INTERVALS": "expansion",
+    "ExpansionResult": "expansion",
+    "h_integral": "expansion",
+    "kernel_pieces": "expansion",
+    "theorem_expansion": "expansion",
+    "VerifyRow": "reference",
+    "verify_constants": "reference",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "CountQuery",

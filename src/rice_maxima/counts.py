@@ -21,18 +21,31 @@ so every semi-infinite sub-integral becomes a decaying integral in t on
 split at x = 0 keeps the (generically) singular point out of every panel
 interior; quadrature nodes are open, so the density is never evaluated at a
 split point itself.
+
+Every integrand is an array function: the quadrature hands it the 15 nodes
+of a Gauss-Kronrod panel, and the substitution maps them to x and calls
+``maxima_density_batch`` once for the whole panel, so the moments of a panel
+come from one batched evaluation (in row chunks that bound its memory; see
+``moments``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from .density import maxima_density
+import numpy as np
+
+from .density import maxima_density_batch
 from .errors import ToleranceNotMet
 from .model import PolynomialModel
-from .quadrature import QuadResult, integrate_adaptive, integrate_to_infinity
+from .quadrature import (
+    Integrand,
+    QuadResult,
+    integrate_adaptive,
+    integrate_to_infinity,
+)
 
 __all__ = ["CountQuery", "NumericResult", "expected_count", "split_points"]
 
@@ -97,14 +110,14 @@ def _piece(
     rel_tol: float,
 ) -> QuadResult:
     n = model.degree
-    f = lambda x: maxima_density(model, x, u)  # noqa: E731
+    f = lambda x: maxima_density_batch(model, x, u)  # noqa: E731
 
-    def finite(g: Callable[[float], float], a: float, b: float) -> QuadResult:
+    def finite(g: Integrand, a: float, b: float) -> QuadResult:
         return integrate_adaptive(
             g, a, b, rel_tol=rel_tol, abs_tol=_ABS_FLOOR, max_panels=1600
         )
 
-    def infinite(g: Callable[[float], float], t0: float, t_max: float) -> QuadResult:
+    def infinite(g: Integrand, t0: float, t_max: float) -> QuadResult:
         # On every semi-infinite piece the substituted integrand decays like
         # A/t^2 (the density falls off as 1/x^2 in the tails and tends to a
         # constant towards the origin), so the mass beyond T is g(T) * T.
@@ -115,7 +128,7 @@ def _piece(
             abs_tol=_ABS_FLOOR,
             first_width=max(1.0, 0.5 * t0),
             t_max=t_max,
-            tail=lambda T: g(T) * T,
+            tail=lambda T: float(g(np.array([T]))[0]) * T,
         )
 
     if kind == "layer":

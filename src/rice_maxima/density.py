@@ -21,40 +21,72 @@ standard deviation of the first derivative.  The two limits are
 All inputs pass through the scaled-moment layer, so the evaluation stays
 finite for degrees and locations where raw covariance entries overflow
 float64.
+
+``maxima_density_batch`` evaluates a whole array of points (a quadrature
+panel) with one batched moments call; ``maxima_density`` is its one-point
+view.  Only the erfc bracket runs per point, with ``math.erfc``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import NonFiniteResult
 from .model import PolynomialModel
-from .moments import MomentSet, moments
+from .moments import moment_rows, moments
 from .scaled import ScaledValue
 
-__all__ = ["maxima_density", "density_split"]
+__all__ = ["maxima_density", "maxima_density_batch", "density_split"]
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
 
 
-def _density_from_moments(mom: MomentSet, u: float) -> float:
-    swb = mom.sigma_w_over_b
-    if u == math.inf:
-        return swb / _TWO_PI
-    if u == -math.inf:
-        return 0.0
-    q = (ScaledValue.from_float(u) / mom.sigma_u).to_float()
+def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
+    """erfc(-q g) + rho exp(-q^2/2) erfc(rho q g), clipped at 0."""
     if q == math.inf:
-        return swb / _TWO_PI
+        return 2.0
     if q == -math.inf:
         return 0.0
-    rho = mom.rho
-    g = 1.0 / math.sqrt(2.0 * mom.one_minus_rho_sq)
+    g = 1.0 / math.sqrt(2.0 * one_minus_rho_sq)
     bracket = math.erfc(-q * g) + rho * math.exp(-0.5 * q * q) * math.erfc(rho * q * g)
-    if bracket < 0.0:  # the bracket is a probability-like quantity; clip rounding noise
-        bracket = 0.0
-    return swb / _FOUR_PI * bracket
+    # the bracket is a probability-like quantity; clip rounding noise
+    return 0.0 if bracket < 0.0 else bracket
+
+
+def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:
+    """``maxima_density`` at every point of the 1-D array ``xs`` in one
+    batched moments evaluation (one call per quadrature panel).
+
+    Raises like ``maxima_density``; a DegenerateCovariance or
+    NonFiniteResult names a point of ``xs`` where the evaluation failed.
+    """
+    if math.isnan(u):
+        raise ValueError("u must not be NaN")
+    model.require_rank_for_density()
+    rows = moment_rows(model, xs, clamp_rho=True)
+    swb = rows.sigma_w_over_b
+    if u == math.inf:
+        values = swb / _TWO_PI
+    elif u == -math.inf:
+        values = np.zeros_like(swb)
+    else:
+        brackets = [
+            _bracket(q, rho, omr)
+            for q, rho, omr in zip(
+                rows.level_ratio(u).tolist(),
+                rows.rho.tolist(),
+                rows.one_minus_rho_sq.tolist(),
+            )
+        ]
+        values = swb / _FOUR_PI * np.array(brackets)
+    finite = np.isfinite(values)
+    if not finite.all():
+        x = float(rows.x[np.argmin(finite)])
+        raise NonFiniteResult(f"density evaluation at x={x!r}, u={u!r} is not finite")
+    return values
 
 
 def maxima_density(model: PolynomialModel, x: float, u: float) -> float:
@@ -63,13 +95,10 @@ def maxima_density(model: PolynomialModel, x: float, u: float) -> float:
     ``u`` may be ``inf`` (count every local maximum) or ``-inf`` (zero).
     Raises DegenerateCovariance when the value/slope/curvature covariance at
     ``x`` is singular, and NonFiniteResult if the evaluation produces a
-    non-finite number.
+    non-finite number.  This is the one-point view of
+    ``maxima_density_batch``.
     """
-    model.require_rank_for_density()
-    value = _density_from_moments(moments(model, x, clamp_rho=True), u)
-    if not math.isfinite(value):
-        raise NonFiniteResult(f"density evaluation at x={x!r}, u={u!r} is not finite")
-    return value
+    return float(maxima_density_batch(model, [float(x)], u)[0])
 
 
 def density_split(

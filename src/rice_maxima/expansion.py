@@ -44,6 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .kernels import KernelId, h_kernel
 from .quadrature import integrate_adaptive, integrate_to_infinity
 
@@ -124,16 +126,21 @@ def _h_integral_cached(
         def integrand_tail(t: float) -> float:
             return product(t) - constant * t**power
 
+    def on_panel(scalar):
+        return lambda ts: np.array([scalar(t) for t in ts.tolist()])
+
     # the tail subtraction switches on at t = 1, so [eps, 1] and [1, inf)
     # are integrated separately
-    inner = integrate_adaptive(product, _EPS, 1.0, rel_tol=rel_tol, abs_tol=1e-14)
+    inner = integrate_adaptive(
+        on_panel(product), _EPS, 1.0, rel_tol=rel_tol, abs_tol=1e-14
+    )
     if family in (1, 2) and pair == (1,):
         # algebraic t^{-7/2} tail: supply the analytic remainder
         tail_hint = lambda T: 0.4 * T * product(T)  # noqa: E731
     else:
         tail_hint = None
     outer = integrate_to_infinity(
-        integrand_tail,
+        on_panel(integrand_tail),
         1.0,
         rel_tol=rel_tol,
         abs_tol=1e-14,

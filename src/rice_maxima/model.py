@@ -18,6 +18,7 @@ which is what every covariance computation in this package rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,10 +66,10 @@ class PolynomialModel:
 
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def effective_rank(self) -> int:
         """Number of strictly positive increment deviations (Gaussian
-        degrees of freedom feeding the polynomial)."""
+        degrees of freedom feeding the polynomial), counted once."""
         return sum(1 for s in self.sigma if s > 0) + (1 if self.sigma0 > 0 else 0)
 
     def require_rank_for_density(self) -> None:
@@ -82,10 +83,16 @@ class PolynomialModel:
             )
 
     def variance_weights(self) -> np.ndarray:
-        """Increment variances indexed k = 0..n (entry 0 is sigma0**2)."""
+        """Increment variances indexed k = 0..n (entry 0 is sigma0**2), as a
+        read-only array built once."""
+        return self._variance_weights
+
+    @cached_property
+    def _variance_weights(self) -> np.ndarray:
         out = np.empty(self.degree + 1)
         out[0] = self.sigma0 * self.sigma0
         out[1:] = np.square(self.sigma)
+        out.setflags(write=False)
         return out
 
 
@@ -123,20 +130,3 @@ def basis_eval(n: int, x: float, k: int):
         b += j * x ** (j - 1) if j >= 1 else 0.0
         d += j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0
     return (a, b, d)
-
-
-def basis_arrays(n: int, x: float) -> np.ndarray:
-    """All basis triples at once: array of shape (3, n+1) whose columns are
-    (a_k, b_k, d_k) for k = 0..n, built by reversed cumulative sums (the
-    vectorized form of the backward recurrence)."""
-    j = np.arange(n + 1, dtype=float)
-    powers = np.power(float(x), j)  # x**0 .. x**n
-    ta = powers
-    tb = np.zeros(n + 1)
-    tb[1:] = j[1:] * powers[:-1]
-    td = np.zeros(n + 1)
-    if n >= 2:
-        td[2:] = j[2:] * (j[2:] - 1.0) * powers[:-2]
-    # reversed cumulative sums: entry k holds the sum over j = k..n
-    rev = lambda v: np.cumsum(v[::-1])[::-1]
-    return np.stack([rev(ta), rev(tb), rev(td)])

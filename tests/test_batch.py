@@ -1,0 +1,122 @@
+"""The batched moments/density kernel against its one-point views."""
+
+import math
+
+import numpy as np
+import pytest
+
+from rice_maxima import (
+    DegenerateCovariance,
+    PolynomialModel,
+    ScaledValue,
+    maxima_density,
+    moments,
+    split_points,
+)
+from rice_maxima.density import maxima_density_batch
+from rice_maxima.moments import _CHUNK_ELEMENTS, moment_rows
+from rice_maxima.quadrature import KRONROD_NODES
+
+INF = math.inf
+DEGREES = (3, 10, 100, 1000, 10_000)
+LEVELS = (-0.5, 1.0, INF)
+
+
+def six_piece_nodes(n):
+    """Two points inside each of the six pieces ``expected_count`` cuts the
+    line into, from the far negative tail to the far positive tail."""
+    c = split_points(n)
+    d = c[-1] - 1.0
+    return np.array(
+        [
+            -1e4, c[0] - 3.0 * d,  # negative tail
+            c[0] + 0.3 * d, -1.0 + 0.2 * d,  # layer around -1
+            0.6 * c[1], -1e-3,  # (-1 + d, 0)
+            2e-3, 0.4 * c[3],  # (0, 1 - d)
+            1.0 - 0.1 * d, c[4] - 0.1 * d,  # layer around +1
+            c[4] + 0.5 * d, 7e3,  # positive tail
+        ]
+    )
+
+
+def straddling_panel(n, centre):
+    """The 15 Kronrod nodes of a layer panel centred on ``centre`` = +-1."""
+    d = split_points(n)[-1] - 1.0
+    return centre + 0.5 * d * KRONROD_NODES
+
+
+def assert_matches_scalar(model, xs, u):
+    batch = maxima_density_batch(model, xs, u)
+    assert batch.shape == xs.shape
+    for x, value in zip(xs.tolist(), batch.tolist()):
+        assert value == pytest.approx(maxima_density(model, x, u), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@pytest.mark.parametrize("u", LEVELS)
+def test_batch_matches_scalar_in_all_six_pieces(n, u):
+    assert_matches_scalar(PolynomialModel(n), six_piece_nodes(n), u)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+@pytest.mark.parametrize("centre", (-1.0, 1.0))
+def test_panel_straddling_the_unit_circle(n, centre):
+    xs = straddling_panel(n, centre)
+    assert (np.abs(xs) < 1.0).any() and (np.abs(xs) > 1.0).any()
+    assert_matches_scalar(PolynomialModel(n), xs, 1.0)
+
+
+@pytest.mark.parametrize("n", (1000, 10_000))
+def test_batch_split_into_chunks(n):
+    xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, 1.0)])
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
+    assert len(xs) > rows_per_chunk  # the kernel really works chunk by chunk
+    assert_matches_scalar(PolynomialModel(n), xs, 1.0)
+
+
+@pytest.mark.parametrize("n", DEGREES)
+def test_moments_view_is_bit_equal_to_the_batch(n):
+    model = PolynomialModel(n)
+    xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0)])
+    rows = moment_rows(model, xs, clamp_rho=True)
+    for i, x in enumerate(xs.tolist()):
+        ms = moments(model, x, clamp_rho=True)
+        assert ms.sigma_w_over_b == rows.sigma_w_over_b[i]
+        assert ms.rho == rows.rho[i]
+        assert ms.one_minus_rho_sq == rows.one_minus_rho_sq[i]
+
+
+@pytest.mark.parametrize("n,x", [(10, 0.4), (100, -2.5), (1000, 1.02), (10_000, 1.3)])
+def test_level_ratio_matches_scaled_arithmetic(n, x):
+    # At n = 10^4 and x = 1.3, sigma_U ~ x**n overflows float64; the batch
+    # carries it as n log|x|, moments() as a ScaledValue.
+    model = PolynomialModel(n)
+    ms = moments(model, x, clamp_rho=True)
+    rows = moment_rows(model, [x], clamp_rho=True)
+    for u in (-3.0, 0.5, 1e300):
+        expected = (ScaledValue.from_float(u) / ms.sigma_u).to_float()
+        assert rows.level_ratio(u)[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert rows.level_ratio(0.0)[0] == 0.0
+
+
+class TestFailures:
+    def test_failing_batch_names_a_failing_node(self):
+        # A model without constant term is degenerate at x = 0 only.
+        xs = np.array([0.3, -0.2, 0.0, 0.5, 2.0])
+        with pytest.raises(DegenerateCovariance, match="deterministic") as info:
+            maxima_density_batch(PolynomialModel(5), xs, 1.0)
+        assert info.value.x == 0.0
+
+    def test_first_failing_node_in_batch_order(self):
+        # Far out in the tail the conditional variance collapses (the clamp
+        # does not cover it); 1e12 and 3e12 both fail, 2 and 5 do not.
+        xs = np.array([2.0, 3e12, 5.0, 1e12])
+        with pytest.raises(DegenerateCovariance, match="conditional variance") as info:
+            maxima_density_batch(PolynomialModel(3), xs, INF)
+        assert info.value.x == 3e12
+        with pytest.raises(DegenerateCovariance):
+            maxima_density(PolynomialModel(3), info.value.x, INF)
+
+    def test_non_finite_node_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            maxima_density_batch(PolynomialModel(5), np.array([0.5, np.nan]), 1.0)

@@ -6,6 +6,7 @@ import pytest
 
 from rice_maxima import (
     CountQuery,
+    DegenerateCovariance,
     DegenerateModel,
     PolynomialModel,
     ToleranceNotMet,
@@ -101,6 +102,22 @@ class TestStructure:
                     rel_tol=1e-9,
                 )
                 assert scaled.value == pytest.approx(base.value, rel=1e-8)
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DegenerateCovariance,
+        reason="far-tail covariance collapse at large n: the residual after "
+        "projecting out Q' falls below the rank tolerance inside the fixed "
+        "|x| cap (ROADMAP known defect)",
+    )
+    def test_all_maxima_on_the_positive_tail_at_degree_1000(self):
+        # The documented contract is a value or ToleranceNotMet; today the
+        # count raises DegenerateCovariance.  The reference is the count to
+        # |x| = 1e6 plus the analytic f(X) X tail of the 1/x^2 density.
+        result = expected_count(PolynomialModel(1000), CountQuery(1.0, INF, INF))
+        assert result.value == pytest.approx(0.0912343519472564, rel=1e-7)
 
 
 class TestValidation:
