@@ -132,7 +132,10 @@ def _h_integral_cached(
     # the tail subtraction switches on at t = 1, so [eps, 1] and [1, inf)
     # are integrated separately
     inner = integrate_adaptive(
-        on_panel(product), _EPS, 1.0, rel_tol=rel_tol, abs_tol=1e-14
+        on_panel(product),
+        np.linspace(_EPS, 1.0, 5),
+        rel_tol=rel_tol,
+        abs_tol=1e-14,
     )
     if family in (1, 2) and pair == (1,):
         # algebraic t^{-7/2} tail: supply the analytic remainder

@@ -2,18 +2,21 @@
 
 Two entry points:
 
-* ``integrate_adaptive`` — finite interval, Gauss-Kronrod 7/15 pair
-  (QUADPACK ``qk15``, Piessens et al. 1983) with priority-driven
-  bisection.  The 15 Kronrod nodes of a panel contain the 7 Gauss nodes, so
-  a panel costs 15 evaluations, and its error estimate is the difference
-  of the two rules.  The panel with the largest error estimate is split
-  until the summed estimate meets the tolerance or the panel budget runs
-  out.
+* ``integrate_adaptive`` — finite range given as initial panel edges,
+  Gauss-Kronrod 7/15 pair (QUADPACK ``qk15``, Piessens et al. 1983) with
+  priority-driven bisection.  The 15 Kronrod nodes of a panel contain the 7
+  Gauss nodes, so a panel costs 15 evaluations, and its error estimate is
+  the difference of the two rules.  Every segment between consecutive
+  edges starts as one panel, so a caller puts an edge on every kink or
+  change of character of the integrand; after that, the panel with the
+  largest error estimate is split until the summed estimate meets the
+  tolerance or the panel budget runs out.
 * ``integrate_to_infinity`` — semi-infinite interval, covered by blocks of
   geometrically growing width, each integrated adaptively.  Truncation stops
   once two consecutive blocks contribute below threshold; the remaining tail
   enters the result either through a caller-supplied analytic estimate or
-  through a geometric bound folded into the error.
+  through a geometric bound folded into the error.  Only the expansion tier
+  uses it: ``counts`` maps the real line onto a finite range instead.
 
 Integrands are array-in/array-out: ``f`` receives the 15 nodes of a panel
 as one float64 array and returns their values as an array of the same
@@ -26,7 +29,6 @@ and the final value is accumulated left to right.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +39,6 @@ __all__ = [
     "QuadResult",
     "integrate_adaptive",
     "integrate_to_infinity",
-    "sum_results",
 ]
 
 # QUADPACK qk15: the nonnegative Kronrod abscissae (every second one, from
@@ -113,25 +114,27 @@ def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
 
 def integrate_adaptive(
     f: Integrand,
-    a: float,
-    b: float,
+    edges: Sequence[float] | np.ndarray,
     *,
     rel_tol: float,
     abs_tol: float = 0.0,
     max_panels: int = 800,
-    initial_panels: int = 4,
 ) -> QuadResult:
-    """Integrate the array integrand ``f`` over the finite interval [a, b].
+    """Integrate the array integrand ``f`` from ``edges[0]`` to ``edges[-1]``.
 
-    Gauss-Kronrod nodes are interior, so ``f`` is never evaluated at the
-    endpoints; integrable endpoint behaviour must be handled by the caller
-    (for example by substitution).
+    ``edges`` are finite, increasing panel boundaries; each segment between
+    two of them is one initial panel.  A range with ``edges[-1] <=
+    edges[0]`` integrates to zero.  Gauss-Kronrod nodes are interior, so
+    ``f`` is never evaluated at an edge; integrable endpoint behaviour must
+    be handled by the caller (for example by substitution).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate_adaptive needs finite endpoints")
-    if b <= a:
+    edges = np.asarray(edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("integrate_adaptive needs finite edges")
+    if edges[-1] <= edges[0]:
         return _ZERO
-    edges = np.linspace(a, b, max(1, initial_panels) + 1)
+    if np.any(np.diff(edges) <= 0.0):
+        raise ValueError("integrate_adaptive needs increasing edges")
     heap: list[tuple[float, int, float, float, float, float]] = []
     seq = 0
     evals = 0
@@ -182,7 +185,6 @@ def integrate_to_infinity(
     max_blocks: int = 80,
     max_panels_per_block: int = 400,
     tail: Callable[[float], float] | None = None,
-    t_max: float = math.inf,
 ) -> QuadResult:
     """Integrate the array integrand ``f`` over [t0, infinity).
 
@@ -191,10 +193,6 @@ def integrate_to_infinity(
     magnitude charged to the error budget).  Without it, the truncated tail
     is bounded geometrically from the decay of the last blocks and charged
     entirely to the error.
-
-    ``t_max`` caps how far the blocks may extend (for integrands that stop
-    being evaluable beyond some point).  A cap-forced stop marks the result
-    unconverged unless the integral had already gone quiet on its own.
     """
     if first_width <= 0.0 or growth <= 1.0:
         raise ValueError("first_width must be positive and growth > 1")
@@ -202,24 +200,18 @@ def integrate_to_infinity(
     error = 0.0
     evals = 0
     converged = True
-    capped = False
     left = t0
     width = first_width
     history: list[float] = []
     quiet = 0
     for _ in range(max_blocks):
-        if left >= t_max:
-            capped = True
-            break
-        right = min(left + width, t_max)
+        right = left + width
         block = integrate_adaptive(
             f,
-            left,
-            right,
+            np.linspace(left, right, 3),
             rel_tol=rel_tol,
             abs_tol=max(abs_tol, rel_tol * abs(value)) * 0.25,
             max_panels=max_panels_per_block,
-            initial_panels=2,
         )
         value += block.value
         error += block.abs_error
@@ -238,10 +230,6 @@ def integrate_to_infinity(
         width *= growth
     else:
         converged = False
-    if capped and quiet < 2 and tail is None:
-        # The cap cut off mass the tolerance still cared about and no
-        # analytic estimate covers it; the caller must see non-convergence.
-        converged = False
     cutoff = left
     if tail is not None:
         tail_value = tail(cutoff)
@@ -255,10 +243,3 @@ def integrate_to_infinity(
             converged = False
     return QuadResult(value, error, evals, converged)
 
-
-def sum_results(parts: Sequence[QuadResult]) -> QuadResult:
-    """Left-to-right deterministic sum of partial integrals."""
-    total = _ZERO
-    for part in parts:
-        total = total + part
-    return total

@@ -17,6 +17,7 @@ from rice_maxima import (
     MCConfig,
     PolynomialModel,
     cli,
+    counts,
     estimate_em,
     maxima_density,
     theorem_expansion,
@@ -155,11 +156,17 @@ class TestExpect:
         assert isinstance(result["abs_error"], float)
         assert result["stderr"] is None
 
-    def test_tolerance_not_met_exits_3_with_best_estimate(self, capsys):
-        code, out, err = run(
-            capsys, "expect", "--n", "200", "--u", "1.0",
+    def test_tolerance_not_met_exits_3_with_best_estimate(self, capsys, monkeypatch):
+        args = (
+            "expect", "--n", "200", "--u", "1.0",
             "--interval", "-inf,inf", "--rel-tol", "1e-12",
         )
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert float(out.split()[0]) == pytest.approx(0.8524472701, abs=1e-8)
+        # A 30-panel budget cannot reach rel_tol=1e-12 on the full line.
+        monkeypatch.setattr(counts, "_MAX_PANELS", 30)
+        code, out, err = run(capsys, *args)
         assert code == 3
         assert "warning:" in err
         assert float(out.split()[0]) == pytest.approx(0.8524472701, abs=1e-8)

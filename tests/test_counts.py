@@ -6,10 +6,10 @@ import pytest
 
 from rice_maxima import (
     CountQuery,
-    DegenerateCovariance,
     DegenerateModel,
     PolynomialModel,
     ToleranceNotMet,
+    counts,
     expected_count,
     scale_model,
     split_points,
@@ -91,6 +91,13 @@ class TestStructure:
             (-1.000001, -0.999999, 0.0, 0.999999, 1.000001)
         )
 
+    def test_query_end_one_float_past_a_cut(self):
+        # 1.5 (a cut at n = 3) and the next float map to the same s
+        model = PolynomialModel(3)
+        at_cut = expected_count(model, CountQuery(0.5, 1.5, 1.0))
+        past = expected_count(model, CountQuery(0.5, math.nextafter(1.5, 2.0), 1.0))
+        assert past.value == pytest.approx(at_cut.value, rel=1e-12)
+
     def test_scale_covariance(self):
         model = PolynomialModel(6)
         for factor in (0.5, 3.0):
@@ -105,19 +112,29 @@ class TestStructure:
 
 
 class TestKnownDefects:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DegenerateCovariance,
-        reason="far-tail covariance collapse at large n: the residual after "
-        "projecting out Q' falls below the rank tolerance inside the fixed "
-        "|x| cap (ROADMAP known defect)",
+    # u = inf on intervals that reach |x| = inf used to raise
+    # DegenerateCovariance at n >= 1000: the count integrated out to a fixed
+    # |x| cap, past the point where the (Q, Q', Q'') covariance is resolved.
+    # The expected values are the frozen bench references.
+    @pytest.mark.parametrize(
+        "n,lo,hi,expected",
+        [
+            (1000, 1.0, INF, 0.0912343519472564),
+            (1000, -INF, -1.0, 0.11422188133203989),
+            (1000, -INF, INF, 1.9429919164528022),
+            (10_000, -INF, INF, 2.4811850173266197),
+        ],
     )
-    def test_all_maxima_on_the_positive_tail_at_degree_1000(self):
-        # The documented contract is a value or ToleranceNotMet; today the
-        # count raises DegenerateCovariance.  The reference is the count to
-        # |x| = 1e6 plus the analytic f(X) X tail of the 1/x^2 density.
-        result = expected_count(PolynomialModel(1000), CountQuery(1.0, INF, INF))
-        assert result.value == pytest.approx(0.0912343519472564, rel=1e-7)
+    def test_all_maxima_on_intervals_reaching_infinity(self, n, lo, hi, expected):
+        result = expected_count(PolynomialModel(n), CountQuery(lo, hi, INF))
+        assert result.value == pytest.approx(expected, rel=1e-7)
+
+    def test_tight_tolerance_on_the_positive_tail_converges(self):
+        model = PolynomialModel(200)
+        query = CountQuery(1.0, INF, INF)
+        tight = expected_count(model, query, rel_tol=1e-12)
+        loose = expected_count(model, query, rel_tol=1e-8)
+        assert tight.value == pytest.approx(loose.value, rel=1e-9)
 
 
 class TestValidation:
@@ -143,13 +160,16 @@ class TestValidation:
         with pytest.raises(DegenerateModel, match="degenerate covariance"):
             expected_count(PolynomialModel(2), CountQuery(-INF, INF, INF))
 
-    def test_tolerance_failure_carries_best_estimate(self):
-        # At rel_tol=1e-12 on the full line the truncated-tail uncertainty
-        # near the origin exceeds the budget for a high-degree model.
+    def test_tolerance_failure_carries_best_estimate(self, monkeypatch):
+        model = PolynomialModel(1000)
+        query = CountQuery(-INF, INF, 1.0)
+        assert expected_count(model, query, rel_tol=1e-12).value == pytest.approx(
+            0.92768462, abs=1e-6
+        )
+        # A 30-panel budget cannot reach rel_tol=1e-12 on the full line.
+        monkeypatch.setattr(counts, "_MAX_PANELS", 30)
         with pytest.raises(ToleranceNotMet) as excinfo:
-            expected_count(
-                PolynomialModel(1000), CountQuery(-INF, INF, 1.0), rel_tol=1e-12
-            )
+            expected_count(model, query, rel_tol=1e-12)
         best = excinfo.value.result
         assert best.value == pytest.approx(0.92768462, abs=1e-6)
         assert best.abs_error > 1e-12 * best.value
