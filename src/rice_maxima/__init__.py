@@ -22,9 +22,8 @@ from .errors import (
     NonFiniteResult,
     RiceMaximaError,
     ToleranceNotMet,
-    VerificationFailure,
 )
-from .model import PolynomialModel, basis_eval, scale_model
+from .model import PolynomialModel, scale_model
 from .moments import MomentSet, moments
 from .montecarlo import (
     MCConfig,
@@ -78,10 +77,8 @@ __all__ = [
     "RiceMaximaError",
     "ScaledValue",
     "ToleranceNotMet",
-    "VerificationFailure",
     "VerifyRow",
     "__version__",
-    "basis_eval",
     "count_maxima_below",
     "density_split",
     "estimate_em",

@@ -34,6 +34,7 @@ Exit codes: 0 success; 1 usage error; 2 degenerate or invalid model;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -49,7 +50,6 @@ from .errors import (
     DegenerateModel,
     NonFiniteResult,
     ToleranceNotMet,
-    VerificationFailure,
 )
 from .expansion import FAMILY_BOUNDS, FAMILY_INTERVALS, theorem_expansion
 from .model import PolynomialModel
@@ -62,6 +62,19 @@ _NAME_TO_FAMILY = {name: fam for fam, name in FAMILY_INTERVALS.items()}
 _BOUNDS_TO_FAMILY = {bounds: fam for fam, bounds in FAMILY_BOUNDS.items()}
 
 _OK, _USAGE, _DEGENERATE, _TOLERANCE, _VERIFY = 0, 1, 2, 3, 4
+
+# error raised by a subcommand -> exit code; ``main`` prints "error: <message>"
+_EXIT_CODES = {
+    DegenerateModel: _DEGENERATE,
+    DegenerateCovariance: _DEGENERATE,
+    NonFiniteResult: _DEGENERATE,
+    ToleranceNotMet: _TOLERANCE,
+    ValueError: _USAGE,
+    OSError: _USAGE,
+}
+
+_LEVEL_HELP = "level (inf/-inf allowed)"
+_INTERVAL_HELP = "'lo,hi' or pos-tail | neg-tail | unit | neg-unit"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,6 +116,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
 def _interval(text: str) -> tuple[float, float]:
     lowered = text.strip().lower()
     if lowered in _NAME_TO_FAMILY:
@@ -119,47 +139,31 @@ def _interval(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _degree(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    return value
+def _integer(minimum: int):
+    """Parser of integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    value = _degree(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _list_of(item):
+    """Parser of a non-empty comma-separated list of ``item`` values."""
 
+    def parse(text: str) -> tuple:
+        items = tuple(item(part) for part in text.split(",") if part.strip())
+        if not items:
+            raise argparse.ArgumentTypeError("the list must not be empty")
+        return items
 
-def _nonnegative_int(text: str) -> int:
-    value = _degree(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return value
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    items = tuple(_positive_int(part) for part in text.split(",") if part.strip())
-    if not items:
-        raise argparse.ArgumentTypeError("the list must not be empty")
-    return items
-
-
-def _level_list(text: str) -> tuple[float, ...]:
-    items = tuple(_level(part) for part in text.split(",") if part.strip())
-    if not items:
-        raise argparse.ArgumentTypeError("the list must not be empty")
-    return items
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +180,6 @@ def _load_model(degree: int, sigma_file: str | None) -> PolynomialModel:
             if stripped:
                 values.append(float(stripped))
     return PolynomialModel(degree, sigma=tuple(values))
-
-
-def _sigma_source(sigma_file: str | None) -> str:
-    return "unit" if sigma_file is None else sigma_file
 
 
 def _is_unit(model: PolynomialModel) -> bool:
@@ -215,254 +215,129 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(record: dict) -> None:
-    print(json.dumps(_jsonable(record), indent=2))
-
-
-def _run_record(command, model, sigma_file, interval, u, results, wall):
+def _single_result(args, interval, method, value, abs_error=None, stderr=None) -> dict:
+    """Record body of a subcommand that reports one value for one model."""
     return {
-        "command": command,
-        "model": {"n": model.degree, "sigma": _sigma_source(sigma_file)},
-        "query": {"interval": [interval[0], interval[1]], "u": u},
-        "results": results,
-        "version": __version__,
-        "wall_time": wall,
+        "model": {"n": args.n, "sigma": args.sigma_file or "unit"},
+        "query": {"interval": interval, "u": args.u},
+        "results": [
+            {"method": method, "value": value, "abs_error": abs_error, "stderr": stderr}
+        ],
     }
 
 
-def _print_timing(wall: float | None) -> None:
-    if wall is not None:
-        print(f"wall time: {wall:.3f} s", file=sys.stderr)
-
-
-def _family_for(interval: tuple[float, float]) -> int | None:
-    return _BOUNDS_TO_FAMILY.get(interval)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes and returns (record body, text, exit code); the
+# errors of ``_EXIT_CODES`` propagate to ``main``
 
 
-def _cmd_density(args) -> int:
-    model = _load_model(args.n, args.sigma_file)
-    start = time.perf_counter()
+def _cmd_density(args, model):
     value = maxima_density(model, args.x, args.u)
-    wall = time.perf_counter() - start if args.timing else None
-    results = [{"method": "density", "value": value, "abs_error": None, "stderr": None}]
-    if args.json:
-        _emit_json(
-            _run_record(
-                "density", model, args.sigma_file, (args.x, args.x), args.u, results, wall
-            )
-        )
-    else:
-        print(f"{value:.17g}")
-    _print_timing(wall)
-    return _OK
+    body = _single_result(args, (args.x, args.x), "density", value)
+    return body, f"{value:.17g}", _OK
 
 
-def _cmd_expect(args) -> int:
-    model = _load_model(args.n, args.sigma_file)
-    lo, hi = args.interval
-    query = CountQuery(lo, hi, args.u)
+def _cmd_expect(args, model):
     code = _OK
-    start = time.perf_counter()
+    query = CountQuery(*args.interval, args.u)
     try:
         result = expected_count(model, query, rel_tol=args.rel_tol)
     except ToleranceNotMet as exc:
         if exc.result is None:
             raise
         print(f"warning: {exc}", file=sys.stderr)
-        result = exc.result
-        code = _TOLERANCE
-    wall = time.perf_counter() - start if args.timing else None
-    results = [
-        {
-            "method": result.method,
-            "value": float(result.value),
-            "abs_error": float(result.abs_error),
-            "stderr": None,
-        }
-    ]
-    if args.json:
-        _emit_json(
-            _run_record("expect", model, args.sigma_file, (lo, hi), args.u, results, wall)
-        )
-    else:
-        print(f"{result.value:.17g} +- {result.abs_error:.3g}")
-    _print_timing(wall)
-    return code
+        result, code = exc.result, _TOLERANCE
+    value, abs_error = float(result.value), float(result.abs_error)
+    body = _single_result(args, args.interval, result.method, value, abs_error)
+    return body, f"{result.value:.17g} +- {result.abs_error:.3g}", code
 
 
-def _cmd_asymptotic(args) -> int:
-    family = _family_for(args.interval)
+def _cmd_asymptotic(args, model):
+    family = _BOUNDS_TO_FAMILY.get(args.interval)
     if family is None:
-        print(
-            "error: the expansion is defined on the four canonical intervals "
-            "only (pos-tail, neg-tail, unit, neg-unit)",
-            file=sys.stderr,
+        raise ValueError(
+            "the expansion is defined on the four canonical intervals "
+            "only (pos-tail, neg-tail, unit, neg-unit)"
         )
-        return _USAGE
-    model = _load_model(args.n, args.sigma_file)
     if not _is_unit(model):
-        print(
-            "error: the expansion covers only unit increment deviations",
-            file=sys.stderr,
-        )
-        return _DEGENERATE
-    start = time.perf_counter()
+        raise DegenerateModel("the expansion covers only unit increment deviations")
     expansion = theorem_expansion(family, args.n, args.u)
     value = expansion.assembled_value(args.n, args.u)
-    wall = time.perf_counter() - start if args.timing else None
     if expansion.warned:
         print(
             f"warning: u={args.u:g} is outside the validity scale "
             f"({expansion.validity})",
             file=sys.stderr,
         )
-    results = [
-        {"method": "expansion", "value": value, "abs_error": None, "stderr": None}
-    ]
-    if args.json:
-        _emit_json(
-            _run_record(
-                "asymptotic",
-                model,
-                args.sigma_file,
-                args.interval,
-                args.u,
-                results,
-                wall,
-            )
-        )
-    else:
-        if family in (1, 3):
-            scale = 1.0 / (2.0 * (args.n * math.pi) ** 1.5)
-            power = 1.5
-        else:
-            scale = 1.0 / (2.0 * math.pi * math.sqrt(args.n * math.pi))
-            power = 0.5
-        log_part = (
-            expansion.log_coefficient * math.log(args.n**power / args.u)
-            if expansion.log_coefficient
-            else 0.0
-        )
-        print(f"{value:.17g}")
-        print(f"  log term : {log_part:.17g} (coefficient {expansion.log_coefficient:.12g})")
-        print(f"  constant : {expansion.constant:.17g}")
-        print(
-            f"  u term   : {expansion.u_coefficient * args.u * scale:.17g} "
-            f"(coefficient {expansion.u_coefficient:.12g})"
-        )
-        print(f"  {expansion.validity}")
-    _print_timing(wall)
-    return _OK
-
-
-def _cmd_montecarlo(args) -> int:
-    model = _load_model(args.n, args.sigma_file)
-    lo, hi = args.interval
-    config = MCConfig(
-        trials=args.trials,
-        seed=args.seed,
-        points_per_unit=args.points_per_unit,
-        workers=_workers(args.workers),
-        batch_size=args.batch_size,
+    log_term, constant, u_term = expansion.terms(args.n, args.u)
+    text = (
+        f"{value:.17g}\n"
+        f"  log term : {log_term:.17g} (coefficient {expansion.log_coefficient:.12g})\n"
+        f"  constant : {constant:.17g}\n"
+        f"  u term   : {u_term:.17g} (coefficient {expansion.u_coefficient:.12g})\n"
+        f"  {expansion.validity}"
     )
-    start = time.perf_counter()
-    estimate = estimate_em(model, lo, hi, args.u, config)
-    wall = time.perf_counter() - start if args.timing else None
-    results = [
-        {
-            "method": "monte-carlo",
-            "value": float(estimate.mean),
-            "abs_error": None,
-            "stderr": float(estimate.stderr),
-        }
-    ]
-    if args.json:
-        _emit_json(
-            _run_record(
-                "montecarlo", model, args.sigma_file, (lo, hi), args.u, results, wall
-            )
-        )
-    else:
-        print(
-            f"{estimate.mean:.17g} +- {estimate.stderr:.3g} "
-            f"(trials={estimate.trials}, seed={estimate.seed})"
-        )
-    _print_timing(wall)
-    return _OK
+    return _single_result(args, args.interval, "expansion", value), text, _OK
 
 
-def _cmd_verify_constants(args) -> int:
-    start = time.perf_counter()
-    rows = verify_constants(args.rel_tol)
-    wall = time.perf_counter() - start if args.timing else None
-    failed = sum(1 for row in rows if not row.passed)
-    if args.json:
-        record = {
-            "command": "verify-constants",
-            "rows": [
-                {
-                    "name": row.name,
-                    "computed": row.computed,
-                    "reference": row.reference,
-                    "diff": row.diff,
-                    "tolerance": row.tolerance,
-                    "passed": row.passed,
-                }
-                for row in rows
-            ],
-            "all_passed": failed == 0,
-            "version": __version__,
-            "wall_time": wall,
-        }
-        _emit_json(record)
-    else:
-        header = (
-            f"{'name':<26} {'computed':>18} {'reference':>18} "
-            f"{'diff':>10} {'tol':>8} status"
-        )
-        print(header)
-        print("-" * len(header))
-        for row in rows:
-            print(
-                f"{row.name:<26} {row.computed:>18.12g} {row.reference:>18.12g} "
-                f"{row.diff:>10.2e} {row.tolerance:>8.0e} "
-                f"{'pass' if row.passed else 'FAIL'}"
-            )
-        print(f"{len(rows) - failed} of {len(rows)} rows within tolerance")
-    _print_timing(wall)
-    return _OK if failed == 0 else _VERIFY
-
-
-def _cmd_compare(args) -> int:
-    lo, hi = args.interval
-    family = _family_for(args.interval)
+def _cmd_montecarlo(args, model):
     workers = _workers(args.workers)
-    start = time.perf_counter()
+    config = MCConfig(
+        args.trials, args.seed, args.points_per_unit, workers, args.batch_size
+    )
+    estimate = estimate_em(model, *args.interval, args.u, config)
+    body = _single_result(
+        args, args.interval, "monte-carlo", float(estimate.mean),
+        stderr=float(estimate.stderr),
+    )
+    text = (
+        f"{estimate.mean:.17g} +- {estimate.stderr:.3g} "
+        f"(trials={estimate.trials}, seed={estimate.seed})"
+    )
+    return body, text, _OK
+
+
+def _cmd_verify_constants(args, _model):
+    rows = verify_constants(args.rel_tol)
+    failed = sum(1 for row in rows if not row.passed)
+    header = (
+        f"{'name':<26} {'computed':>18} {'reference':>18} "
+        f"{'diff':>10} {'tol':>8} status"
+    )
+    lines = [header, "-" * len(header)]
+    lines += [
+        f"{row.name:<26} {row.computed:>18.12g} {row.reference:>18.12g} "
+        f"{row.diff:>10.2e} {row.tolerance:>8.0e} "
+        f"{'pass' if row.passed else 'FAIL'}"
+        for row in rows
+    ]
+    lines.append(f"{len(rows) - failed} of {len(rows)} rows within tolerance")
+    rows_json = [dataclasses.asdict(row) for row in rows]
+    body = {"rows": rows_json, "all_passed": failed == 0}
+    return body, "\n".join(lines), _OK if failed == 0 else _VERIFY
+
+
+def _cmd_compare(args, _model):
+    lo, hi = args.interval
+    family = _BOUNDS_TO_FAMILY.get(args.interval)
+    workers = _workers(args.workers)
     cells = []
     for n in args.n_list:
         model = _load_model(n, args.sigma_file)
         config = MCConfig(
-            trials=args.trials,
-            seed=args.seed,
-            points_per_unit=args.points_per_unit,
-            workers=workers,
-            batch_size=args.batch_size,
+            args.trials, args.seed, args.points_per_unit, workers, args.batch_size
         )
         estimates = estimate_many(model, lo, hi, args.u_list, config)
         for u, estimate in zip(args.u_list, estimates):
             try:
-                exact = expected_count(model, CountQuery(lo, hi, u), rel_tol=args.rel_tol)
+                query = CountQuery(lo, hi, u)
+                exact = expected_count(model, query, rel_tol=args.rel_tol)
             except ToleranceNotMet as exc:
                 print(f"warning: n={n} u={u:g}: {exc}", file=sys.stderr)
                 exact = exc.result
             asymptotic = None
             if family is not None and _is_unit(model) and 0.0 < u < math.inf:
-                expansion = theorem_expansion(family, n, u)
-                asymptotic = expansion.assembled_value(n, u)
+                asymptotic = theorem_expansion(family, n, u).assembled_value(n, u)
             cells.append(
                 {
                     "n": n,
@@ -474,36 +349,69 @@ def _cmd_compare(args) -> int:
                     "mc_stderr": float(estimate.stderr),
                 }
             )
-    wall = time.perf_counter() - start if args.timing else None
-    if args.json:
-        record = {
-            "command": "compare",
-            "model": {"n": list(args.n_list), "sigma": _sigma_source(args.sigma_file)},
-            "query": {"interval": [lo, hi], "u": list(args.u_list)},
-            "cells": cells,
-            "version": __version__,
-            "wall_time": wall,
-        }
-        _emit_json(record)
-    else:
-        print("n,u,exact,exact_err,asymptotic,mc_mean,mc_stderr")
-        for cell in cells:
-            fields = [
-                str(cell["n"]),
-                repr(cell["u"]),
-                repr(cell["exact"]),
-                repr(cell["exact_err"]),
-                "" if cell["asymptotic"] is None else repr(cell["asymptotic"]),
-                repr(cell["mc_mean"]),
-                repr(cell["mc_stderr"]),
-            ]
-            print(",".join(fields))
-    _print_timing(wall)
-    return _OK
+    body = {
+        "model": {"n": list(args.n_list), "sigma": args.sigma_file or "unit"},
+        "query": {"interval": [lo, hi], "u": list(args.u_list)},
+        "cells": cells,
+    }
+    lines = ["n,u,exact,exact_err,asymptotic,mc_mean,mc_stderr"]  # the cell keys
+    for cell in cells:
+        lines.append(",".join("" if v is None else repr(v) for v in cell.values()))
+    return body, "\n".join(lines), _OK
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _subcommand(subparsers, name, func, summary, *, sigma=True):
+    """A subparser with the options every subcommand shares."""
+    p = subparsers.add_parser(name, help=summary)
+    p.add_argument(
+        "--json", action="store_true", help="emit a JSON record instead of text"
+    )
+    p.add_argument(
+        "--timing",
+        action="store_true",
+        help="measure wall time (JSON wall_time stays null without this)",
+    )
+    if sigma:
+        p.add_argument(
+            "--sigma-file",
+            metavar="PATH",
+            help="increment standard deviations, one per line, length n",
+        )
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_query(p, u_help=_LEVEL_HELP, interval_help=_INTERVAL_HELP) -> None:
+    """``--n``, ``--u`` and, unless ``interval_help`` is None, ``--interval``."""
+    p.add_argument("--n", type=_integer(1), required=True, help="polynomial degree")
+    p.add_argument("--u", type=_level, required=True, help=u_help)
+    if interval_help is not None:
+        p.add_argument("--interval", type=_interval, required=True, help=interval_help)
+
+
+def _add_simulation(p, trials: int) -> None:
+    """The Monte Carlo options; ``trials`` is the default sample size."""
+    p.add_argument("--trials", type=_integer(1), default=trials, help="sample size")
+    p.add_argument("--seed", type=_integer(0), default=0, help="base seed")
+    p.add_argument(
+        "--workers",
+        type=_integer(1),
+        default=1,
+        help="worker threads (RICE_MAXIMA_THREADS overrides)",
+    )
+    p.add_argument(
+        "--points-per-unit",
+        type=_integer(1),
+        default=512,
+        help="critical-point scan resolution",
+    )
+    p.add_argument(
+        "--batch-size", type=_integer(1), default=256, help="trials per work unit"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,102 +425,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit a JSON record instead of text"
-    )
-    common.add_argument(
-        "--timing",
-        action="store_true",
-        help="measure wall time (JSON wall_time stays null without this)",
-    )
-    sigma = argparse.ArgumentParser(add_help=False)
-    sigma.add_argument(
-        "--sigma-file",
-        metavar="PATH",
-        help="increment standard deviations, one per line, length n",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser(
+    p = _subcommand(
+        subparsers,
         "density",
-        parents=[common, sigma],
-        help="pointwise density of local maxima below a level",
+        _cmd_density,
+        "pointwise density of local maxima below a level",
     )
-    p.add_argument("--n", type=_positive_int, required=True, help="polynomial degree")
-    p.add_argument("--u", type=_level, required=True, help="level (inf/-inf allowed)")
+    _add_query(p, interval_help=None)
     p.add_argument("--x", type=_finite, required=True, help="evaluation point")
-    p.set_defaults(func=_cmd_density)
 
-    p = subparsers.add_parser(
+    p = _subcommand(
+        subparsers,
         "expect",
-        parents=[common, sigma],
-        help="expected count on an interval by adaptive quadrature",
+        _cmd_expect,
+        "expected count on an interval by adaptive quadrature",
     )
-    p.add_argument("--n", type=_positive_int, required=True, help="polynomial degree")
-    p.add_argument("--u", type=_level, required=True, help="level (inf/-inf allowed)")
-    p.add_argument(
-        "--interval",
-        type=_interval,
-        required=True,
-        help="'lo,hi' or pos-tail | neg-tail | unit | neg-unit",
-    )
+    _add_query(p)
     p.add_argument(
         "--rel-tol", type=_positive_float, default=1e-8, help="relative tolerance"
     )
-    p.set_defaults(func=_cmd_expect)
 
-    p = subparsers.add_parser(
+    p = _subcommand(
+        subparsers,
         "asymptotic",
-        parents=[common, sigma],
-        help="large-degree expansion on a canonical interval",
+        _cmd_asymptotic,
+        "large-degree expansion on a canonical interval",
     )
-    p.add_argument("--n", type=_positive_int, required=True, help="polynomial degree")
-    p.add_argument("--u", type=_level, required=True, help="level (finite, > 0)")
-    p.add_argument(
-        "--interval",
-        type=_interval,
-        required=True,
-        help="pos-tail | neg-tail | unit | neg-unit (or the same bounds as 'lo,hi')",
+    _add_query(
+        p,
+        "level (finite, > 0)",
+        "pos-tail | neg-tail | unit | neg-unit (or the same bounds as 'lo,hi')",
     )
-    p.set_defaults(func=_cmd_asymptotic)
 
-    p = subparsers.add_parser(
-        "montecarlo",
-        parents=[common, sigma],
-        help="simulation estimate on an interval",
+    p = _subcommand(
+        subparsers, "montecarlo", _cmd_montecarlo, "simulation estimate on an interval"
     )
-    p.add_argument("--n", type=_positive_int, required=True, help="polynomial degree")
-    p.add_argument("--u", type=_level, required=True, help="level (inf/-inf allowed)")
-    p.add_argument(
-        "--interval",
-        type=_interval,
-        required=True,
-        help="'lo,hi' or pos-tail | neg-tail | unit | neg-unit",
-    )
-    p.add_argument("--trials", type=_positive_int, default=10000, help="sample size")
-    p.add_argument("--seed", type=_nonnegative_int, default=0, help="base seed")
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker threads (RICE_MAXIMA_THREADS overrides)",
-    )
-    p.add_argument(
-        "--points-per-unit",
-        type=_positive_int,
-        default=512,
-        help="critical-point scan resolution",
-    )
-    p.add_argument(
-        "--batch-size", type=_positive_int, default=256, help="trials per work unit"
-    )
-    p.set_defaults(func=_cmd_montecarlo)
+    _add_query(p)
+    _add_simulation(p, trials=10000)
 
-    p = subparsers.add_parser(
+    p = _subcommand(
+        subparsers,
         "verify-constants",
-        parents=[common],
-        help="recompute the frozen reference table and report pass/fail",
+        _cmd_verify_constants,
+        "recompute the frozen reference table and report pass/fail",
+        sigma=False,
     )
     p.add_argument(
         "--rel-tol",
@@ -620,55 +478,33 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replace the per-row absolute tolerances with rel-tol * |reference|",
     )
-    p.set_defaults(func=_cmd_verify_constants)
 
-    p = subparsers.add_parser(
+    p = _subcommand(
+        subparsers,
         "compare",
-        parents=[common, sigma],
-        help="(n, u) matrix of exact vs asymptotic vs simulation (CSV by default)",
+        _cmd_compare,
+        "(n, u) matrix of exact vs asymptotic vs simulation (CSV by default)",
     )
     p.add_argument(
         "--n-list",
-        type=_int_list,
+        type=_list_of(_integer(1)),
         required=True,
         help="comma-separated degrees, e.g. 200,500,1000",
     )
     p.add_argument(
         "--u-list",
-        type=_level_list,
+        type=_list_of(_level),
         required=True,
         help="comma-separated levels (inf allowed)",
     )
-    p.add_argument(
-        "--interval",
-        type=_interval,
-        required=True,
-        help="'lo,hi' or pos-tail | neg-tail | unit | neg-unit",
-    )
-    p.add_argument("--trials", type=_positive_int, default=20000, help="sample size")
-    p.add_argument("--seed", type=_nonnegative_int, default=0, help="base seed")
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="worker threads (RICE_MAXIMA_THREADS overrides)",
-    )
-    p.add_argument(
-        "--points-per-unit",
-        type=_positive_int,
-        default=512,
-        help="critical-point scan resolution",
-    )
-    p.add_argument(
-        "--batch-size", type=_positive_int, default=256, help="trials per work unit"
-    )
+    p.add_argument("--interval", type=_interval, required=True, help=_INTERVAL_HELP)
+    _add_simulation(p, trials=20000)
     p.add_argument(
         "--rel-tol",
         type=_positive_float,
         default=1e-8,
         help="relative tolerance for the exact column",
     )
-    p.set_defaults(func=_cmd_compare)
     return parser
 
 
@@ -679,22 +515,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE
     try:
-        return args.func(args)
-    except (DegenerateModel, DegenerateCovariance) as exc:
+        model = _load_model(args.n, args.sigma_file) if "n" in args else None
+        start = time.perf_counter()
+        body, text, code = args.func(args, model)
+        wall = time.perf_counter() - start if args.timing else None
+        if args.json:
+            record = {"command": args.command, **body}
+            record.update(version=__version__, wall_time=wall)
+            print(json.dumps(_jsonable(record), indent=2))
+        else:
+            print(text)
+        if wall is not None:
+            print(f"wall time: {wall:.3f} s", file=sys.stderr)
+        return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _DEGENERATE
-    except NonFiniteResult as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DEGENERATE
-    except ToleranceNotMet as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _TOLERANCE
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _VERIFY
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,3 @@ class ToleranceNotMet(RiceMaximaError):
         super().__init__(message)
         self.result = result
 
-
-class VerificationFailure(RiceMaximaError):
-    """A cross-check between two independent computations disagreed beyond
-    its tolerance."""

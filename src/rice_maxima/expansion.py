@@ -55,7 +55,6 @@ __all__ = [
     "ExpansionResult",
     "h_integral",
     "kernel_pieces",
-    "log_term",
     "theorem_expansion",
 ]
 
@@ -147,7 +146,6 @@ def _h_integral_cached(
         1.0,
         rel_tol=rel_tol,
         abs_tol=1e-14,
-        first_width=1.0,
         tail=tail_hint,
     )
     sliver = _sliver_estimate(product, _EPS)
@@ -174,51 +172,32 @@ def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
     return value
 
 
-def log_term(a: float, b: float, n: int, power: float) -> float:
-    """Closed form of the regularized tail integral with a 1/t (power 3/2)
-    or 1/sqrt(t)-type (power 1/2) subtraction:
-
-        power 3/2:  (2a/3) * ln((a/b) n^{3/2} + 1)
-        power 1/2:  2a     * ln((a/b) n^{1/2} + 1)
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("log_term requires a > 0 and b > 0")
-    if n < 0:
-        raise ValueError("log_term requires n >= 0")
-    if power == 1.5:
-        return (2.0 * a / 3.0) * math.log(a / b * n**1.5 + 1.0)
-    if power == 0.5:
-        return 2.0 * a * math.log(a / b * math.sqrt(n) + 1.0)
-    raise ValueError(f"power must be 3/2 or 1/2, got {power!r}")
-
-
 @dataclass(frozen=True)
 class ExpansionResult:
     """One family's expansion, evaluated at a degree and level.
 
-    ``assembled_value(n, u)`` returns
+    ``terms(n, u)`` returns the three terms
 
-        log_coefficient * ln(n^power / u) + constant
-        + u_coefficient * u * scale(n)
+        (log_coefficient * ln(n^power / u), constant,
+         u_coefficient * u * scale(n))
 
     where scale(n) = 1/(2 (n pi)^{3/2}) for the families attached to +1
     (pos-tail, unit) and 1/(2 pi sqrt(n pi)) for those attached to -1, and
-    power is 3/2 / 1/2 respectively.  ``leading`` is the value of the
-    n-growing part at the construction arguments (the log term; for the
-    tail families, which have none, the constant).  ``warned`` records that
-    the construction level exceeded the family's validity scale.
+    power is 3/2 / 1/2 respectively; the log term is 0 for the tail
+    families, which have none.  ``assembled_value(n, u)`` is their sum.
+    ``warned`` records that the construction level exceeded the family's
+    validity scale.
     """
 
     interval: str
     family: int
-    leading: float
     log_coefficient: float
     constant: float
     u_coefficient: float
     validity: str
     warned: bool
 
-    def assembled_value(self, n: int, u: float) -> float:
+    def terms(self, n: int, u: float) -> tuple[float, float, float]:
         if u <= 0.0:
             raise ValueError("the expansion requires a level u > 0")
         if self.family in (1, 3):
@@ -227,10 +206,14 @@ class ExpansionResult:
         else:
             scale = 1.0 / (2.0 * math.pi * math.sqrt(n * math.pi))
             power = 0.5
-        value = self.constant + self.u_coefficient * u * scale
+        log_term = 0.0
         if self.log_coefficient != 0.0:
-            value += self.log_coefficient * math.log(n**power / u)
-        return value
+            log_term = self.log_coefficient * math.log(n**power / u)
+        return log_term, self.constant, self.u_coefficient * u * scale
+
+    def assembled_value(self, n: int, u: float) -> float:
+        log_term, constant, u_term = self.terms(n, u)
+        return constant + u_term + log_term
 
 
 def kernel_pieces(family: int, *, rel_tol: float = 1e-9) -> tuple[float, float, float]:
@@ -296,15 +279,9 @@ def theorem_expansion(family: int, n: int, u: float) -> ExpansionResult:
         f"valid for u = O(n^({'5/4' if family in (1, 3) else '1/4'})); "
         f"remainder O(n^(-1/2))"
     )
-    if log_coefficient != 0.0:
-        power = 1.5 if family == 3 else 0.5
-        leading = log_coefficient * math.log(n**power / u)
-    else:
-        leading = constant
     return ExpansionResult(
         interval=FAMILY_INTERVALS[family],
         family=family,
-        leading=leading,
         log_coefficient=log_coefficient,
         constant=constant,
         u_coefficient=u_coefficient,

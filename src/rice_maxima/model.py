@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateModel
 
-__all__ = ["PolynomialModel", "basis_eval", "scale_model"]
+__all__ = ["PolynomialModel", "scale_model"]
 
 
 @dataclass(frozen=True)
@@ -112,21 +112,3 @@ def scale_model(model: PolynomialModel, c: float) -> PolynomialModel:
         sigma0=c * model.sigma0,
     )
 
-
-def basis_eval(n: int, x: float, k: int):
-    """Backward-recurrence evaluation of (a_k, b_k, d_k) at a single point.
-
-    The recurrence ``a_k = x**k + a_{k+1}`` (and likewise for b, d) makes
-    x = 1 a perfectly regular point, unlike the closed geometric form.
-    """
-    if not (0 <= k <= n):
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    x = float(x)
-    a = b = d = 0.0
-    for j in range(n, k - 1, -1):
-        # x**j etc. computed incrementally would accumulate error for long
-        # ranges; the direct powers keep each term correctly rounded.
-        a += x**j
-        b += j * x ** (j - 1) if j >= 1 else 0.0
-        d += j * (j - 1) * x ** (j - 2) if j >= 2 else 0.0
-    return (a, b, d)

@@ -12,11 +12,13 @@ Two entry points:
   largest error estimate is split until the summed estimate meets the
   tolerance or the panel budget runs out.
 * ``integrate_to_infinity`` — semi-infinite interval, covered by blocks of
-  geometrically growing width, each integrated adaptively.  Truncation stops
-  once two consecutive blocks contribute below threshold; the remaining tail
-  enters the result either through a caller-supplied analytic estimate or
-  through a geometric bound folded into the error.  Only the expansion tier
-  uses it: ``counts`` maps the real line onto a finite range instead.
+  fixed geometry: the first is one unit wide, each next one twice as wide,
+  at most 80 blocks of at most 400 panels each, every block integrated
+  adaptively.  Truncation stops once two consecutive blocks contribute
+  below threshold; the remaining tail enters the result either through a
+  caller-supplied analytic estimate or through a geometric bound folded
+  into the error.  Only the expansion tier uses it: ``counts`` maps the
+  real line onto a finite range instead.
 
 Integrands are array-in/array-out: ``f`` receives the 15 nodes of a panel
 as one float64 array and returns their values as an array of the same
@@ -77,6 +79,12 @@ KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
 GAUSS_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 PANEL_EVALUATIONS = len(KRONROD_NODES)
 
+# block geometry of ``integrate_to_infinity``
+_FIRST_WIDTH = 1.0
+_GROWTH = 2.0
+_MAX_BLOCKS = 80
+_MAX_PANELS_PER_BLOCK = 400
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -86,14 +94,6 @@ class QuadResult:
     abs_error: float
     evaluations: int
     converged: bool
-
-    def __add__(self, other: "QuadResult") -> "QuadResult":
-        return QuadResult(
-            self.value + other.value,
-            self.abs_error + other.abs_error,
-            self.evaluations + other.evaluations,
-            self.converged and other.converged,
-        )
 
 
 _ZERO = QuadResult(0.0, 0.0, 0, True)
@@ -180,10 +180,6 @@ def integrate_to_infinity(
     *,
     rel_tol: float,
     abs_tol: float = 0.0,
-    first_width: float = 1.0,
-    growth: float = 2.0,
-    max_blocks: int = 80,
-    max_panels_per_block: int = 400,
     tail: Callable[[float], float] | None = None,
 ) -> QuadResult:
     """Integrate the array integrand ``f`` over [t0, infinity).
@@ -194,24 +190,22 @@ def integrate_to_infinity(
     is bounded geometrically from the decay of the last blocks and charged
     entirely to the error.
     """
-    if first_width <= 0.0 or growth <= 1.0:
-        raise ValueError("first_width must be positive and growth > 1")
     value = 0.0
     error = 0.0
     evals = 0
     converged = True
     left = t0
-    width = first_width
+    width = _FIRST_WIDTH
     history: list[float] = []
     quiet = 0
-    for _ in range(max_blocks):
+    for _ in range(_MAX_BLOCKS):
         right = left + width
         block = integrate_adaptive(
             f,
             np.linspace(left, right, 3),
             rel_tol=rel_tol,
             abs_tol=max(abs_tol, rel_tol * abs(value)) * 0.25,
-            max_panels=max_panels_per_block,
+            max_panels=_MAX_PANELS_PER_BLOCK,
         )
         value += block.value
         error += block.abs_error
@@ -227,7 +221,7 @@ def integrate_to_infinity(
         else:
             quiet = 0
         left = right
-        width *= growth
+        width *= _GROWTH
     else:
         converged = False
     cutoff = left

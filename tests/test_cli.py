@@ -14,8 +14,12 @@ import jsonschema
 import pytest
 
 from rice_maxima import (
+    DegenerateCovariance,
+    DegenerateModel,
     MCConfig,
+    NonFiniteResult,
     PolynomialModel,
+    ToleranceNotMet,
     cli,
     counts,
     estimate_em,
@@ -61,6 +65,27 @@ class TestTopLevel:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, out, err = run(capsys, "maximize")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "error,want",
+        [
+            (DegenerateModel("model"), 2),
+            (DegenerateCovariance(0.5, "detail"), 2),
+            (NonFiniteResult("not finite"), 2),
+            (ToleranceNotMet("budget"), 3),
+            (ValueError("bad value"), 1),
+            (OSError("no file"), 1),
+        ],
+    )
+    def test_error_exit_codes(self, capsys, monkeypatch, error, want):
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "maxima_density", fail)
+        code, out, err = run(capsys, "density", "--n", "5", "--u", "1.0", "--x", "0.5")
+        assert code == want
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 class TestDensity:
@@ -208,6 +233,19 @@ class TestAsymptotic:
         expansion = theorem_expansion(3, 100, 1.0)
         assert float(out.splitlines()[0]) == expansion.assembled_value(100, 1.0)
         assert err == ""
+
+    def test_text_lists_the_terms(self, capsys):
+        code, out, err = run(
+            capsys, "asymptotic", "--n", "100", "--u", "1.0", "--interval", "unit"
+        )
+        assert code == 0
+        assert out == (
+            "0.22101920243834805\n"
+            "  log term : 0.033571374222359951 (coefficient 0.00485995419156)\n"
+            "  constant : 0.18781727400000001\n"
+            "  u term   : -0.00036944578401191738 (coefficient -4.11439060485)\n"
+            "  valid for u = O(n^(5/4)); remainder O(n^(-1/2))\n"
+        )
 
     def test_bounds_matching_a_canonical_interval_accepted(self, capsys):
         code_a, out_a, _ = run(

@@ -13,7 +13,6 @@ from rice_maxima import (
     kernel_pieces,
     theorem_expansion,
 )
-from rice_maxima.expansion import log_term
 
 # (log_coefficient, constant, u_coefficient) pins at 12 digits, captured
 # from a verified build of the kernel-table tier.
@@ -62,14 +61,32 @@ class TestTheoremExpansion:
 
     def test_leading_term(self):
         # No-log families lead with their constant; log families with the
-        # logarithm evaluated at the construction arguments.
+        # logarithm of n^power / u.
         r1 = theorem_expansion(1, 64, 2.0)
         assert r1.log_coefficient == 0.0
-        assert r1.leading == r1.constant
+        assert r1.terms(64, 2.0)[:2] == (0.0, r1.constant)
         r3 = theorem_expansion(3, 64, 2.0)
-        assert r3.leading == pytest.approx(
+        assert r3.terms(64, 2.0)[0] == pytest.approx(
             r3.log_coefficient * math.log(64.0**1.5 / 2.0), rel=1e-14
         )
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n,u", [(10, 0.5), (100, 1.0), (1000, 3.0), (64, 2.0)])
+    def test_terms_sum_to_assembled_value(self, family, n, u):
+        result = theorem_expansion(family, n, u)
+        log_term, constant, u_term = result.terms(n, u)
+        assert constant == result.constant
+        # bit-identical when summed in the assembly order, and to rounding in any
+        assert constant + u_term + log_term == result.assembled_value(n, u)
+        assert sum(result.terms(n, u)) == pytest.approx(
+            result.assembled_value(n, u), rel=1e-15
+        )
+
+    def test_terms_require_a_positive_level(self):
+        result = theorem_expansion(3, 100, 1.0)
+        for bad_u in (0.0, -1.0):
+            with pytest.raises(ValueError, match="level"):
+                result.terms(100, bad_u)
 
     @pytest.mark.parametrize(
         "family,n,boundary", [(1, 16, 32.0), (3, 16, 32.0), (2, 16, 2.0), (4, 16, 2.0)]
@@ -116,28 +133,6 @@ class TestConvergenceToExactCount:
             gaps.append(abs(exact - approx))
         assert gaps[1] < gaps[0]
         assert gaps[1] / gaps[0] < ratio_bound
-
-
-class TestLogTerm:
-    def test_closed_forms(self):
-        a, b = 0.3, 0.7
-        assert log_term(a, b, 9, 1.5) == pytest.approx(
-            (2.0 * a / 3.0) * math.log(a / b * 27.0 + 1.0), rel=1e-15
-        )
-        assert log_term(a, b, 9, 0.5) == pytest.approx(
-            2.0 * a * math.log(a / b * 3.0 + 1.0), rel=1e-15
-        )
-        assert log_term(a, b, 0, 1.5) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            log_term(0.0, 1.0, 4, 1.5)
-        with pytest.raises(ValueError):
-            log_term(1.0, -1.0, 4, 1.5)
-        with pytest.raises(ValueError):
-            log_term(1.0, 1.0, -1, 1.5)
-        with pytest.raises(ValueError, match="power"):
-            log_term(1.0, 1.0, 4, 2.0)
 
 
 class TestFamilyTables:

@@ -1,13 +1,11 @@
-"""Model construction, validation, basis evaluation and scaling."""
+"""Model construction, validation and scaling."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from rice_maxima import DegenerateModel, PolynomialModel, basis_eval, scale_model
+from rice_maxima import DegenerateModel, PolynomialModel, scale_model
 
 
 class TestConstruction:
@@ -56,36 +54,6 @@ class TestRank:
     def test_variance_weights_layout(self):
         model = PolynomialModel(3, sigma=(1.0, 2.0, 3.0), sigma0=0.5)
         assert np.allclose(model.variance_weights(), [0.25, 1.0, 4.0, 9.0])
-
-
-class TestBasisEval:
-    @given(
-        n=st.integers(1, 12),
-        x=st.floats(-3.0, 3.0, allow_nan=False),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_direct_sums(self, n, x, data):
-        k = data.draw(st.integers(0, n))
-        a, b, d = basis_eval(n, x, k)
-        a_ref = sum(x**j for j in range(k, n + 1))
-        b_ref = sum(j * x ** (j - 1) for j in range(max(k, 1), n + 1))
-        d_ref = sum(j * (j - 1) * x ** (j - 2) for j in range(max(k, 2), n + 1))
-        assert a == pytest.approx(a_ref, rel=1e-12, abs=1e-12)
-        assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-12)
-        assert d == pytest.approx(d_ref, rel=1e-12, abs=1e-12)
-
-    def test_regular_at_one(self):
-        a, b, d = basis_eval(6, 1.0, 2)
-        assert a == 5.0  # five monomials x^2..x^6
-        assert b == 2 + 3 + 4 + 5 + 6
-        assert d == 2 * 1 + 3 * 2 + 4 * 3 + 5 * 4 + 6 * 5
-
-    def test_k_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            basis_eval(4, 0.5, 5)
-        with pytest.raises(ValueError):
-            basis_eval(4, 0.5, -1)
 
 
 class TestScaleModel:

@@ -143,22 +143,6 @@ class TestSemiInfinite:
 
     def test_slow_decay_flagged_unconverged(self):
         # 1/t decays too slowly for the geometric truncation bound.
-        result = integrate_to_infinity(
-            lambda t: 1.0 / t, 1.0, rel_tol=1e-8, max_blocks=10
-        )
+        result = integrate_to_infinity(lambda t: 1.0 / t, 1.0, rel_tol=1e-8)
         assert not result.converged
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            integrate_to_infinity(np.exp, 0.0, rel_tol=1e-8, first_width=0.0)
-        with pytest.raises(ValueError):
-            integrate_to_infinity(np.exp, 0.0, rel_tol=1e-8, growth=1.0)
-
-
-class TestResultAlgebra:
-    def test_addition_accumulates_fields(self):
-        a = QuadResult(1.0, 1e-8, 22, True)
-        b = QuadResult(2.5, 2e-8, 44, True)
-        c = QuadResult(-0.5, 1e-9, 22, False)
-        assert a + b == QuadResult(3.5, 1e-8 + 2e-8, 66, True)
-        assert (a + c).converged is False
