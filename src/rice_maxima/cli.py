@@ -322,6 +322,7 @@ def _cmd_compare(args, _model):
     family = _BOUNDS_TO_FAMILY.get(args.interval)
     workers = _workers(args.workers)
     cells = []
+    code = _OK
     for n in args.n_list:
         model = _load_model(n, args.sigma_file)
         config = MCConfig(
@@ -335,6 +336,7 @@ def _cmd_compare(args, _model):
             except ToleranceNotMet as exc:
                 print(f"warning: n={n} u={u:g}: {exc}", file=sys.stderr)
                 exact = exc.result
+                code = _TOLERANCE
             asymptotic = None
             if family is not None and _is_unit(model) and 0.0 < u < math.inf:
                 asymptotic = theorem_expansion(family, n, u).assembled_value(n, u)
@@ -357,7 +359,7 @@ def _cmd_compare(args, _model):
     lines = ["n,u,exact,exact_err,asymptotic,mc_mean,mc_stderr"]  # the cell keys
     for cell in cells:
         lines.append(",".join("" if v is None else repr(v) for v in cell.values()))
-    return body, "\n".join(lines), _OK
+    return body, "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------

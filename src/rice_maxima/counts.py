@@ -135,12 +135,13 @@ def expected_count(
         h, edges, rel_tol=rel_tol, abs_tol=_ABS_FLOOR, max_panels=_MAX_PANELS
     )
     meta |= {"evaluations": total.evaluations, "pieces": len(edges) - 1}
-    value = max(total.value, 0.0)
-    result = NumericResult(value, total.abs_error, "exact", meta)
+    value = float(max(total.value, 0.0))
+    abs_error = float(total.abs_error)
+    result = NumericResult(value, abs_error, "exact", meta)
     if not total.converged:
         raise ToleranceNotMet(
             "quadrature budget exhausted before reaching "
-            f"rel_tol={rel_tol:g} (value={value!r}, abs_error={total.abs_error!r})",
+            f"rel_tol={rel_tol:g} (value={value!r}, abs_error={abs_error!r})",
             result=result,
         )
     return result

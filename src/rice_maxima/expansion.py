@@ -13,7 +13,10 @@ There are two tiers of constants:
 * ``h_integral`` / ``kernel_pieces`` integrate the closed-form kernel tables
   of :mod:`.kernels` and assemble (L, C, U) from them.  They exist to
   reproduce the reference constants those tables are known by, and they are
-  what ``verify-constants`` checks.
+  what ``verify-constants`` checks.  The four index sets of a family are
+  integrated together on the same initial panels, with one kernel pass
+  per panel: ``family_kernels`` gives the four kernels at the panel's
+  nodes, and each integrand multiplies rows of that array.
 
 * ``theorem_expansion`` uses the frozen constants below, which are the ones
   the exact engine (:func:`rice_maxima.counts.expected_count`) actually
@@ -42,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .kernels import KernelId, h_kernel
+from .kernels import family_kernels
 from .quadrature import integrate_adaptive, integrate_to_infinity
 
 __all__ = [
@@ -102,19 +105,14 @@ def _sliver_estimate(g, eps: float) -> float:
     return g2 * eps
 
 
-@lru_cache(maxsize=None)
-def _h_integral_cached(
-    family: int, pair: tuple[int, ...], rel_tol: float
-) -> tuple[float, float]:
-    kernels = [KernelId(family, index) for index in pair]
+def _pair_integral(
+    product, family: int, pair: tuple[int, ...], rel_tol: float
+) -> float:
+    """Integral over (0, inf) of the array integrand ``product``, the
+    kernel product of ``pair`` in ``family``."""
 
-    def product(t: float) -> float:
-        value = 1.0
-        for kid in kernels:
-            value *= h_kernel(kid, t)
-            if value == 0.0:
-                return 0.0
-        return value
+    def at(t: float) -> float:
+        return float(product(np.array([t]))[0])
 
     subtraction = _SUBTRACTIONS.get((family, pair))
     if subtraction is None:
@@ -122,36 +120,57 @@ def _h_integral_cached(
     else:
         power, constant = subtraction
 
-        def integrand_tail(t: float) -> float:
-            return product(t) - constant * t**power
-
-    def on_panel(scalar):
-        return lambda ts: np.array([scalar(t) for t in ts.tolist()])
+        def integrand_tail(ts: np.ndarray) -> np.ndarray:
+            return product(ts) - constant * ts**power
 
     # the tail subtraction switches on at t = 1, so [eps, 1] and [1, inf)
     # are integrated separately
     inner = integrate_adaptive(
-        on_panel(product),
+        product,
         np.linspace(_EPS, 1.0, 5),
         rel_tol=rel_tol,
         abs_tol=1e-14,
     )
     if family in (1, 2) and pair == (1,):
         # algebraic t^{-7/2} tail: supply the analytic remainder
-        tail_hint = lambda T: 0.4 * T * product(T)  # noqa: E731
+        tail_hint = lambda T: 0.4 * T * at(T)  # noqa: E731
     else:
         tail_hint = None
     outer = integrate_to_infinity(
-        on_panel(integrand_tail),
+        integrand_tail,
         1.0,
         rel_tol=rel_tol,
         abs_tol=1e-14,
         tail=tail_hint,
     )
-    sliver = _sliver_estimate(product, _EPS)
-    value = inner.value + outer.value + sliver
-    error = inner.abs_error + outer.abs_error + 0.5 * abs(sliver)
-    return value, error
+    return inner.value + outer.value + _sliver_estimate(at, _EPS)
+
+
+@lru_cache(maxsize=None)
+def _family_integrals(family: int, rel_tol: float) -> dict[tuple[int, ...], float]:
+    """The integral of every allowed pair of ``family``.
+
+    The four pairs bisect the same initial panels, so each panel's kernels
+    are evaluated once, as a (4, nodes) array kept by the panel's node
+    bytes for the length of this call; a pair's integrand multiplies rows
+    of it.
+    """
+    panels: dict[bytes, np.ndarray] = {}
+
+    def product(pair: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
+        key = ts.tobytes()
+        rows = panels.get(key)
+        if rows is None:
+            rows = panels[key] = family_kernels(family, ts)
+        value = rows[pair[0] - 1]
+        for index in pair[1:]:
+            value = value * rows[index - 1]
+        return value
+
+    return {
+        pair: _pair_integral(partial(product, pair), family, pair, rel_tol)
+        for pair in sorted(_ALLOWED_PAIRS)
+    }
 
 
 def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
@@ -168,8 +187,7 @@ def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
     key = tuple(sorted(set(int(i) for i in pair)))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
-    value, _ = _h_integral_cached(family, key, rel_tol)
-    return value
+    return _family_integrals(family, rel_tol)[key]
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,22 @@ Every kernel is built from "brackets": finite combinations
 
 with exact rational polynomial coefficients, tabulated below.  All brackets
 vanish at t = 0 (their constant terms cancel across rows, checked at import
-time), so naive evaluation loses precision for small t; each bracket
-therefore switches to an exact Taylor series (coefficients derived from the
-rational tables) below ``t = 1/2``.  For large t the decaying rows underflow
-harmlessly and the d = 0 row alone reproduces the tail law, so no exponent
-shifting is ever needed.
+time), so the rows cancel badly for small t.  Each bracket is evaluated in
+one of three regimes, chosen per node:
 
-``h_kernel`` evaluates a kernel in float64; ``bracket_value_mp`` exposes an
-arbitrary-precision evaluation of any bracket for cross-checking.
+* series, ``t <= 0.45``: a Taylor series whose coefficients are derived
+  exactly from the rational tables;
+* double-double rows, up to a per-bracket switch point: the rows summed in
+  error-free float arithmetic (hi + lo pairs, ~32 digits), which absorbs
+  the remaining cancellation of up to ~1e16;
+* float rows beyond: plain float64, where the decaying rows underflow
+  harmlessly and the d = 0 row alone reproduces the tail law.
+
+Evaluation works on arrays of t: ``h_kernel`` evaluates one kernel at a
+float or an array, and ``family_kernels`` evaluates the four kernels of one
+family at an array while computing each shared bracket once.  All constant
+tables are built from exact fractions; no arbitrary-precision library is
+used.
 """
 
 from __future__ import annotations
@@ -38,14 +46,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .errors import NonFiniteResult
 
 __all__ = [
     "KernelId",
     "h_kernel",
+    "family_kernels",
     "bracket_names",
     "bracket_value",
-    "bracket_value_mp",
     "TAIL_LAWS",
 ]
 
@@ -430,13 +440,12 @@ def _as_fraction(entry) -> Fraction:
 
 _SERIES_CUTOFF = 0.45
 _SERIES_TERMS = 44
-_MP_DPS = 40
 
 # Smallest t (with safety margin) at which plain float64 row evaluation of
 # each bracket reaches ~1e-14 relative accuracy; calibrated against a
 # 120-digit evaluation.  Brackets vanish at t = 0 to orders as high as t^20,
 # so the rows keep cancelling well past the series cutoff; between the
-# series cutoff and this threshold the rows are summed in 40-digit
+# series cutoff and this threshold the rows are summed in double-double
 # arithmetic.
 _FLOAT_CUTOFF: dict[str, float] = {
     "p1": 4.8,
@@ -471,6 +480,122 @@ _FLOAT_CUTOFF: dict[str, float] = {
     "b44": 0.6,
     "z44": 0.6,
 }
+_DD_LIMIT = max(_FLOAT_CUTOFF.values())
+_MAX_DECAY = max(max(table) for table in _TABLES.values())
+
+# --------------------------------------------------------------------------
+# Double-double arithmetic (Dekker 1971; Ogita, Rump and Oishi 2005): a
+# value is an unevaluated sum hi + lo of two float64 arrays with
+# |lo| <= ulp(hi)/2, good to ~1e-32 relative.  Products split their factors
+# into 26-bit halves, so no fused multiply-add is needed.
+# --------------------------------------------------------------------------
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fast_two_sum(a, b):
+    """a + b exactly as s + e, for |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _add(a_hi, a_lo, b_hi, b_lo):
+    s = a_hi + b_hi
+    v = s - a_hi
+    e = (a_hi - (s - v)) + (b_hi - v)
+    return _fast_two_sum(s, e + (a_lo + b_lo))
+
+
+def _two_prod(a, b, b_split):
+    """a * b exactly as p + e; ``b_split`` is ``_split(b)``."""
+    b1, b2 = b_split
+    p = a * b
+    a1, a2 = _split(a)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _mul_float(a_hi, a_lo, b, b_split):
+    """Double-double times the float ``b``, with ``b_split = _split(b)``."""
+    p, e = _two_prod(a_hi, b, b_split)
+    return _fast_two_sum(p, e + a_lo * b)
+
+
+def _mul(a_hi, a_lo, b_hi, b_lo):
+    p, e = _two_prod(a_hi, b_hi, _split(b_hi))
+    return _fast_two_sum(p, e + (a_hi * b_lo + a_lo * b_hi))
+
+
+def _split_rational(value: Fraction) -> tuple[float, float]:
+    """(hi, lo) with hi the float nearest ``value`` and lo the float nearest
+    ``value - hi`` (Python rounds integer division correctly)."""
+    num, den = value.numerator, value.denominator
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+# e^{-t} in the double-double regime: t = j/8 + r with |r| <= 1/16, e^{-j/8}
+# from a table and e^{-r} from 17 Taylor terms (remainder below 1e-35).  The
+# table comes from a 30-term rational Taylor sum of e^{-1/8} raised to
+# exact powers.
+_EXP_STEP = 8
+_EXP_TAYLOR = tuple(
+    _split_rational(Fraction(1, math.factorial(k))) for k in range(17)
+)
+_EIGHTH = sum(Fraction((-1) ** k, _EXP_STEP**k * math.factorial(k)) for k in range(30))
+_EXP_TABLE = np.array(
+    [_split_rational(_EIGHTH**j) for j in range(int(_EXP_STEP * _DD_LIMIT) + 2)]
+).T
+
+
+def _exp_dd(t):
+    """e^{-t} as a double-double, for 0 <= t <= _DD_LIMIT."""
+    j = np.rint(t * _EXP_STEP)
+    x = j / _EXP_STEP - t  # exact
+    x_split = _split(x)
+    hi, lo = np.full_like(t, _EXP_TAYLOR[-1][0]), np.full_like(t, _EXP_TAYLOR[-1][1])
+    for c_hi, c_lo in _EXP_TAYLOR[-2::-1]:
+        hi, lo = _mul_float(hi, lo, x, x_split)
+        hi, lo = _add(hi, lo, c_hi, c_lo)
+    index = j.astype(int)
+    return _mul(hi, lo, _EXP_TABLE[0][index], _EXP_TABLE[1][index])
+
+
+def _taylor(rows) -> tuple[int, tuple[float, ...]]:
+    """Order of the zero at t = 0 and the float Taylor coefficients from
+    there on, for the bracket with exact ``rows``.
+
+    The coefficient of t^m is c_m = sum_{d,j} a_{d,j} (-d)^{m-j} / (m-j)!.
+    With L the common denominator of the a_{d,j}, L m! c_m is an integer,
+    so each c_m is one correctly rounded division, equal to rounding the
+    exact rational c_m.
+    """
+    common = math.lcm(*(c.denominator for _, poly in rows for c in poly))
+    scaled = [
+        (-d, j, c.numerator * (common // c.denominator))
+        for d, poly in rows
+        for j, c in enumerate(poly)
+        if c
+    ]
+    numerators = [
+        sum(
+            a * math.perm(m, j) * minus_d ** (m - j)
+            for minus_d, j, a in scaled
+            if j <= m
+        )
+        for m in range(_SERIES_TERMS)
+    ]
+    lead = next((m for m, a in enumerate(numerators) if a), _SERIES_TERMS)
+    series = tuple(
+        numerators[m] / (common * math.factorial(m)) for m in range(lead, _SERIES_TERMS)
+    )
+    return lead, series
 
 
 class _Bracket:
@@ -480,13 +605,15 @@ class _Bracket:
       from the rational tables, so the cancellation of the rows at small t
       never happens in floating point.
     * mid-range — the rows still cancel to more digits than float64 holds;
-      they are summed with 40-digit arithmetic and rounded once.
+      they are summed in double-double arithmetic and rounded once.
     * large t — plain float64 Horner per row (the decaying rows underflow
       harmlessly; the d = 0 row carries the tail).
+
+    The rows are kept as (rows, degree) coefficient arrays, zero-padded,
+    each exact coefficient split into ``hi + lo``.
     """
 
-    __slots__ = ("name", "rows", "float_rows", "lead", "series", "float_cutoff",
-                 "_mp_rows")
+    __slots__ = ("name", "rows", "decays", "hi", "lo", "lead", "series", "float_cutoff")
 
     def __init__(self, name: str, table: Mapping[int, tuple]):
         self.name = name
@@ -494,100 +621,120 @@ class _Bracket:
             (d, tuple(_as_fraction(c) for c in coeffs))
             for d, coeffs in sorted(table.items())
         ]
-        self.float_rows = [
-            (float(d), tuple(float(c) for c in coeffs)) for d, coeffs in self.rows
-        ]
+        width = max(len(poly) for _, poly in self.rows)
+        pairs = np.array(
+            [
+                [_split_rational(c) for c in poly] + [(0.0, 0.0)] * (width - len(poly))
+                for _, poly in self.rows
+            ]
+        )
+        self.hi, self.lo = pairs[..., 0], pairs[..., 1]
+        self.decays = np.array([d for d, _ in self.rows])
         self.float_cutoff = _FLOAT_CUTOFF[name]
-        self._mp_rows = None
-        # Taylor coefficients: c_m = sum_d sum_j coeff_{d,j} (-d)^{m-j}/(m-j)!
-        coeff = [Fraction(0)] * _SERIES_TERMS
-        for d, poly in self.rows:
-            for j, cj in enumerate(poly):
-                if cj == 0:
-                    continue
-                power = Fraction(1)
-                for m in range(j, _SERIES_TERMS):
-                    coeff[m] += cj * power
-                    power = power * (-d) / (m - j + 1)
-        lead = 0
-        while lead < _SERIES_TERMS and coeff[lead] == 0:
-            lead += 1
-        if lead == 0:
+        self.lead, self.series = _taylor(self.rows)
+        if self.lead == 0:
             raise AssertionError(f"bracket {name!r} does not vanish at t=0")
-        self.lead = lead
-        self.series = tuple(float(c) for c in coeff[lead:])
 
-    def _horner(self, t: float) -> float:
-        acc = 0.0
-        for d, poly in self.float_rows:
-            p = 0.0
-            for c in reversed(poly):
-                p = p * t + c
-            acc += p if d == 0.0 else p * math.exp(-d * t)
+    def _series(self, t):
+        acc = np.zeros_like(t)
+        for c in reversed(self.series):
+            acc = acc * t + c
+        return acc * t**self.lead
+
+    def _double_double(self, t, powers):
+        t_split = _split(t)
+        shape = (len(self.decays), t.size)
+        hi = np.broadcast_to(self.hi[:, -1:], shape)
+        lo = np.broadcast_to(self.lo[:, -1:], shape)
+        for k in range(self.hi.shape[1] - 2, -1, -1):
+            hi, lo = _mul_float(hi, lo, t, t_split)
+            hi, lo = _add(hi, lo, self.hi[:, k : k + 1], self.lo[:, k : k + 1])
+        hi, lo = _mul(hi, lo, powers[0][self.decays], powers[1][self.decays])
+        acc_hi, acc_lo = hi[0], lo[0]
+        for row in range(1, len(self.decays)):
+            acc_hi, acc_lo = _add(acc_hi, acc_lo, hi[row], lo[row])
+        return acc_hi
+
+    def _float_rows(self, t):
+        p = np.zeros((len(self.decays), t.size))
+        for column in self.hi.T[::-1]:
+            p = p * t + column[:, None]
+        terms = p * np.exp(-self.decays[:, None] * t)
+        acc = terms[0]
+        for row in terms[1:]:
+            acc = acc + row
         return acc
 
-    def _mid(self, t: float) -> float:
-        import mpmath
+    def value(self, nodes: _Nodes):
+        t = nodes.t
+        out = np.empty_like(t)
+        low = t <= _SERIES_CUTOFF
+        high = t >= self.float_cutoff
+        mid = ~(low | high)
+        if low.any():
+            out[low] = self._series(t[low])
+        if mid.any():
+            hi, lo = nodes.powers()
+            out[mid] = self._double_double(t[mid], (hi[:, mid], lo[:, mid]))
+        if high.any():
+            out[high] = self._float_rows(t[high])
+        return out
 
-        with mpmath.workdps(_MP_DPS):
-            if self._mp_rows is None:
-                self._mp_rows = [
-                    (
-                        d,
-                        tuple(
-                            mpmath.mpf(c.numerator) / c.denominator
-                            for c in poly
-                        ),
-                    )
-                    for d, poly in self.rows
-                ]
-            tt = mpmath.mpf(t)
-            acc = mpmath.mpf(0)
-            for d, poly in self._mp_rows:
-                p = mpmath.mpf(0)
-                for c in reversed(poly):
-                    p = p * tt + c
-                acc += p if d == 0 else p * mpmath.exp(-d * tt)
-            return float(acc)
 
-    def value(self, t: float) -> float:
-        if t <= _SERIES_CUTOFF:
-            acc = 0.0
-            for c in reversed(self.series):
-                acc = acc * t + c
-            return acc * t**self.lead
-        if t < self.float_cutoff:
-            return self._mid(t)
-        return self._horner(t)
+class _Nodes:
+    """An array of t > 0 with the bracket values at it, each computed once."""
 
-    def value_mp(self, t, ctx):
-        """Arbitrary-precision row evaluation (for cross-checks)."""
-        tt = ctx.mpf(t) if not hasattr(t, "_mpf_") else t
-        acc = ctx.mpf(0)
-        for d, poly in self.rows:
-            p = ctx.mpf(0)
-            for c in reversed(poly):
-                p = p * tt + ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-            acc += p * ctx.exp(-d * tt)
-        return acc
+    def __init__(self, t):
+        self.t = t
+        self._values: dict[str, np.ndarray] = {}
+        self._powers = None
+
+    def __call__(self, name: str):
+        value = self._values.get(name)
+        if value is None:
+            value = self._values[name] = _BRACKETS[name].value(self)
+        return value
+
+    def powers(self):
+        """e^{-dt} for d = 0.._MAX_DECAY as double-double (hi, lo) rows,
+        filled where t is in some bracket's double-double regime."""
+        if self._powers is None:
+            t = self.t
+            hi = np.zeros((_MAX_DECAY + 1, t.size))
+            lo = np.zeros_like(hi)
+            hi[0] = 1.0
+            window = (t > _SERIES_CUTOFF) & (t < _DD_LIMIT)
+            e_hi, e_lo = _exp_dd(t[window])
+            p_hi, p_lo = np.ones_like(e_hi), np.zeros_like(e_lo)
+            for d in range(1, _MAX_DECAY + 1):
+                p_hi, p_lo = _mul(p_hi, p_lo, e_hi, e_lo)
+                hi[d, window], lo[d, window] = p_hi, p_lo
+            self._powers = hi, lo
+        return self._powers
 
 
 _BRACKETS = {name: _Bracket(name, table) for name, table in _TABLES.items()}
+
+
+def _positive(t) -> np.ndarray:
+    """``t`` as a 1-d float array, every element positive and finite."""
+    array = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ~(np.isfinite(array) & (array > 0.0))
+    if bad.any():
+        raise ValueError(f"t must be positive and finite, got {float(array[bad][0])!r}")
+    return array
 
 
 def bracket_names() -> tuple[str, ...]:
     return tuple(_BRACKETS)
 
 
-def bracket_value(name: str, t: float) -> float:
-    return _BRACKETS[name].value(t)
-
-
-def bracket_value_mp(name: str, t, dps: int = 50):
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return _BRACKETS[name].value_mp(t, mpmath.mp)
+def bracket_value(name: str, t):
+    """Value of one bracket at ``t`` (a float, or an array of floats)."""
+    bracket = _BRACKETS[name]
+    array = np.atleast_1d(np.asarray(t, dtype=float))
+    value = bracket.value(_Nodes(array))
+    return float(value[0]) if np.ndim(t) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -604,94 +751,83 @@ class KernelId:
             raise ValueError(f"index must be 1..4, got {self.index!r}")
 
 
-def _sqrt_clip(value: float) -> float:
-    return math.sqrt(value) if value > 0.0 else 0.0
+# The kernels: ``b(name)`` is a bracket at the node array ``t``.  Square
+# roots of radicands that round to <= 0 give 0, as does a kernel whose
+# radicand in the denominator does.
 
 
-def _b(name: str, t: float) -> float:
-    return _BRACKETS[name].value(t)
+def _sqrt_clip(value):
+    return np.sqrt(np.where(value > 0.0, value, 0.0))
 
 
-def _h11(t: float) -> float:
-    return _b("p1", t) * _sqrt_clip(_b("p2", t)) / (192.0 * t * _b("p3", t))
+def _over_sqrt(numerator, rad):
+    """numerator / sqrt(rad) where rad > 0, else 0."""
+    positive = rad > 0.0
+    return np.where(positive, numerator / np.sqrt(np.where(positive, rad, 1.0)), 0.0)
 
 
-def _h12(t: float) -> float:
-    return _sqrt_clip(-80.0 * _b("ba", t) * t**3 / _b("bb", t))
+def _h11(b, t):
+    return b("p1") * _sqrt_clip(b("p2")) / (192.0 * t * b("p3"))
 
 
-def _h13(t: float) -> float:
-    rad = (-_b("p2", t)) * _b("z", t)
-    return _b("n13", t) / math.sqrt(rad) if rad > 0.0 else 0.0
+def _h12(b, t):
+    return _sqrt_clip(-80.0 * b("ba") * t**3 / b("bb"))
 
 
-def _h14(t: float) -> float:
-    rad = (-_b("z", t)) * _b("bb", t)
-    if rad <= 0.0:
-        return 0.0
-    return math.exp(-t) * _b("n13", t) * t**1.5 / math.sqrt(rad)
+def _h13(b, t):
+    return _over_sqrt(b("n13"), (-b("p2")) * b("z"))
 
 
-def _h21(t: float) -> float:
-    return _b("n21", t) * _sqrt_clip(_b("r2", t)) / (6.0 * t * _b("d21", t))
+def _h14(b, t):
+    return _over_sqrt(np.exp(-t) * b("n13") * t**1.5, (-b("z")) * b("bb"))
 
 
-def _h22(t: float) -> float:
-    return 2.0 * math.sqrt(t) * math.exp(-t) * _sqrt_clip(_b("r2", t) / _b("d22", t))
+def _h21(b, t):
+    return b("n21") * _sqrt_clip(b("r2")) / (6.0 * t * b("d21"))
 
 
-def _h23(t: float) -> float:
-    rad = _b("c23", t) * _b("e23", t)
-    return 0.125 * abs(_b("b23", t)) / math.sqrt(rad) if rad > 0.0 else 0.0
+def _h22(b, t):
+    return 2.0 * np.sqrt(t) * np.exp(-t) * _sqrt_clip(b("r2") / b("d22"))
 
 
-def _h24(t: float) -> float:
-    rad = _b("d22", t) * _b("z4", t)
-    if rad <= 0.0:
-        return 0.0
-    return 2.0 * math.sqrt(t) * math.exp(-t) * _b("b23", t) / math.sqrt(rad)
+def _h23(b, t):
+    return _over_sqrt(0.125 * np.abs(b("b23")), b("c23") * b("e23"))
 
 
-def _h31(t: float) -> float:
-    return -_b("n31", t) * _sqrt_clip(_b("r3", t)) / (31.0 * t * _b("d31", t))
+def _h24(b, t):
+    return _over_sqrt(2.0 * np.sqrt(t) * np.exp(-t) * b("b23"), b("d22") * b("z4"))
 
 
-def _h32(t: float) -> float:
-    return math.sqrt(160.0) * t**1.5 * _sqrt_clip(_b("ba3", t) / _b("bb3", t))
+def _h31(b, t):
+    return -b("n31") * _sqrt_clip(b("r3")) / (31.0 * t * b("d31"))
 
 
-def _h33(t: float) -> float:
-    rad = _b("c33", t) * _b("ba3", t)
-    if rad <= 0.0:
-        return 0.0
-    return abs(_b("ba33", t)) / math.sqrt(20.0 * rad)
+def _h32(b, t):
+    return math.sqrt(160.0) * t**1.5 * _sqrt_clip(b("ba3") / b("bb3"))
 
 
-def _h34(t: float) -> float:
-    rad = (-2.0 * _b("n31", t)) * (-_b("c33", t))
-    if rad <= 0.0:
-        return 0.0
-    return 0.125 * _b("n34", t) * t**1.5 / math.sqrt(rad)
+def _h33(b, t):
+    return _over_sqrt(np.abs(b("ba33")), 20.0 * (b("c33") * b("ba3")))
 
 
-def _h41(t: float) -> float:
-    return _b("n41", t) * _sqrt_clip(_b("r4", t)) / (16.0 * t * _b("d41", t))
+def _h34(b, t):
+    return _over_sqrt(0.125 * b("n34") * t**1.5, (-2.0 * b("n31")) * (-b("c33")))
 
 
-def _h42(t: float) -> float:
-    return 2.0 * math.sqrt(t) * _sqrt_clip(-_b("r4", t) / _b("d42", t))
+def _h41(b, t):
+    return b("n41") * _sqrt_clip(b("r4")) / (16.0 * t * b("d41"))
 
 
-def _h43(t: float) -> float:
-    rad = _b("r4", t) * _b("z43", t)
-    return 8.0 * _b("b43", t) / math.sqrt(rad) if rad > 0.0 else 0.0
+def _h42(b, t):
+    return 2.0 * np.sqrt(t) * _sqrt_clip(-b("r4") / b("d42"))
 
 
-def _h44(t: float) -> float:
-    rad = (-_b("d42", t)) * (-_b("z44", t))
-    if rad <= 0.0:
-        return 0.0
-    return 2.0 * math.sqrt(t) * _b("b44", t) / math.sqrt(rad)
+def _h43(b, t):
+    return _over_sqrt(8.0 * b("b43"), b("r4") * b("z43"))
+
+
+def _h44(b, t):
+    return _over_sqrt(2.0 * np.sqrt(t) * b("b44"), (-b("d42")) * (-b("z44")))
 
 
 _KERNELS = {
@@ -714,17 +850,36 @@ _KERNELS = {
 }
 
 
-def h_kernel(kernel_id: KernelId, t: float) -> float:
-    """Evaluate one of the sixteen limit kernels at ``t > 0``."""
-    if t <= 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t!r}")
-    value = _KERNELS[(kernel_id.family, kernel_id.index)](t)
-    if not math.isfinite(value):
+def _evaluate(kernel_ids, t: np.ndarray) -> np.ndarray:
+    """(len(kernel_ids), len(t)) kernel values; brackets are shared."""
+    nodes = _Nodes(t)
+    with np.errstate(all="ignore"):
+        values = np.array(
+            [_KERNELS[(kid.family, kid.index)](nodes, t) for kid in kernel_ids]
+        )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        kid = kernel_ids[row]
         raise NonFiniteResult(
-            f"kernel ({kernel_id.family},{kernel_id.index}) at t={t!r} "
+            f"kernel ({kid.family},{kid.index}) at t={float(t[column])!r} "
             "is not finite"
         )
-    return value
+    return values
+
+
+def h_kernel(kernel_id: KernelId, t):
+    """Evaluate one of the sixteen limit kernels at ``t > 0``: a float gives
+    a float, an array of floats an array of the same length."""
+    value = _evaluate([kernel_id], _positive(t))[0]
+    return float(value[0]) if np.ndim(t) == 0 else value
+
+
+def family_kernels(family: int, t) -> np.ndarray:
+    """The four kernels H_{f,1..4} of ``family`` at an array of ``t > 0``,
+    as the rows of a (4, len(t)) array, from one evaluation of the brackets
+    they share."""
+    return _evaluate([KernelId(family, index) for index in (1, 2, 3, 4)], _positive(t))
 
 
 # t -> infinity laws: (power, constant) meaning  H ~ constant * t**power.

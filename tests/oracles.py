@@ -3,19 +3,50 @@
 Everything here is deliberately built from first principles rather than
 from the package's formulas: covariances by direct summation over the
 monomial basis, the pointwise density by generic multivariate-normal
-conditioning plus 2-D quadrature, and the degree-3 simulation check by
-closed-form root finding.  Agreement with the engine is then evidence,
-not tautology.
+conditioning plus 2-D quadrature, the degree-3 simulation check by
+closed-form root finding, and the kernel brackets by arbitrary-precision
+or exact rational arithmetic on the rational tables.  Agreement with the
+engine is then evidence, not tautology.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
 from rice_maxima import PolynomialModel
+from rice_maxima.kernels import _BRACKETS
+
+
+def bracket_value_mp(name: str, t, dps: int = 60):
+    """One kernel bracket, sum_d P_d(t) e^{-dt}, at ``t`` in ``dps``-digit
+    arithmetic from its exact rational rows."""
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        acc = mpmath.mpf(0)
+        for d, poly in _BRACKETS[name].rows:
+            p = mpmath.mpf(0)
+            for c in reversed(poly):
+                p = p * tt + mpmath.mpf(c.numerator) / c.denominator
+            acc += p * mpmath.exp(-d * tt)
+        return acc
+
+
+def bracket_taylor(name: str, terms: int) -> list[Fraction]:
+    """The first ``terms`` Taylor coefficients at t = 0 of one bracket, in
+    exact fractions: c_m = sum_d sum_j a_{d,j} (-d)^{m-j} / (m-j)!."""
+    coeff = [Fraction(0)] * terms
+    for d, poly in _BRACKETS[name].rows:
+        for j, a in enumerate(poly):
+            power = Fraction(1)
+            for m in range(j, terms):
+                coeff[m] += a * power
+                power = power * (-d) / (m - j + 1)
+    return coeff
 
 
 def brute_force_covariance(model: PolynomialModel, x: float) -> np.ndarray:

@@ -471,6 +471,24 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_tolerance_not_met_exits_3_with_best_estimate(self, capsys, monkeypatch):
+        args = (
+            "compare", "--n-list", "200", "--u-list", "1", "--interval", "-inf,inf",
+            "--trials", "10", "--points-per-unit", "8", "--rel-tol", "1e-12",
+        )
+        code, converged, err = run(capsys, *args)
+        assert code == 0
+        assert err == ""
+        # A 30-panel budget cannot reach rel_tol=1e-12 on the full line.
+        monkeypatch.setattr(counts, "_MAX_PANELS", 30)
+        code, out, err = run(capsys, *args)
+        assert code == 3
+        assert err.startswith("warning: n=200 u=1: quadrature budget exhausted")
+        assert out.splitlines()[0] == converged.splitlines()[0]
+        row, full = out.splitlines()[1].split(","), converged.splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(float(full[2]), abs=1e-8)
+        assert row[5:] == full[5:]  # the simulation columns are unaffected
+
 
 class TestSigmaFile:
     def test_values_feed_the_model(self, capsys, tmp_path):

@@ -173,3 +173,15 @@ class TestValidation:
         best = excinfo.value.result
         assert best.value == pytest.approx(0.92768462, abs=1e-6)
         assert best.abs_error > 1e-12 * best.value
+
+    def test_tolerance_message_shows_plain_floats(self, monkeypatch):
+        monkeypatch.setattr(counts, "_MAX_PANELS", 30)
+        with pytest.raises(ToleranceNotMet) as excinfo:
+            expected_count(
+                PolynomialModel(200), CountQuery(-INF, INF, 1.0), rel_tol=1e-12
+            )
+        message = str(excinfo.value)
+        best = excinfo.value.result
+        assert "np." not in message
+        assert f"value={float(best.value)!r}," in message
+        assert f"abs_error={float(best.abs_error)!r})" in message

@@ -135,6 +135,21 @@ class TestConvergenceToExactCount:
         assert gaps[1] / gaps[0] < ratio_bound
 
 
+class TestValidityFlag:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the flag assumes validity up to u = O(n^(5/4)), "
+        "but the u-linear expansion fails far below that (ROADMAP direction 1)",
+    )
+    def test_unwarned_expansion_is_close_to_the_exact_count(self):
+        # Measured: the expansion gives 0.233 against the exact 0.519, unwarned.
+        n, u = 10_000, 100.0
+        expansion = theorem_expansion(3, n, u)
+        lo, hi = FAMILY_BOUNDS[3]
+        exact = expected_count(PolynomialModel(n), CountQuery(lo, hi, u)).value
+        assert expansion.warned or abs(expansion.assembled_value(n, u) - exact) <= 1e-2
+
+
 class TestFamilyTables:
     def test_bounds_and_names_are_consistent(self):
         assert set(FAMILY_BOUNDS) == set(FAMILY_INTERVALS) == {1, 2, 3, 4}

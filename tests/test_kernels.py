@@ -2,14 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from oracles import bracket_taylor, bracket_value_mp
 from rice_maxima.kernels import (
+    _BRACKETS,
+    _FLOAT_CUTOFF,
+    _SERIES_CUTOFF,
+    _SERIES_TERMS,
     TAIL_LAWS,
     KernelId,
     bracket_names,
     bracket_value,
-    bracket_value_mp,
+    family_kernels,
     h_kernel,
 )
 
@@ -37,6 +43,31 @@ class TestBrackets:
                 assert abs(f) < 1e-20
             else:
                 assert f == pytest.approx(m, rel=1e-11), (name, t)
+
+    @pytest.mark.parametrize("name", bracket_names())
+    def test_double_double_rows_match_arbitrary_precision(self, name):
+        # The rows cancel by up to ~1e16 between the series cutoff and the
+        # switch to plain float rows; here they are summed in double-double.
+        ts = np.linspace(_SERIES_CUTOFF, _FLOAT_CUTOFF[name], 122)[1:-1]
+        got = bracket_value(name, ts)
+        want = np.array([float(bracket_value_mp(name, t, dps=60)) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", bracket_names())
+    def test_continuous_across_both_regime_switches(self, name):
+        for switch in (_SERIES_CUTOFF, _FLOAT_CUTOFF[name]):
+            ts = np.array([np.nextafter(switch, 0), switch, np.nextafter(switch, 9)])
+            below, at, above = bracket_value(name, ts)
+            assert at == pytest.approx(below, rel=1e-12), (name, switch)
+            assert above == pytest.approx(at, rel=1e-12), (name, switch)
+
+    @pytest.mark.parametrize("name", bracket_names())
+    def test_series_coefficients_round_the_exact_fractions(self, name):
+        exact = bracket_taylor(name, _SERIES_TERMS)
+        bracket = _BRACKETS[name]
+        assert all(c == 0 for c in exact[: bracket.lead])
+        assert exact[bracket.lead] != 0
+        assert bracket.series == tuple(float(c) for c in exact[bracket.lead :])
 
     def test_unknown_bracket_name(self):
         with pytest.raises(KeyError):
@@ -66,6 +97,34 @@ class TestKernelEvaluation:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 h_kernel(kid, bad)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -2.0, math.inf])
+    def test_array_domain_validation(self, bad):
+        ts = np.array([0.5, bad, 2.0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            h_kernel(KernelId(3, 1), ts)
+        with pytest.raises(ValueError, match="positive and finite"):
+            family_kernels(3, ts)
+
+    @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
+    def test_array_matches_scalar_calls(self, kid):
+        # Nodes in all three bracket regimes, in no particular order.
+        ts = np.concatenate([np.geomspace(1e-6, 500.0, 40), [7.0, 0.45, 1.3, 0.451]])
+        got = h_kernel(kid, ts)
+        assert got.shape == ts.shape
+        want = np.array([h_kernel(kid, float(t)) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        family = family_kernels(kid.family, ts)
+        assert family.shape == (4, ts.size)
+        np.testing.assert_array_equal(family[kid.index - 1], got)
+
+    def test_float_in_gives_float_out(self):
+        kid = KernelId(2, 3)
+        for t in (1.0, np.float64(1.0), 1):
+            value = h_kernel(kid, t)
+            assert type(value) is float
+            assert value == h_kernel(kid, np.array([1.0]))[0]
+        assert type(bracket_value("p1", 1.0)) is float
 
     def test_kernel_id_validation(self):
         with pytest.raises(ValueError, match="family"):

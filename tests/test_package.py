@@ -39,3 +39,26 @@ def test_lazy_names_resolve_and_are_listed():
         assert getattr(rice_maxima, name) is not None
     with pytest.raises(AttributeError, match="no_such_name"):
         rice_maxima.no_such_name
+
+
+_NO_MPMATH_PROBE = """
+import sys
+import numpy as np
+import rice_maxima
+from rice_maxima.kernels import KernelId, h_kernel
+rice_maxima.verify_constants()
+h_kernel(KernelId(1, 1), np.linspace(0.1, 10.0, 50))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_kernel_tier_runs_without_mpmath():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
