@@ -15,7 +15,7 @@ so the exact and Monte Carlo paths do not pay for building its series.
 import importlib
 
 from .counts import CountQuery, NumericResult, expected_count, split_points
-from .density import density_split, maxima_density
+from .density import maxima_density
 from .errors import (
     DegenerateCovariance,
     DegenerateModel,
@@ -80,7 +80,6 @@ __all__ = [
     "VerifyRow",
     "__version__",
     "count_maxima_below",
-    "density_split",
     "estimate_em",
     "estimate_many",
     "expected_count",

@@ -1,30 +1,23 @@
 """Expected number of local maxima below a level on an x-interval.
 
 ``expected_count`` integrates the pointwise density f(x) over a (possibly
-unbounded) interval as one adaptive integral in a compact coordinate
-s in [-2, 2]:
+unbounded) interval as one adaptive integral.  ``integrate_adaptive`` maps
+the x-range onto its compact coordinate s in [-2, 2], where x = +-inf sits
+at s = +-2; the density decays like 1/x^2 in the tails, so the mapped
+integrand stays finite there.
 
-    s = x                    for |x| <= 1,
-    s = 2 sign(x) - 1/x      for |x| > 1,
+The edges are the query ends and the points of ``split_points(n)`` strictly
+inside the query: the density concentrates in O(1/n) neighbourhoods of
+|x| = 1 and changes character across x = 0.  Quadrature nodes are open, so
+the density is never evaluated at a cut or at x = 0 itself.  All panels
+share one error heap, so the budget ``_MAX_PANELS`` and the tolerance apply
+to the whole integral: a tail that carries little mass is refined only as
+far as the total error needs.
 
-so x = +-inf maps to s = +-2.  The integrand is h(s) = f(x(s)) dx/ds with
-dx/ds = 1 inside [-1, 1] and dx/ds = x^2 beyond; the density decays like
-1/x^2 in the tails, so h stays finite as s -> +-2.
-
-The initial panels are the segments between the s-images of the query ends
-and of every cut point strictly inside the query: the points of
-``split_points(n)`` (the density concentrates in O(1/n) neighbourhoods of
-|x| = 1 and changes character across x = 0) and x = +-1, where dx/ds has a
-kink.  Quadrature nodes are open, so the density is never evaluated at a
-cut or at x = 0 itself.  All panels share one error heap, so the budget
-``_MAX_PANELS`` and the tolerance apply to the whole integral: a tail that
-carries little mass is refined only as far as the total error needs.
-
-The integrand is an array function: the quadrature hands it the 15 nodes of
-a Gauss-Kronrod panel, which are mapped to x and passed to
-``maxima_density_batch`` in one call, so the moments of a panel come from
-one batched evaluation (in row chunks that bound its memory; see
-``moments``).
+The integrand is an array function: the quadrature hands it the 15 x-nodes
+of a Gauss-Kronrod panel, which go to ``maxima_density_batch`` in one call,
+so the moments of a panel come from one batched evaluation (in row chunks
+that bound its memory; see ``moments``).
 """
 
 from __future__ import annotations
@@ -88,13 +81,6 @@ def split_points(degree: int) -> tuple[float, ...]:
     return (-1.0 - delta, -1.0 + delta, 0.0, 1.0 - delta, 1.0 + delta)
 
 
-def _compact(x: float) -> float:
-    """The compact coordinate s of x (x = +-inf maps to s = +-2)."""
-    if abs(x) <= 1.0:
-        return x
-    return math.copysign(2.0, x) - 1.0 / x
-
-
 def expected_count(
     model: PolynomialModel,
     query: CountQuery,
@@ -121,22 +107,20 @@ def expected_count(
     if query.u == -math.inf:
         return NumericResult(0.0, 0.0, "exact", meta | {"evaluations": 0})
 
-    def h(s: np.ndarray) -> np.ndarray:
-        outer = np.abs(s) > 1.0
-        x = np.where(outer, np.sign(s) / (2.0 - np.abs(s)), s)
-        jacobian = np.where(outer, x * x, 1.0)
-        return maxima_density_batch(model, x, query.u) * jacobian
+    def density(x: np.ndarray) -> np.ndarray:
+        return maxima_density_batch(model, x, query.u)
 
-    cuts = (*split_points(model.degree), -1.0, 1.0)
-    inside = [c for c in cuts if query.lo < c < query.hi]
-    # neighbouring floats beyond |x| = 1 can share one s: keep each s once
-    edges = sorted({_compact(x) for x in (query.lo, *inside, query.hi)})
+    inside = [c for c in split_points(model.degree) if query.lo < c < query.hi]
     total = integrate_adaptive(
-        h, edges, rel_tol=rel_tol, abs_tol=_ABS_FLOOR, max_panels=_MAX_PANELS
+        density,
+        [query.lo, *inside, query.hi],
+        rel_tol=rel_tol,
+        abs_tol=_ABS_FLOOR,
+        max_panels=_MAX_PANELS,
     )
-    meta |= {"evaluations": total.evaluations, "pieces": len(edges) - 1}
-    value = float(max(total.value, 0.0))
-    abs_error = float(total.abs_error)
+    meta |= {"evaluations": total.evaluations, "pieces": total.pieces}
+    value = max(total.value, 0.0)
+    abs_error = total.abs_error
     result = NumericResult(value, abs_error, "exact", meta)
     if not total.converged:
         raise ToleranceNotMet(

@@ -35,10 +35,9 @@ import numpy as np
 
 from .errors import NonFiniteResult
 from .model import PolynomialModel
-from .moments import moment_rows, moments
-from .scaled import ScaledValue
+from .moments import moment_rows
 
-__all__ = ["maxima_density", "maxima_density_batch", "density_split"]
+__all__ = ["maxima_density", "maxima_density_batch"]
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -100,52 +99,3 @@ def maxima_density(model: PolynomialModel, x: float, u: float) -> float:
     """
     return float(maxima_density_batch(model, [float(x)], u)[0])
 
-
-def density_split(
-    model: PolynomialModel,
-    x: float,
-    u: float,
-    *,
-    s_convention: str = "conditional",
-) -> tuple[float, float]:
-    """Diagnostic two-term form of the density at a finite level.
-
-    Returns ``(base_term, correction_term)`` where the base term uses only the
-    level through ``erf(u sqrt(L))`` and the correction term carries the
-    exponentially damped factor.  Their sum equals ``maxima_density`` when
-    ``s_convention="conditional"`` (rate constant ``S = K - M^2 / L``).  The
-    alternative ``s_convention="combined"`` uses ``S = K - M^2 / (4 L)``,
-    which rescales the base amplitude and is kept for cross-checking only.
-
-    This diagnostic works with plain float64 quadratic-form coefficients and
-    composes ``erf(.) + 1``, which loses accuracy deep in the lower tail
-    (``u * sqrt(L) << -1``) where the production ``erfc`` form stays exact.
-    It is intended for moderate degrees, locations and levels; the production
-    path is ``maxima_density``.
-    """
-    if u in (math.inf, -math.inf):
-        raise ValueError("density_split requires a finite level u")
-    mom = moments(model, x)
-    k, l, m = mom.k, mom.l, mom.m
-    if s_convention == "conditional":
-        s = k - m * m / l
-    elif s_convention == "combined":
-        s = k - m * m / (4.0 * l)
-    else:
-        raise ValueError(f"unknown s_convention: {s_convention!r}")
-    # amplitude 1 / (2 S sqrt(2 L det)) evaluated in scaled arithmetic
-    det = mom.det_sigma
-    amp = (
-        ScaledValue.from_float(1.0)
-        / (
-            ScaledValue.from_float(2.0 * s)
-            * (ScaledValue.from_float(2.0 * l) * det).sqrt()
-        )
-    ).to_float()
-    base = amp / _FOUR_PI * (math.erf(u * math.sqrt(l)) + 1.0)
-    ratio = abs(m) / math.sqrt(l * k)
-    arg = u * m / math.sqrt(k)
-    rate = -l * s * u * u / k
-    sign = 1.0 if m >= 0.0 else -1.0
-    correction = -sign * amp / _FOUR_PI * ratio * (math.erf(arg) + 1.0) * math.exp(rate)
-    return base, correction

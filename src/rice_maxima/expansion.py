@@ -13,10 +13,12 @@ There are two tiers of constants:
 * ``h_integral`` / ``kernel_pieces`` integrate the closed-form kernel tables
   of :mod:`.kernels` and assemble (L, C, U) from them.  They exist to
   reproduce the reference constants those tables are known by, and they are
-  what ``verify-constants`` checks.  The four index sets of a family are
-  integrated together on the same initial panels, with one kernel pass
-  per panel: ``family_kernels`` gives the four kernels at the panel's
-  nodes, and each integrand multiplies rows of that array.
+  what ``verify-constants`` checks.  Each integral over t in (0, inf) is
+  one ``integrate_adaptive`` call, the same compact-coordinate integral
+  the exact engine uses.  The four index sets of a family are integrated
+  together on the same initial panels, with one kernel pass per panel:
+  ``family_kernels`` gives the four kernels at the panel's nodes, and each
+  integrand multiplies rows of that array.
 
 * ``theorem_expansion`` uses the frozen constants below, which are the ones
   the exact engine (:func:`rice_maxima.counts.expected_count`) actually
@@ -49,8 +51,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .kernels import family_kernels
-from .quadrature import integrate_adaptive, integrate_to_infinity
+from .errors import ToleranceNotMet
+from .kernels import TAIL_LAWS, family_kernels
+from .quadrature import QuadResult, integrate_adaptive
 
 __all__ = [
     "FAMILY_BOUNDS",
@@ -60,8 +63,6 @@ __all__ = [
     "kernel_pieces",
     "theorem_expansion",
 ]
-
-_EPS = 1e-6  # inner quadrature endpoint; the [0, _EPS] sliver is extrapolated
 
 FAMILY_INTERVALS = {1: "pos-tail", 2: "neg-tail", 3: "unit", 4: "neg-unit"}
 
@@ -74,80 +75,42 @@ FAMILY_BOUNDS = {
 
 _ALLOWED_PAIRS = {(1,), (1, 2), (1, 3), (1, 3, 4)}
 
-# Tail subtraction applied for t >= 1 in families 3 and 4: value maps
-# (family, pair) to (power of t, constant), the integrand subtracting
-# constant * t**power.  These constants are the exact products of the
-# individual kernel tail laws.
-_SUBTRACTIONS: dict[tuple[int, tuple[int, ...]], tuple[float, float]] = {
-    (3, (1,)): (-1.0, 4.0 * math.sqrt(35.0) / 115.0),
-    (3, (1, 3)): (-1.0, 4.0 / 23.0),
-    (3, (1, 2)): (0.5, 28.0 / 23.0),
-    (3, (1, 3, 4)): (0.5, 20.0 / 23.0),
-    (4, (1,)): (-1.0, 4.0 * math.sqrt(3.0) / 11.0),
-    (4, (1, 3)): (-1.0, 4.0 / 11.0),
-    (4, (1, 2)): (-0.5, 24.0 / 11.0),
-    (4, (1, 3, 4)): (-0.5, 8.0 / 11.0),
-}
+_NOISE = 4.0 * np.finfo(float).eps
 
-
-def _sliver_estimate(g, eps: float) -> float:
-    """Integral of ``g`` over [0, eps] for g ~ c * t**alpha, alpha >= 0.
-
-    Fits the local power from two interior samples; falls back to a
-    rectangle estimate when the samples do not support a power fit.
-    """
-    g2 = g(0.5 * eps)
-    g4 = g(0.25 * eps)
-    if g2 > 0.0 and g4 > 0.0:
-        alpha = math.log2(g2 / g4)
-        if -0.5 < alpha < 8.0:
-            return g2 * (2.0**alpha) * eps / (alpha + 1.0)
-    return g2 * eps
+# Initial panel edges in t, at s = 0, 1/4, 1/2, 3/4, 1, 3/2, 2 in the compact
+# coordinate of ``integrate_adaptive``; the tail subtraction starts at t = 1.
+_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf)
 
 
 def _pair_integral(
     product, family: int, pair: tuple[int, ...], rel_tol: float
-) -> float:
+) -> QuadResult:
     """Integral over (0, inf) of the array integrand ``product``, the
-    kernel product of ``pair`` in ``family``."""
+    kernel product of ``pair`` in ``family``.
 
-    def at(t: float) -> float:
-        return float(product(np.array([t]))[0])
-
-    subtraction = _SUBTRACTIONS.get((family, pair))
-    if subtraction is None:
-        integrand_tail = product
+    For families 3 and 4 the product of the pair's kernel tail laws is
+    subtracted for t >= 1.  Far out the residual is rounding noise of the
+    product, which the t^2 Jacobian of the compact coordinate would
+    amplify, so a residual within 4 eps of the law is set to zero.
+    """
+    if family in (1, 2):
+        integrand = product
     else:
-        power, constant = subtraction
+        power = sum(TAIL_LAWS[family, i][0] for i in pair)
+        constant = math.prod(TAIL_LAWS[family, i][1] for i in pair)
 
-        def integrand_tail(ts: np.ndarray) -> np.ndarray:
-            return product(ts) - constant * ts**power
+        def integrand(ts: np.ndarray) -> np.ndarray:
+            law = np.where(ts > 1.0, constant * ts**power, 0.0)
+            residual = product(ts) - law
+            return np.where(np.abs(residual) <= _NOISE * np.abs(law), 0.0, residual)
 
-    # the tail subtraction switches on at t = 1, so [eps, 1] and [1, inf)
-    # are integrated separately
-    inner = integrate_adaptive(
-        product,
-        np.linspace(_EPS, 1.0, 5),
-        rel_tol=rel_tol,
-        abs_tol=1e-14,
-    )
-    if family in (1, 2) and pair == (1,):
-        # algebraic t^{-7/2} tail: supply the analytic remainder
-        tail_hint = lambda T: 0.4 * T * at(T)  # noqa: E731
-    else:
-        tail_hint = None
-    outer = integrate_to_infinity(
-        integrand_tail,
-        1.0,
-        rel_tol=rel_tol,
-        abs_tol=1e-14,
-        tail=tail_hint,
-    )
-    return inner.value + outer.value + _sliver_estimate(at, _EPS)
+    return integrate_adaptive(integrand, _EDGES, rel_tol=rel_tol, abs_tol=1e-14)
 
 
 @lru_cache(maxsize=None)
-def _family_integrals(family: int, rel_tol: float) -> dict[tuple[int, ...], float]:
+def _family_integrals(
+    family: int, rel_tol: float
+) -> dict[tuple[int, ...], QuadResult]:
     """The integral of every allowed pair of ``family``.
 
     The four pairs bisect the same initial panels, so each panel's kernels
@@ -180,14 +143,22 @@ def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
     For families 3 and 4 the integrand carries the standard tail
     subtraction (active for t >= 1) that makes the integral converge; the
     subtracted mass reappears in the closed-form log terms of the
-    expansion.
+    expansion.  Raises ToleranceNotMet, with the quadrature result
+    attached, when the integral does not reach ``rel_tol``.
     """
     if family not in (1, 2, 3, 4):
         raise ValueError(f"family must be 1..4, got {family!r}")
     key = tuple(sorted(set(int(i) for i in pair)))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
-    return _family_integrals(family, rel_tol)[key]
+    result = _family_integrals(family, rel_tol)[key]
+    if not result.converged:
+        raise ToleranceNotMet(
+            f"h_integral{(family, key)} did not reach rel_tol={rel_tol:g} "
+            f"(value={result.value!r}, abs_error={result.abs_error!r})",
+            result=result,
+        )
+    return result.value
 
 
 @dataclass(frozen=True)

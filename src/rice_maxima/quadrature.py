@@ -1,26 +1,30 @@
-"""Deterministic adaptive quadrature used by the exact counting engine.
+"""Deterministic adaptive quadrature for both evaluation tiers.
 
-Two entry points:
+``integrate_adaptive`` integrates an array integrand between x-edges, either
+end of which may be infinite, as one finite integral in the compact
+coordinate s in [-2, 2]:
 
-* ``integrate_adaptive`` — finite range given as initial panel edges,
-  Gauss-Kronrod 7/15 pair (QUADPACK ``qk15``, Piessens et al. 1983) with
-  priority-driven bisection.  The 15 Kronrod nodes of a panel contain the 7
-  Gauss nodes, so a panel costs 15 evaluations, and its error estimate is
-  the difference of the two rules.  Every segment between consecutive
-  edges starts as one panel, so a caller puts an edge on every kink or
-  change of character of the integrand; after that, the panel with the
-  largest error estimate is split until the summed estimate meets the
-  tolerance or the panel budget runs out.
-* ``integrate_to_infinity`` — semi-infinite interval, covered by blocks of
-  fixed geometry: the first is one unit wide, each next one twice as wide,
-  at most 80 blocks of at most 400 panels each, every block integrated
-  adaptively.  Truncation stops once two consecutive blocks contribute
-  below threshold; the remaining tail enters the result either through a
-  caller-supplied analytic estimate or through a geometric bound folded
-  into the error.  Only the expansion tier uses it: ``counts`` maps the
-  real line onto a finite range instead.
+    s = x                    for |x| <= 1,
+    s = 2 sign(x) - 1/x      for |x| > 1,
 
-Integrands are array-in/array-out: ``f`` receives the 15 nodes of a panel
+so x = +-inf maps to s = +-2, and the integrand becomes f(x(s)) dx/ds with
+dx/ds = 1 inside [-1, 1] and x^2 beyond.  An integrand that decays like
+1/x^2 or faster stays finite as s -> +-2.  Finite and infinite ranges take
+the same path; s = +-1, where dx/ds has a kink, is added as an edge when it
+lies strictly inside the range.
+
+The rule is the Gauss-Kronrod 7/15 pair (QUADPACK ``qk15``, Piessens et
+al. 1983) with priority-driven bisection.  The 15 Kronrod nodes of a panel
+contain the 7 Gauss nodes, so a panel costs 15 evaluations, and its error
+estimate is the difference of the two rules.  Every segment between
+consecutive s-edges starts as one panel, so a caller puts an edge on every
+kink or change of character of the integrand; after that, the panel with
+the largest error estimate is split until the summed estimate meets the
+tolerance, the panel budget runs out, or the worst panel is too narrow for
+the nodes of its halves to stay off their ends (the last two are reported
+as unconverged).
+
+Integrands are array-in/array-out: ``f`` receives the 15 x-nodes of a panel
 as one float64 array and returns their values as an array of the same
 shape, so an integrand can evaluate a whole panel in one vectorised call.
 
@@ -31,17 +35,13 @@ and the final value is accumulated left to right.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Integrand",
-    "QuadResult",
-    "integrate_adaptive",
-    "integrate_to_infinity",
-]
+__all__ = ["Integrand", "QuadResult", "integrate_adaptive"]
 
 # QUADPACK qk15: the nonnegative Kronrod abscissae (every second one, from
 # 0.949..., is a 7-point Gauss node), their Kronrod weights, and the Gauss
@@ -79,27 +79,33 @@ KRONROD_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
 GAUSS_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
 PANEL_EVALUATIONS = len(KRONROD_NODES)
 
-# block geometry of ``integrate_to_infinity``
-_FIRST_WIDTH = 1.0
-_GROWTH = 2.0
-_MAX_BLOCKS = 80
-_MAX_PANELS_PER_BLOCK = 400
-
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value and error estimate of a numerical integral."""
+    """Value and error estimate of a numerical integral.
+
+    ``pieces`` is the number of initial panels: the segments between the
+    distinct s-edges of the range.
+    """
 
     value: float
     abs_error: float
     evaluations: int
     converged: bool
+    pieces: int = 0
 
 
 _ZERO = QuadResult(0.0, 0.0, 0, True)
 
 # maps the nodes of a panel (a float64 array) to the integrand values there
 Integrand = Callable[[np.ndarray], np.ndarray]
+
+
+def _compact(x: float) -> float:
+    """The compact coordinate s of x (x = +-inf maps to s = +-2)."""
+    if abs(x) <= 1.0:
+        return x
+    return math.copysign(2.0, x) - 1.0 / x
 
 
 def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
@@ -112,6 +118,13 @@ def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
     return half * hi, half * lo
 
 
+def _open(a: float, b: float) -> bool:
+    """Whether every node of the panel [a, b] lies strictly inside it."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return a < mid + half * KRONROD_NODES[0] and mid + half * KRONROD_NODES[-1] < b
+
+
 def integrate_adaptive(
     f: Integrand,
     edges: Sequence[float] | np.ndarray,
@@ -122,25 +135,38 @@ def integrate_adaptive(
 ) -> QuadResult:
     """Integrate the array integrand ``f`` from ``edges[0]`` to ``edges[-1]``.
 
-    ``edges`` are finite, increasing panel boundaries; each segment between
-    two of them is one initial panel.  A range with ``edges[-1] <=
-    edges[0]`` integrates to zero.  Gauss-Kronrod nodes are interior, so
-    ``f`` is never evaluated at an edge; integrable endpoint behaviour must
-    be handled by the caller (for example by substitution).
+    ``edges`` are increasing x-values, either end of which may be infinite;
+    they and x = +-1 (when strictly inside) become s-edges, and each
+    segment between two distinct s-edges is one initial panel.  A range
+    with ``edges[-1] <= edges[0]`` integrates to zero.  Gauss-Kronrod nodes
+    are interior, so ``f`` is never evaluated at an edge; integrable
+    endpoint behaviour must be handled by the caller (for example by
+    substitution).
     """
     edges = np.asarray(edges, dtype=float)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("integrate_adaptive needs finite edges")
+    if np.any(np.isnan(edges)):
+        raise ValueError("integrate_adaptive needs edges that are not NaN")
     if edges[-1] <= edges[0]:
         return _ZERO
-    if np.any(np.diff(edges) <= 0.0):
+    if not np.all(edges[1:] > edges[:-1]):
         raise ValueError("integrate_adaptive needs increasing edges")
+    kinks = [x for x in (-1.0, 1.0) if edges[0] < x < edges[-1]]
+    # neighbouring floats beyond |x| = 1 can share one s: keep each s once
+    s_edges = sorted({_compact(float(x)) for x in (*edges, *kinks)})
+    if len(s_edges) < 2:
+        return _ZERO
+
+    def h(s: np.ndarray) -> np.ndarray:
+        outer = np.abs(s) > 1.0
+        x = np.where(outer, np.sign(s) / (2.0 - np.abs(s)), s)
+        return f(x) * np.where(outer, x * x, 1.0)
+
     heap: list[tuple[float, int, float, float, float, float]] = []
     seq = 0
     evals = 0
     total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        hi, lo = _panel(f, left, right)
+    for left, right in zip(s_edges[:-1], s_edges[1:]):
+        hi, lo = _panel(h, left, right)
         evals += PANEL_EVALUATIONS
         total += hi
         heapq.heappush(heap, (-abs(hi - lo), seq, left, right, hi, lo))
@@ -148,16 +174,17 @@ def integrate_adaptive(
     panels = len(heap)
     while True:
         error = sum(-item[0] for item in heap)
-        if error <= max(abs_tol, rel_tol * abs(total)):
+        if error <= max(abs_tol, rel_tol * abs(total)) and error < math.inf:
             converged = True
             break
-        if panels >= max_panels:
+        _, _, left, right, hi, _ = heap[0]
+        mid = 0.5 * (left + right)
+        if panels >= max_panels or not (_open(left, mid) and _open(mid, right)):
             converged = False
             break
-        _, _, left, right, hi, _ = heapq.heappop(heap)
-        mid = 0.5 * (left + right)
-        hi1, lo1 = _panel(f, left, mid)
-        hi2, lo2 = _panel(f, mid, right)
+        heapq.heappop(heap)
+        hi1, lo1 = _panel(h, left, mid)
+        hi2, lo2 = _panel(h, mid, right)
         evals += 2 * PANEL_EVALUATIONS
         total += hi1 + hi2 - hi
         heapq.heappush(heap, (-abs(hi1 - lo1), seq, left, mid, hi1, lo1))
@@ -171,69 +198,4 @@ def integrate_adaptive(
     for item in final:
         value += item[4]
         error += -item[0]
-    return QuadResult(value, error, evals, converged)
-
-
-def integrate_to_infinity(
-    f: Integrand,
-    t0: float,
-    *,
-    rel_tol: float,
-    abs_tol: float = 0.0,
-    tail: Callable[[float], float] | None = None,
-) -> QuadResult:
-    """Integrate the array integrand ``f`` over [t0, infinity).
-
-    ``tail(T)`` should return an estimate (a float) of the integral from T
-    to infinity; when provided it is added to the value (with a tenth of its
-    magnitude charged to the error budget).  Without it, the truncated tail
-    is bounded geometrically from the decay of the last blocks and charged
-    entirely to the error.
-    """
-    value = 0.0
-    error = 0.0
-    evals = 0
-    converged = True
-    left = t0
-    width = _FIRST_WIDTH
-    history: list[float] = []
-    quiet = 0
-    for _ in range(_MAX_BLOCKS):
-        right = left + width
-        block = integrate_adaptive(
-            f,
-            np.linspace(left, right, 3),
-            rel_tol=rel_tol,
-            abs_tol=max(abs_tol, rel_tol * abs(value)) * 0.25,
-            max_panels=_MAX_PANELS_PER_BLOCK,
-        )
-        value += block.value
-        error += block.abs_error
-        evals += block.evaluations
-        converged = converged and block.converged
-        history.append(abs(block.value))
-        threshold = max(abs_tol, rel_tol * abs(value)) * 0.5
-        if abs(block.value) <= threshold:
-            quiet += 1
-            if quiet >= 2:
-                left = right
-                break
-        else:
-            quiet = 0
-        left = right
-        width *= _GROWTH
-    else:
-        converged = False
-    cutoff = left
-    if tail is not None:
-        tail_value = tail(cutoff)
-        value += tail_value
-        error += 0.1 * abs(tail_value)
-    elif len(history) >= 2 and history[-2] > 0.0:
-        ratio = history[-1] / history[-2]
-        if ratio < 0.9:
-            error += history[-1] * ratio / (1.0 - ratio)
-        else:
-            converged = False
-    return QuadResult(value, error, evals, converged)
-
+    return QuadResult(value, error, evals, converged, len(s_edges) - 1)

@@ -6,7 +6,9 @@ monomial basis, the pointwise density by generic multivariate-normal
 conditioning plus 2-D quadrature, the degree-3 simulation check by
 closed-form root finding, and the kernel brackets by arbitrary-precision
 or exact rational arithmetic on the rational tables.  Agreement with the
-engine is then evidence, not tautology.
+engine is then evidence, not tautology.  ``density_split`` is the one
+exception: a two-term rearrangement of the density's closed form, kept to
+compare the two conditional-variance conventions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from rice_maxima import PolynomialModel
+from rice_maxima import PolynomialModel, ScaledValue, moments
 from rice_maxima.kernels import _BRACKETS
 
 
@@ -185,3 +187,53 @@ def cubic_em_mc(
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
+
+
+def density_split(
+    model: PolynomialModel,
+    x: float,
+    u: float,
+    *,
+    s_convention: str = "conditional",
+) -> tuple[float, float]:
+    """Diagnostic two-term form of the density at a finite level.
+
+    Returns ``(base_term, correction_term)`` where the base term uses only the
+    level through ``erf(u sqrt(L))`` and the correction term carries the
+    exponentially damped factor.  Their sum equals ``maxima_density`` when
+    ``s_convention="conditional"`` (rate constant ``S = K - M^2 / L``).  The
+    alternative ``s_convention="combined"`` uses ``S = K - M^2 / (4 L)``,
+    which rescales the base amplitude and is kept for cross-checking only.
+
+    This diagnostic works with plain float64 quadratic-form coefficients and
+    composes ``erf(.) + 1``, which loses accuracy deep in the lower tail
+    (``u * sqrt(L) << -1``) where the production ``erfc`` form stays exact.
+    It is intended for moderate degrees, locations and levels; the production
+    path is ``maxima_density``.
+    """
+    if u in (math.inf, -math.inf):
+        raise ValueError("density_split requires a finite level u")
+    mom = moments(model, x)
+    k, l, m = mom.k, mom.l, mom.m
+    if s_convention == "conditional":
+        s = k - m * m / l
+    elif s_convention == "combined":
+        s = k - m * m / (4.0 * l)
+    else:
+        raise ValueError(f"unknown s_convention: {s_convention!r}")
+    # amplitude 1 / (2 S sqrt(2 L det)) evaluated in scaled arithmetic
+    det = mom.det_sigma
+    amp = (
+        ScaledValue.from_float(1.0)
+        / (
+            ScaledValue.from_float(2.0 * s)
+            * (ScaledValue.from_float(2.0 * l) * det).sqrt()
+        )
+    ).to_float()
+    base = amp / (4.0 * math.pi) * (math.erf(u * math.sqrt(l)) + 1.0)
+    ratio = abs(m) / math.sqrt(l * k)
+    arg = u * m / math.sqrt(k)
+    rate = -l * s * u * u / k
+    sign = 1.0 if m >= 0.0 else -1.0
+    correction = -sign * amp / (4.0 * math.pi) * ratio * (math.erf(arg) + 1.0) * math.exp(rate)
+    return base, correction

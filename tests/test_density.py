@@ -10,12 +10,11 @@ from rice_maxima import (
     DegenerateCovariance,
     DegenerateModel,
     PolynomialModel,
-    density_split,
     maxima_density,
     moments,
     scale_model,
 )
-from oracles import oracle_density
+from oracles import density_split, oracle_density
 
 nonzero_x = st.one_of(
     st.floats(min_value=0.05, max_value=3.0),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rice_maxima import h_integral
+from rice_maxima import ToleranceNotMet, expansion, h_integral
 
 # 12-digit regression pins captured from a verified build (quadrature
 # rel_tol 1e-9; the pin tolerance leaves room for node-level jitter only).
@@ -42,6 +42,15 @@ class TestFrozenValues:
             fine = h_integral(family, pair, rel_tol=1e-9)
             assert coarse == pytest.approx(fine, rel=1e-5)
 
+    @pytest.mark.parametrize("family,pair", sorted(FROZEN), ids=str)
+    def test_converges_at_the_tightest_tolerance(self, family, pair):
+        # h_integral raises ToleranceNotMet when its integral does not converge
+        tight = h_integral(family, pair, rel_tol=1e-12)
+        assert tight == pytest.approx(h_integral(family, pair), rel=1e-9)
+
+    def test_returns_a_plain_float(self):
+        assert type(h_integral(1, (1,))) is float
+
     def test_pair_order_and_duplicates_are_normalized(self):
         assert h_integral(1, (3, 1)) == h_integral(1, (1, 3))
         assert h_integral(2, (1, 1, 3)) == h_integral(2, (1, 3))
@@ -54,6 +63,19 @@ class TestFrozenValues:
             assert h_integral(2, pair) > 0.0
             assert h_integral(3, pair) < 0.0
             assert h_integral(4, pair) < 0.0
+
+
+def test_unconverged_integral_raises(monkeypatch):
+    # Without the rounding-noise floor on the tail residual, the family-3
+    # slope integral refines towards t = inf and cannot converge.
+    monkeypatch.setattr(expansion, "_NOISE", 0.0)
+    expansion._family_integrals.cache_clear()
+    try:
+        with pytest.raises(ToleranceNotMet, match="rel_tol=1e-12") as info:
+            h_integral(3, (1, 2), rel_tol=1e-12)
+        assert not info.value.result.converged
+    finally:
+        expansion._family_integrals.cache_clear()
 
 
 class TestValidation:

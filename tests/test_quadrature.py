@@ -15,7 +15,6 @@ from rice_maxima.quadrature import (
     KRONROD_WEIGHTS,
     QuadResult,
     integrate_adaptive,
-    integrate_to_infinity,
 )
 
 
@@ -89,9 +88,35 @@ class TestFiniteInterval:
         empty = integrate_adaptive(np.sin, np.linspace(3.0, 2.0, 5), rel_tol=1e-8)
         assert empty.value == 0.0
 
-    def test_infinite_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_adaptive(np.sin, [0.0, math.inf], rel_tol=1e-8)
+    def test_nan_edge_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            integrate_adaptive(np.sin, [0.0, math.nan, 1.0], rel_tol=1e-8)
+
+    def test_decreasing_edges_rejected(self):
+        with pytest.raises(ValueError, match="increasing"):
+            integrate_adaptive(np.sin, [0.0, 2.0, 1.0, 3.0], rel_tol=1e-8)
+
+    def test_refinement_stops_before_an_edge_is_evaluated(self):
+        # the singularity at x = 1 needs panels narrower than a float step
+        # there; refinement must stop unconverged instead of landing on it
+        result = integrate_adaptive(
+            lambda x: 1.0 / np.sqrt(1.0 - x), [0.0, 1.0], rel_tol=1e-12, max_panels=4000
+        )
+        assert not result.converged
+        assert math.isfinite(result.value) and math.isfinite(result.abs_error)
+        assert result.value == pytest.approx(2.0, rel=1e-6)
+
+    def test_infinite_value_is_not_converged(self):
+        # inf at a Kronrod-only node makes the error estimate inf as well
+        result = integrate_adaptive(
+            lambda x: np.where(x == x[0], np.inf, 1.0), [0.0, 1.0], rel_tol=1e-8
+        )
+        assert not result.converged
+
+    def test_result_holds_plain_floats(self):
+        result = integrate_adaptive(np.sin, [0.0, 1.0, math.inf], rel_tol=1e-3)
+        assert type(result.value) is float
+        assert type(result.abs_error) is float
 
     def test_budget_exhaustion_reported_not_hidden(self):
         f = lambda x: 1.0 / (1e-8 + (x - 0.37) ** 2)  # noqa: E731
@@ -117,32 +142,35 @@ class TestFiniteInterval:
         assert first == second
 
 
-class TestSemiInfinite:
+class TestInfiniteEdges:
     def test_exponential_tail(self):
-        result = integrate_to_infinity(lambda t: np.exp(-t), 0.0, rel_tol=1e-10)
+        result = integrate_adaptive(lambda t: np.exp(-t), [0.0, math.inf], rel_tol=1e-10)
         assert result.converged
         assert result.value == pytest.approx(1.0, rel=1e-9)
 
     def test_gaussian_tail_from_offset(self):
-        result = integrate_to_infinity(
-            lambda t: np.exp(-t * t), 1.0, rel_tol=1e-10
+        result = integrate_adaptive(
+            lambda t: np.exp(-t * t), [1.0, math.inf], rel_tol=1e-10
         )
         exact = 0.5 * math.sqrt(math.pi) * math.erfc(1.0)
+        assert result.converged
         assert result.value == pytest.approx(exact, rel=1e-9)
 
-    def test_analytic_tail_estimate_is_used(self):
-        # exp(-t) with the exact analytic tail: the value is exact no matter
-        # where truncation lands, and the tail charges 10% to the error.
-        result = integrate_to_infinity(
-            lambda t: np.exp(-t),
-            0.0,
-            rel_tol=1e-6,
-            tail=lambda T: math.exp(-T),
+    def test_algebraic_tail(self):
+        result = integrate_adaptive(lambda t: t**-3.5, [1.0, math.inf], rel_tol=1e-10)
+        assert result.converged
+        assert result.value == pytest.approx(0.4, rel=1e-9)
+
+    def test_whole_line(self):
+        result = integrate_adaptive(
+            lambda x: 1.0 / (1.0 + x * x), [-math.inf, math.inf], rel_tol=1e-10
         )
-        assert result.value == pytest.approx(1.0, rel=1e-10)
+        assert result.converged
+        assert result.pieces == 3  # s-edges -2, -1, 1, 2
+        assert result.value == pytest.approx(math.pi, rel=1e-9)
 
     def test_slow_decay_flagged_unconverged(self):
-        # 1/t decays too slowly for the geometric truncation bound.
-        result = integrate_to_infinity(lambda t: 1.0 / t, 1.0, rel_tol=1e-8)
+        # the integral of 1/t over [1, inf) diverges
+        result = integrate_adaptive(lambda t: 1.0 / t, [1.0, math.inf], rel_tol=1e-8)
         assert not result.converged
-
+        assert math.isfinite(result.value)
