@@ -23,12 +23,35 @@ SWEEP = (0.01, 0.1, 0.3, 0.45, 0.4999, 0.5001, 0.55, 1.0, 3.0, 10.0, 40.0)
 
 ALL_KERNELS = [KernelId(f, i) for f in (1, 2, 3, 4) for i in (1, 2, 3, 4)]
 
-# Regression pins at t = 1 (12 digits captured from a verified build).
-SPOT_AT_ONE = {
-    1: (7.561640971898e-03, 1.612371618863e01, 9.432010585771e-01, 1.520790617732e01),
-    2: (3.733148738284e-02, 3.346055007513e00, 8.284329810784e-01, 2.771982324726e00),
-    3: (1.431742624000e-02, 2.949531614733e01, 9.205448371974e-01, 2.715176100093e01),
-    4: (1.574717128367e-01, 2.976076253721e00, 5.624858506239e-01, 1.674000783096e00),
+# Regression pins (12 digits captured from a verified build): H_{f,1..4} at
+# one t in each bracket regime — t = 0.1 is in the series regime for every
+# bracket, t = 1 and t = 3 fall in the double-double or float regime
+# depending on the bracket, and t = 20 is in the float regime for all.
+SPOT_VALUES = {
+    0.1: {
+        1: (1.030862600280e-02, 2.142110594925e01, 9.331826078174e-01, 1.998980351206e01),
+        2: (6.389969159170e-02, 3.957082950461e00, 7.825823595359e-01, 3.096743312251e00),
+        3: (1.099053882641e-02, 2.275229938012e01, 9.309148345253e-01, 2.118045301251e01),
+        4: (1.486812986967e-01, 4.906824805579e-01, 1.445640902629e-01, 7.093506640978e-02),
+    },
+    1.0: {
+        1: (7.561640971898e-03, 1.612371618863e01, 9.432010585771e-01, 1.520790617732e01),
+        2: (3.733148738284e-02, 3.346055007513e00, 8.284329810784e-01, 2.771982324726e00),
+        3: (1.431742624000e-02, 2.949531614733e01, 9.205448371974e-01, 2.715176100093e01),
+        4: (1.574717128367e-01, 2.976076253721e00, 5.624858506239e-01, 1.674000783096e00),
+    },
+    3.0: {
+        1: (3.419121372424e-03, 7.874774893718e00, 9.634781403257e-01, 7.587173470083e00),
+        2: (9.349743002401e-03, 2.016986539592e00, 9.244025419113e-01, 1.864507484199e00),
+        3: (2.198231329994e-02, 4.944135923040e01, 8.964738616002e-01, 4.432288623204e01),
+        4: (2.038279486523e-01, 6.015634103941e00, 6.220521990626e-01, 3.742038423113e00),
+    },
+    20.0: {
+        1: (1.616799741787e-05, 1.077343663409e-04, 9.987906388912e-01, 1.076040765882e-04),
+        2: (1.493051434550e-05, 1.117064275086e-05, 9.988977859955e-01, 1.115833031198e-05),
+        3: (1.028879487286e-02, 5.291509145422e02, 8.451546391543e-01, 4.472143502381e02),
+        4: (3.149183286650e-02, 1.549193338463e01, 5.773502691749e-01, 8.944271909656e00),
+    },
 }
 
 
@@ -75,11 +98,12 @@ class TestBrackets:
 
 
 class TestKernelEvaluation:
-    @pytest.mark.parametrize("family", [1, 2, 3, 4])
-    def test_spot_values_at_one(self, family):
-        for index, expected in zip((1, 2, 3, 4), SPOT_AT_ONE[family]):
-            got = h_kernel(KernelId(family, index), 1.0)
-            assert got == pytest.approx(expected, rel=1e-11), (family, index)
+    @pytest.mark.parametrize("t", sorted(SPOT_VALUES))
+    def test_spot_values(self, t):
+        for family, row in SPOT_VALUES[t].items():
+            for index, expected in zip((1, 2, 3, 4), row):
+                got = h_kernel(KernelId(family, index), t)
+                assert got == pytest.approx(expected, rel=1e-11), (t, family, index)
 
     @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
     def test_continuous_across_regime_switch(self, kid):
