@@ -17,10 +17,23 @@ turn the density into n-free limit kernels H_{f,i}(t), four per family:
 
 Every kernel is built from "brackets": finite combinations
 
-    sum_d  P_d(t) * exp(-d * t)
+    b(t) = sum_d  P_d(t) * exp(-d * t)
 
-with exact rational polynomial coefficients, tabulated below.  All brackets
-vanish at t = 0 (their constant terms cancel across rows, checked at import
+with exact rational polynomial coefficients.  Thirteen are tabulated below:
+p1 p2 p3 n13 z for family 1, n21 r2 d21 b23 c23 for family 2 and n41 d41 z43
+for family 4.  The rest follow from two rules:
+
+* rescaling: a bracket that is a rational multiple of another (times
+  e^{-2t} in one case) is not kept; its constant sits in the kernel
+  expression instead;
+* reflection: x -> 1/x maps family 1 onto family 3 and family 2 onto
+  family 4, and on the brackets it acts as R(b)(t) = e^{-Dt} b(-t), D the
+  largest decay of b.  Family 3 uses the reflections of all five family-1
+  tables (n31 r3 d31 n34 c33); family 4 shares only r and b with family 2
+  (r4 = R(r2), b44 = R(b23)) and has its own tables for the rest.
+
+Each family's four kernels thus share five brackets.  All brackets vanish
+at t = 0 (their constant terms cancel across rows, checked at import
 time), so the rows cancel badly for small t.  Each bracket is evaluated in
 one of three regimes, chosen per node:
 
@@ -50,14 +63,7 @@ import numpy as np
 
 from .errors import NonFiniteResult
 
-__all__ = [
-    "KernelId",
-    "h_kernel",
-    "family_kernels",
-    "bracket_names",
-    "bracket_value",
-    "TAIL_LAWS",
-]
+__all__ = ["KernelId", "h_kernel", "family_kernels", "TAIL_LAWS"]
 
 # --------------------------------------------------------------------------
 # Exact bracket tables: name -> {decay d: coefficients of P_d, ascending in
@@ -66,7 +72,7 @@ __all__ = [
 
 _TABLES: dict[str, dict[int, tuple]] = {
     # ---- family 1 (x = 1 + t/n) ------------------------------------------
-    # numerator polynomial of H11
+    # numerator of H11; under the roots of H12 and H14
     "p1": {
         0: (-140, 24),
         1: (272, 224, 160),
@@ -76,7 +82,7 @@ _TABLES: dict[str, dict[int, tuple]] = {
         5: (16, 32, 32),
         6: (-4,),
     },
-    # radicand of H11; its negation is the first radicand factor of H13
+    # radicand of H11 and H12; its negation is a radicand factor of H13
     "p2": {
         0: (-253, 1012, -1400, 736, -172, 16),
         1: (544, -1632, 1056, 512, -192),
@@ -84,7 +90,7 @@ _TABLES: dict[str, dict[int, tuple]] = {
         3: (-32, 32, -160),
         4: (35,),
     },
-    # denominator polynomial of H11
+    # denominator of H11
     "p3": {
         0: ((12155, 192), (-6281, 24), (19097, 48), (-787, 3), (1385, 16), (-29, 2), 1),
         1: ((-2141, 8), (6749, 8), (-2018, 3), (-1243, 6), (527, 2), (-401, 6), 6),
@@ -125,25 +131,7 @@ _TABLES: dict[str, dict[int, tuple]] = {
         7: ((-7, 8), (37, 8), (-35, 12)),
         8: ((115, 192),),
     },
-    # radicand numerator of H12
-    "ba": {
-        2: ((253, 80), (-253, 20), (35, 2), (-46, 5), (43, 20), (-1, 5)),
-        3: ((-34, 5), (102, 5), (-66, 5), (-32, 5), (12, 5)),
-        4: ((147, 40), (-147, 20), (-81, 20), (15, 2), (27, 10), 1),
-        5: ((2, 5), (-2, 5), 2),
-        6: ((-7, 16),),
-    },
-    # radicand denominator of H12, also the second radicand factor of H14
-    "bb": {
-        0: (-35, 6),
-        1: (68, 56, 40),
-        2: (5, 4, -20, -176, 44, -16),
-        3: (-72, -192, -288, 64, 48),
-        4: (31, 118, 260, 184, 52, 8),
-        5: (4, 8, 8),
-        6: (-1,),
-    },
-    # numerator of H13 (and, shifted by e^{-t}, of H14)
+    # numerator of H13 and H14
     "n13": {
         0: (-55, 132, -58, 8),
         1: (124, -156, -120, 24),
@@ -151,7 +139,7 @@ _TABLES: dict[str, dict[int, tuple]] = {
         3: (4, 36, -8),
         4: (5,),
     },
-    # second radicand factor of H13
+    # radicand factor of H13 and H14
     "z": {
         0: (15, -4),
         1: (-32, -24),
@@ -160,18 +148,20 @@ _TABLES: dict[str, dict[int, tuple]] = {
         4: (-1,),
     },
     # ---- family 2 (x = -1 - t/n) -----------------------------------------
+    # numerator of H21; under the roots of H22 and H24
     "n21": {
         0: ((1, 8), (3, 4)),
         2: ((-3, 8), (-3, 2), (-9, 2), -2, (3, 2), -2),
         4: ((3, 8), (3, 4), (9, 2), 7, (9, 2), 1),
         6: ((-1, 8),),
     },
-    # shared radicand of H21 and H22
+    # radicand of H21 and H22, radicand factor of H23
     "r2": {
         0: (3, -12, 24, 32, -44, 16),
         2: (-6, 12, -12, -56, -56, -16),
         4: (3,),
     },
+    # denominator of H21
     "d21": {
         0: ((11, 192), (1, 24), (-23, 48), (13, 6), (25, 16), (-5, 2), 1),
         2: (
@@ -199,170 +189,27 @@ _TABLES: dict[str, dict[int, tuple]] = {
         6: ((-11, 48), (-1, 24), (-55, 48), (-15, 8), (-5, 4), (-1, 3)),
         8: ((11, 192),),
     },
-    # denominator of H22 (also of H24)
-    "d22": {
-        0: (1, 6),
-        2: (-3, -12, -36, -16, 12, -16),
-        4: (3, 6, 36, 56, 36, 8),
-        6: (-1,),
-    },
-    # numerator of H23 (also of H24)
+    # numerator of H23 and H24
     "b23": {
         0: (1, -4, -10, 8),
         2: (-2, 4, 14, 20, 8),
         4: (1,),
     },
+    # radicand factor of H23 and H24
     "c23": {
         0: ((1, 4), 1),
         2: ((-1, 2), -1, -3, -2),
         4: ((1, 4),),
     },
-    "e23": {
-        0: ((3, 16), (-3, 4), (3, 2), 2, (-11, 4), 1),
-        2: ((-3, 8), (3, 4), (-3, 4), (-7, 2), (-7, 2), -1),
-        4: ((3, 16),),
-    },
-    # second radicand factor of H24
-    "z4": {
-        0: (1, 4),
-        2: (-2, -4, -12, -8),
-        4: (1,),
-    },
-    # ---- family 3 (x = n/(n+t)) ------------------------------------------
-    "n31": {
-        0: ((-1, 16),),
-        1: ((1, 4), (-1, 2), (1, 2)),
-        2: ((31, 16), (-59, 8), (65, 4), (-23, 2), (13, 4), (-1, 2)),
-        3: ((-9, 2), 12, -18, -4, 3),
-        4: ((5, 16), (-1, 4), (-5, 4), 11, (11, 4), 1),
-        5: ((17, 4), (-7, 2), (5, 2)),
-        6: ((-35, 16), (-3, 8)),
-    },
-    "r3": {
-        0: (35,),
-        1: (-32, -32, -160),
-        2: (-294, -588, 324, 600, -216, 80),
-        3: (544, 1632, 1056, -512, -192),
-        4: (-253, -1012, -1400, -736, -172, -16),
-    },
-    "d31": {
-        0: ((115, 1984),),
-        1: ((-21, 248), (-111, 248), (-35, 124)),
-        2: ((-733, 496), (485, 248), (-523, 496), (1073, 248), (-73, 124), (5, 31)),
-        3: (
-            (1043, 248),
-            (375, 248),
-            (486, 31),
-            (-364, 31),
-            (-232, 31),
-            (42, 31),
-            (-34, 31),
-        ),
-        4: (
-            (3717, 992),
-            (-1521, 248),
-            (-32777, 496),
-            (-1043, 124),
-            (501, 16),
-            (-2161, 124),
-            (1949, 124),
-            (-129, 31),
-            1,
-        ),
-        5: (
-            (-6887, 248),
-            (-7153, 248),
-            (12731, 124),
-            (5627, 62),
-            (-2335, 62),
-            (1697, 62),
-            (-173, 31),
-            (-78, 31),
-        ),
-        6: (
-            (20383, 496),
-            (21891, 248),
-            (-12069, 496),
-            (-29851, 248),
-            (-3907, 248),
-            (-1191, 124),
-            (-547, 62),
-            (-68, 31),
-            (-8, 31),
-        ),
-        7: (
-            (-6423, 248),
-            (-20247, 248),
-            (-2018, 31),
-            (1243, 62),
-            (51, 2),
-            (401, 62),
-            (18, 31),
-        ),
-        8: (
-            (12155, 1984),
-            (6281, 248),
-            (19097, 496),
-            (787, 31),
-            (4155, 496),
-            (87, 62),
-            (3, 31),
-        ),
-    },
-    # radicand numerator of H32, also a radicand factor of H33
-    "ba3": {
-        0: ((-7, 32),),
-        1: ((1, 5), (1, 5), 1),
-        2: ((147, 80), (147, 40), (-81, 40), (-15, 4), (27, 20), (-1, 2)),
-        3: ((-17, 5), (-51, 5), (-33, 5), (16, 5), (6, 5)),
-        4: ((253, 160), (253, 40), (35, 4), (23, 5), (43, 40), (1, 10)),
-    },
-    # radicand denominator of H32
-    "bb3": {
-        0: (-1,),
-        1: (4, -8, 8),
-        2: (31, -118, 260, -184, 52, -8),
-        3: (-72, 192, -288, -64, 48),
-        4: (5, -4, -20, 176, 44, 16),
-        5: (68, -56, 40),
-        6: (-35, -6),
-    },
-    # numerator of H33
-    "ba33": {
-        0: ((-5, 8),),
-        1: ((-1, 2), (9, 2), 1),
-        2: ((39, 4), (-3, 2), (-75, 4), (13, 2), -3),
-        3: ((-31, 2), (-39, 2), 15, 3),
-        4: ((55, 8), (33, 2), (29, 4), 1),
-    },
-    # radicand factor of H33; its negation is a radicand factor of H34
-    "c33": {
-        0: ((-1, 8),),
-        1: (0, 1),
-        2: ((9, 4), (-9, 2), (3, 2), -1),
-        3: (-4, 3),
-        4: ((15, 8), (1, 2)),
-    },
-    "n34": {
-        0: (5,),
-        1: (4, -36, -8),
-        2: (-78, 12, 150, -52, 24),
-        3: (124, 156, -120, -24),
-        4: (-55, -132, -58, -8),
-    },
     # ---- family 4 (x = -n/(n+t)) -----------------------------------------
+    # numerator of H41; under the roots of H42 and H44
     "n41": {
         0: ((1, 8),),
         2: ((3, 8), (3, 4), (-9, 2), 7, (-9, 2), 1),
         4: ((-9, 8), (-9, 2), (3, 2), 12, (-31, 2), 2),
         6: ((5, 8), (15, 4), 6, -8, -11, -4),
     },
-    # shared radicand of H41/H42/H43 (negated inside H42)
-    "r4": {
-        0: (3,),
-        2: (-6, -12, -12, 56, -56, 16),
-        4: (3, 12, 24, -32, -44, -16),
-    },
+    # denominator of H41
     "d41": {
         0: ((11, 512),),
         2: ((1, 128), (1, 64), (-55, 128), (45, 64), (-15, 32), (1, 8)),
@@ -400,85 +247,82 @@ _TABLES: dict[str, dict[int, tuple]] = {
             -2,
         ),
     },
-    # denominator of H42; its negation is the denominator of H44
-    "d42": {
-        0: (-1,),
-        2: (-3, -6, 36, -56, 36, -8),
-        4: (9, 36, -12, -96, 124, -16),
-        6: (-5, -30, -48, 64, 88, 32),
-    },
-    "b43": {
-        0: ((1, 8),),
-        2: ((-1, 4), (-1, 2), (7, 4), (-5, 2), 1),
-        4: ((1, 8), (1, 2), (-5, 4), -1),
-    },
-    # second radicand factor of H43
+    # radicand factor of H43 and H44
     "z43": {
         0: (1,),
         2: (2, 4, -12, 8),
         4: (-3, -12, -8, 16),
     },
-    "b44": {
-        0: (1,),
-        2: (-2, -4, 14, -20, 8),
-        4: (1, 4, -10, -8),
-    },
-    # second radicand factor of H44 (used negated)
-    "z44": {
-        0: (-1,),
-        2: (-2, -4, 12, -8),
-        4: (3, 12, 8, -16),
-    },
 }
 
 
-def _as_fraction(entry) -> Fraction:
-    if isinstance(entry, tuple):
-        return Fraction(entry[0], entry[1])
-    return Fraction(entry)
+# The brackets of families 3 and 4 that are reflections R(b)(t) = e^{-Dt} b(-t)
+# of a table b, times an exact constant: name -> (table, constant).
+_REFLECTIONS: dict[str, tuple[str, Fraction]] = {
+    "n31": ("p1", Fraction(1, 64)),
+    "r3": ("p2", Fraction(1)),
+    "d31": ("p3", Fraction(3, 31)),
+    "n34": ("n13", Fraction(1)),
+    "c33": ("z", Fraction(1, 8)),
+    "r4": ("r2", Fraction(1)),
+    "b44": ("b23", Fraction(1)),
+}
+
+
+def _exact(table: Mapping[int, tuple]) -> dict[int, tuple[Fraction, ...]]:
+    return {
+        d: tuple(Fraction(*c) if isinstance(c, tuple) else Fraction(c) for c in coeffs)
+        for d, coeffs in table.items()
+    }
+
+
+def _reflect(
+    rows: Mapping[int, tuple[Fraction, ...]], constant: Fraction
+) -> dict[int, tuple[Fraction, ...]]:
+    """``constant`` * R(b): the decay order reversed, odd powers of t negated."""
+    top = max(rows)
+    return {
+        top - d: tuple(constant * (-c if j % 2 else c) for j, c in enumerate(poly))
+        for d, poly in rows.items()
+    }
+
+
+_ROWS = {name: _exact(table) for name, table in _TABLES.items()}
+_ROWS.update(
+    {name: _reflect(_ROWS[source], c) for name, (source, c) in _REFLECTIONS.items()}
+)
 
 
 _SERIES_CUTOFF = 0.45
 _SERIES_TERMS = 44
 
 # Smallest t (with safety margin) at which plain float64 row evaluation of
-# each bracket reaches ~1e-14 relative accuracy; calibrated against a
-# 120-digit evaluation.  Brackets vanish at t = 0 to orders as high as t^20,
-# so the rows keep cancelling well past the series cutoff; between the
-# series cutoff and this threshold the rows are summed in double-double
-# arithmetic.
+# each bracket reaches ~1e-14 relative accuracy; the kernel tests check it
+# against a 60-digit evaluation of the rows.  Brackets vanish at t = 0 to
+# orders as high as t^20, so the rows keep cancelling well past the series
+# cutoff; between the series cutoff and this threshold the rows are summed
+# in double-double arithmetic.
 _FLOAT_CUTOFF: dict[str, float] = {
     "p1": 4.8,
     "p2": 3.6,
     "p3": 6.3,
-    "ba": 3.6,
-    "bb": 4.8,
     "n13": 2.8,
     "z": 2.4,
     "n21": 1.4,
     "r2": 1.1,
     "d21": 1.2,
-    "d22": 1.4,
     "b23": 0.8,
     "c23": 0.6,
-    "e23": 1.1,
-    "z4": 0.6,
     "n31": 4.2,
     "r3": 3.2,
     "d31": 4.8,
-    "ba3": 3.6,
-    "bb3": 4.2,
-    "ba33": 2.8,
-    "c33": 2.1,
     "n34": 2.8,
+    "c33": 2.1,
     "n41": 0.9,
     "r4": 0.9,
     "d41": 1.2,
-    "d42": 0.9,
-    "b43": 0.6,
-    "z43": 0.6,
     "b44": 0.6,
-    "z44": 0.6,
+    "z43": 0.6,
 }
 _DD_LIMIT = max(_FLOAT_CUTOFF.values())
 _MAX_DECAY = max(max(table) for table in _TABLES.values())
@@ -615,12 +459,9 @@ class _Bracket:
 
     __slots__ = ("name", "rows", "decays", "hi", "lo", "lead", "series", "float_cutoff")
 
-    def __init__(self, name: str, table: Mapping[int, tuple]):
+    def __init__(self, name: str, rows: Mapping[int, tuple[Fraction, ...]]):
         self.name = name
-        self.rows = [
-            (d, tuple(_as_fraction(c) for c in coeffs))
-            for d, coeffs in sorted(table.items())
-        ]
+        self.rows = sorted(rows.items())
         width = max(len(poly) for _, poly in self.rows)
         pairs = np.array(
             [
@@ -713,7 +554,7 @@ class _Nodes:
         return self._powers
 
 
-_BRACKETS = {name: _Bracket(name, table) for name, table in _TABLES.items()}
+_BRACKETS = {name: _Bracket(name, rows) for name, rows in _ROWS.items()}
 
 
 def _positive(t) -> np.ndarray:
@@ -723,18 +564,6 @@ def _positive(t) -> np.ndarray:
     if bad.any():
         raise ValueError(f"t must be positive and finite, got {float(array[bad][0])!r}")
     return array
-
-
-def bracket_names() -> tuple[str, ...]:
-    return tuple(_BRACKETS)
-
-
-def bracket_value(name: str, t):
-    """Value of one bracket at ``t`` (a float, or an array of floats)."""
-    bracket = _BRACKETS[name]
-    array = np.atleast_1d(np.asarray(t, dtype=float))
-    value = bracket.value(_Nodes(array))
-    return float(value[0]) if np.ndim(t) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -771,7 +600,7 @@ def _h11(b, t):
 
 
 def _h12(b, t):
-    return _sqrt_clip(-80.0 * b("ba") * t**3 / b("bb"))
+    return 2.0 * t**1.5 * np.exp(-t) * _sqrt_clip(b("p2") / b("p1"))
 
 
 def _h13(b, t):
@@ -779,7 +608,7 @@ def _h13(b, t):
 
 
 def _h14(b, t):
-    return _over_sqrt(np.exp(-t) * b("n13") * t**1.5, (-b("z")) * b("bb"))
+    return _over_sqrt(2.0 * np.exp(-t) * b("n13") * t**1.5, (-b("z")) * b("p1"))
 
 
 def _h21(b, t):
@@ -787,15 +616,15 @@ def _h21(b, t):
 
 
 def _h22(b, t):
-    return 2.0 * np.sqrt(t) * np.exp(-t) * _sqrt_clip(b("r2") / b("d22"))
+    return 2.0 * np.sqrt(t) * np.exp(-t) * _sqrt_clip(b("r2") / (8.0 * b("n21")))
 
 
 def _h23(b, t):
-    return _over_sqrt(0.125 * np.abs(b("b23")), b("c23") * b("e23"))
+    return _over_sqrt(0.5 * np.abs(b("b23")), b("c23") * b("r2"))
 
 
 def _h24(b, t):
-    return _over_sqrt(2.0 * np.sqrt(t) * np.exp(-t) * b("b23"), b("d22") * b("z4"))
+    return _over_sqrt(2.0 * np.sqrt(t) * np.exp(-t) * b("b23"), 32.0 * b("n21") * b("c23"))
 
 
 def _h31(b, t):
@@ -803,15 +632,15 @@ def _h31(b, t):
 
 
 def _h32(b, t):
-    return math.sqrt(160.0) * t**1.5 * _sqrt_clip(b("ba3") / b("bb3"))
+    return 0.25 * t**1.5 * _sqrt_clip(-b("r3") / b("n31"))
 
 
 def _h33(b, t):
-    return _over_sqrt(np.abs(b("ba33")), 20.0 * (b("c33") * b("ba3")))
+    return _over_sqrt(np.abs(b("n34")), -8.0 * b("c33") * b("r3"))
 
 
 def _h34(b, t):
-    return _over_sqrt(0.125 * b("n34") * t**1.5, (-2.0 * b("n31")) * (-b("c33")))
+    return _over_sqrt(b("n34") * t**1.5, 128.0 * b("n31") * b("c33"))
 
 
 def _h41(b, t):
@@ -819,15 +648,15 @@ def _h41(b, t):
 
 
 def _h42(b, t):
-    return 2.0 * np.sqrt(t) * _sqrt_clip(-b("r4") / b("d42"))
+    return 2.0 * np.sqrt(t) * _sqrt_clip(b("r4") / (8.0 * b("n41")))
 
 
 def _h43(b, t):
-    return _over_sqrt(8.0 * b("b43"), b("r4") * b("z43"))
+    return _over_sqrt(b("b44"), b("r4") * b("z43"))
 
 
 def _h44(b, t):
-    return _over_sqrt(2.0 * np.sqrt(t) * b("b44"), (-b("d42")) * (-b("z44")))
+    return _over_sqrt(2.0 * np.sqrt(t) * b("b44"), 8.0 * b("n41") * b("z43"))
 
 
 _KERNELS = {

@@ -6,9 +6,11 @@ monomial basis, the pointwise density by generic multivariate-normal
 conditioning plus 2-D quadrature, the degree-3 simulation check by
 closed-form root finding, and the kernel brackets by arbitrary-precision
 or exact rational arithmetic on the rational tables.  Agreement with the
-engine is then evidence, not tautology.  ``density_split`` is the one
-exception: a two-term rearrangement of the density's closed form, kept to
-compare the two conditional-variance conventions.
+engine is then evidence, not tautology.  The exceptions:
+``density_split``, a two-term rearrangement of the density's closed form
+kept to compare the two conditional-variance conventions, and
+``bracket_names``/``bracket_value``, which expose the engine's brackets to
+be checked against the oracles here.
 """
 
 from __future__ import annotations
@@ -21,7 +23,20 @@ import numpy as np
 from scipy import integrate
 
 from rice_maxima import PolynomialModel, ScaledValue, moments
-from rice_maxima.kernels import _BRACKETS
+from rice_maxima.kernels import _BRACKETS, _Nodes
+
+
+def bracket_names() -> tuple[str, ...]:
+    """The engine's brackets: the tables and their reflections."""
+    return tuple(_BRACKETS)
+
+
+def bracket_value(name: str, t):
+    """The engine's value of one bracket at ``t`` (a float, or an array of
+    floats)."""
+    array = np.atleast_1d(np.asarray(t, dtype=float))
+    value = _BRACKETS[name].value(_Nodes(array))
+    return float(value[0]) if np.ndim(t) == 0 else value
 
 
 def bracket_value_mp(name: str, t, dps: int = 60):

@@ -146,3 +146,16 @@ class TestDegeneracies:
     def test_constant_term_heals_the_origin(self):
         value = maxima_density(PolynomialModel(5, sigma0=1.0), 0.0, 1.0)
         assert value > 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DegenerateCovariance,
+        reason="known defect: the moments degenerate near |x| ~ 1e12/n^1.5, where "
+        "the residual after projecting out Q' falls below its tolerance "
+        "(ROADMAP direction 4)",
+    )
+    @pytest.mark.parametrize("n,x", [(10, 1e13), (10_000, 1e7), (100_000, 1e5)])
+    def test_density_beyond_the_covariance_wall(self, n, x):
+        # Measured: each of these raises DegenerateCovariance.
+        value = maxima_density(PolynomialModel(n), x, 1.0)
+        assert math.isfinite(value) and value >= 0.0

@@ -67,12 +67,12 @@ class TestFrozenValues:
 
 def test_unconverged_integral_raises(monkeypatch):
     # Without the rounding-noise floor on the tail residual, the family-3
-    # slope integral refines towards t = inf and cannot converge.
+    # damped-slope integral refines towards t = inf and cannot converge.
     monkeypatch.setattr(expansion, "_NOISE", 0.0)
     expansion._family_integrals.cache_clear()
     try:
         with pytest.raises(ToleranceNotMet, match="rel_tol=1e-12") as info:
-            h_integral(3, (1, 2), rel_tol=1e-12)
+            h_integral(3, (1, 3, 4), rel_tol=1e-12)
         assert not info.value.result.converged
     finally:
         expansion._family_integrals.cache_clear()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bracket_taylor, bracket_value_mp
+from oracles import bracket_names, bracket_taylor, bracket_value, bracket_value_mp
 from rice_maxima.kernels import (
     _BRACKETS,
     _FLOAT_CUTOFF,
@@ -13,13 +13,11 @@ from rice_maxima.kernels import (
     _SERIES_TERMS,
     TAIL_LAWS,
     KernelId,
-    bracket_names,
-    bracket_value,
     family_kernels,
     h_kernel,
 )
 
-SWEEP = (0.01, 0.1, 0.3, 0.45, 0.4999, 0.5001, 0.55, 1.0, 3.0, 10.0, 40.0)
+SWEEP = (0.01, 0.1, 0.3, 0.4499, 0.45, 0.4501, 0.55, 1.0, 3.0, 10.0, 40.0)
 
 ALL_KERNELS = [KernelId(f, i) for f in (1, 2, 3, 4) for i in (1, 2, 3, 4)]
 
@@ -58,7 +56,7 @@ SPOT_VALUES = {
 class TestBrackets:
     @pytest.mark.parametrize("name", bracket_names())
     def test_float_matches_arbitrary_precision(self, name):
-        # Covers both sides of the Taylor/closed-form switch at t = 1/2.
+        # Covers the series, double-double and float-row regimes.
         for t in SWEEP:
             f = bracket_value(name, t)
             m = float(bracket_value_mp(name, t, dps=60))
@@ -75,6 +73,15 @@ class TestBrackets:
         got = bracket_value(name, ts)
         want = np.array([float(bracket_value_mp(name, t, dps=60)) for t in ts])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", bracket_names())
+    def test_float_rows_match_arbitrary_precision(self, name):
+        # The calibration of _FLOAT_CUTOFF: from its switch point on, the
+        # bracket's plain float64 rows are accurate to ~1e-14.
+        ts = np.linspace(_FLOAT_CUTOFF[name], 300.0, 80)
+        got = bracket_value(name, ts)
+        want = np.array([float(bracket_value_mp(name, t, dps=60)) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=2e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", bracket_names())
     def test_continuous_across_both_regime_switches(self, name):
@@ -107,8 +114,8 @@ class TestKernelEvaluation:
 
     @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
     def test_continuous_across_regime_switch(self, kid):
-        lo = h_kernel(kid, 0.5 - 1e-9)
-        hi = h_kernel(kid, 0.5 + 1e-9)
+        lo = h_kernel(kid, _SERIES_CUTOFF - 1e-9)
+        hi = h_kernel(kid, _SERIES_CUTOFF + 1e-9)
         assert hi == pytest.approx(lo, rel=1e-7, abs=1e-30)
 
     @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
@@ -148,7 +155,6 @@ class TestKernelEvaluation:
             value = h_kernel(kid, t)
             assert type(value) is float
             assert value == h_kernel(kid, np.array([1.0]))[0]
-        assert type(bracket_value("p1", 1.0)) is float
 
     def test_kernel_id_validation(self):
         with pytest.raises(ValueError, match="family"):
