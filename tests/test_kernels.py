@@ -105,7 +105,13 @@ class TestBrackets:
 
 
 class TestKernelEvaluation:
-    @pytest.mark.parametrize("t", sorted(SPOT_VALUES))
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    def test_spot_values_at_one(self, family):
+        for index, expected in zip((1, 2, 3, 4), SPOT_VALUES[1.0][family]):
+            got = h_kernel(KernelId(family, index), 1.0)
+            assert got == pytest.approx(expected, rel=1e-11), (family, index)
+
+    @pytest.mark.parametrize("t", [t for t in sorted(SPOT_VALUES) if t != 1.0])
     def test_spot_values(self, t):
         for family, row in SPOT_VALUES[t].items():
             for index, expected in zip((1, 2, 3, 4), row):
