@@ -3,12 +3,12 @@
 Everything here is deliberately built from first principles rather than
 from the package's formulas: covariances by direct summation over the
 monomial basis, the pointwise density by generic multivariate-normal
-conditioning plus 2-D quadrature, the degree-3 simulation check by
-closed-form root finding, and the kernel brackets by arbitrary-precision
-or exact rational arithmetic on the rational tables.  Agreement with the
-engine is then evidence, not tautology.  The exceptions:
-``density_split``, a two-term rearrangement of the density's closed form
-kept to compare the two conditional-variance conventions, and
+conditioning plus 2-D quadrature, the simulation checks by closed-form
+(degree 3) or companion-matrix root finding, and the kernel brackets by
+arbitrary-precision or exact rational arithmetic on the rational tables.
+Agreement with the engine is then evidence, not tautology.  The
+exceptions: ``density_split``, a two-term rearrangement of the density's
+closed form kept to compare the two conditional-variance conventions, and
 ``bracket_names``/``bracket_value``, which expose the engine's brackets to
 be checked against the oracles here.
 """
@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy import integrate
 
 from rice_maxima import PolynomialModel, ScaledValue, moments
@@ -191,6 +192,25 @@ def cubic_count_below(
         # continuous law, handled for completeness)
         linear = ~quadratic & (qb != 0.0)
         accept(np.where(linear, -qc / np.where(linear, qb, 1.0), np.nan), linear)
+    return counts
+
+
+def root_count_below(coeffs: np.ndarray, levels) -> np.ndarray:
+    """Per-trial counts (trials, len(levels)) of local maxima on the whole
+    line with value <= each level, from the companion-matrix roots of Q'.
+
+    A root is real when |imag| <= 1e-7 max(1, |root|); it is a maximum
+    when Q'' < 0 there.
+    """
+    levels = np.asarray(levels, dtype=float)
+    counts = np.zeros((len(coeffs), levels.size), dtype=np.int64)
+    for i, a in enumerate(coeffs):
+        d1 = P.polyder(a)
+        roots = P.polyroots(d1)
+        real = roots[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))].real
+        maxima = real[P.polyval(real, P.polyder(d1)) < 0.0]
+        values = P.polyval(maxima, a)
+        counts[i] = (values[:, None] <= levels).sum(axis=0)
     return counts
 
 

@@ -15,7 +15,7 @@ from rice_maxima import (
     CountQuery,
     sample_coefficients,
 )
-from oracles import cubic_count_below
+from oracles import cubic_count_below, root_count_below
 
 INF = math.inf
 
@@ -72,6 +72,17 @@ class TestGroundTruthParity:
             axis=1,
         )
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, trials", [(8, 200), (64, 200), (256, 40)])
+    def test_counts_match_companion_matrix_roots(self, n, trials):
+        # Companion-matrix roots of Q' per trial on the whole line.  Even
+        # degrees make x^(n-1) negative for x < 0, so they exercise the
+        # reversed-form parity at the x = -inf anchor; the cubic cannot.
+        model = PolynomialModel(n)
+        coeff = sample_coefficients(model, trials, seed=2024)
+        levels = [-1.0, 0.0, 1.0, INF]
+        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        assert np.array_equal(got, root_count_below(coeff, levels))
 
     def test_count_matrix_is_monotone_in_level(self):
         model = PolynomialModel(6)
