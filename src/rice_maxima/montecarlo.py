@@ -15,11 +15,15 @@ half-axis is covered in four zones (ppu = ``points_per_unit``):
     |x| in (2, inf)   : uniform grid in y = 1/x, spacing 1/(2 ppu)
 
 Grid points sit at cell midpoints (plus one anchor at y = 0 so the far
-tail is closed at infinity); no point lands on 0 or +-1 exactly.  For
-|x| > 1 the derivative sign is read off the coefficient-reversed
-polynomial in y = 1/x, which keeps evaluations inside [-1, 1] and free of
-overflow; polynomial values out there are compared to the level through
-logarithms for the same reason.
+tail is closed at infinity); no point lands on 0 or +-1 exactly.
+
+Evaluation.  One rule serves the sign grid, the bisection and the level
+test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
+|x| <= 1 that is the plain sum; beyond, it is the coefficient-reversed
+polynomial in y = 1/x times the sign of x^d, so every power lies in
+[-1, 1] and nothing overflows.  The level test multiplies |x|^n back in;
+values past the float range become +-inf, which still compare correctly
+with every finite level.
 
 Reproducibility.  Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``,
 so the estimate is a pure function of (model, interval, levels, trials,
@@ -117,20 +121,7 @@ def sample_coefficients(
 
 
 # ----------------------------------------------------------------------
-# sign grid
-
-
-class _Grid:
-    """Ascending x-grid restricted to (lo, hi), with per-point evaluation
-    mode: ``rev`` marks points where |x| > 1 (evaluate in y = 1/x)."""
-
-    __slots__ = ("x", "y", "rev")
-
-    def __init__(self, x: np.ndarray, rev: np.ndarray):
-        self.x = x
-        self.rev = rev
-        with np.errstate(divide="ignore"):
-            self.y = np.where(rev, 1.0 / x, 0.0)
+# sign grid and evaluation
 
 
 def _half_axis(n: int, ppu: int) -> np.ndarray:
@@ -146,123 +137,47 @@ def _half_axis(n: int, ppu: int) -> np.ndarray:
     return np.concatenate([bulk, inner, outer, far, [math.inf]])
 
 
-def _build_grid(model: PolynomialModel, lo: float, hi: float, ppu: int) -> _Grid:
+def _build_grid(model: PolynomialModel, lo: float, hi: float, ppu: int) -> np.ndarray:
     pos = _half_axis(model.degree, ppu)
     x = np.concatenate([-pos[::-1], [0.0], pos])
-    keep = (x >= lo) & (x <= hi)
-    x = x[keep]
+    x = x[(x >= lo) & (x <= hi)]
     if x.size < 2:
         # interval narrower than the grid pitch: fall back to a uniform fill
         x = np.linspace(lo, hi, 16)
-    rev = np.abs(x) > 1.0
-    return _Grid(x, rev)
+    return x
 
 
-def _deriv_sign_matrix(coeff: np.ndarray, grid: _Grid, sl: slice) -> np.ndarray:
-    """Signs of Q' for each trial (rows) at grid points ``sl`` (columns)."""
-    n = coeff.shape[1] - 1
-    j = np.arange(1, n + 1, dtype=float)
-    dcoef = coeff[:, 1:] * j  # c_j = j A_j, j = 1..n
-    x = grid.x[sl]
-    rev = grid.rev[sl]
-    out = np.empty((coeff.shape[0], x.size))
-    direct = ~rev
-    if direct.any():
-        v = np.vander(x[direct], N=n, increasing=True)  # powers 0..n-1
-        out[:, direct] = dcoef @ v.T
-    if rev.any():
-        y = grid.y[sl][rev]
-        xr = x[rev]
-        v = np.vander(y, N=n, increasing=True)
-        # S(y) = sum_j j A_j y^{n-j};  Q'(x) = x^{n-1} S(1/x)
-        s = dcoef[:, ::-1] @ v.T
-        parity = np.where((xr < 0.0) & (n % 2 == 0), -1.0, 1.0)
-        out[:, rev] = s * parity
-    # infinities map to y = 0 exactly (the far-tail anchor); the sign there
-    # is the leading-coefficient limit already handled by the reversed form
-    return np.sign(out)
-
-
-def _eval_deriv_at(dcoef_rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q'(x) per row (sign-faithful; |x| > 1 evaluated in y = 1/x)."""
-    n = dcoef_rows.shape[1]  # number of derivative coefficients, powers 0..n-1
-    out = np.empty_like(x)
-    direct = np.abs(x) <= 1.0
-    if direct.any():
-        xs = x[direct]
-        rows = dcoef_rows[direct]
-        acc = rows[:, -1].copy()
-        for k in range(n - 2, -1, -1):
-            acc = acc * xs + rows[:, k]
-        out[direct] = acc
-    if not direct.all():
-        sel = ~direct
-        y = 1.0 / x[sel]
-        rows = dcoef_rows[sel]
-        acc = rows[:, 0].copy()  # S(y) = sum c_k y^{(n-1)-k}
-        for k in range(1, n):
-            acc = acc * y + rows[:, k]
-        # Q'(x) = x^{n-1} S(1/x): x^{n-1} < 0 exactly when x < 0 and n is even
-        parity = np.where((y < 0.0) & (n % 2 == 0), -1.0, 1.0)
-        out[sel] = acc * parity
-    return out
-
-
-def _value_below(
-    coeff_rows: np.ndarray, x: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
-    """Boolean matrix (crossings, levels): is Q(x) <= level?
-
-    Direct evaluation for |x| <= 1.  Beyond, Q(x) = x^n R(1/x) with the
-    coefficient-reversed R; the comparison runs on sign and log2 magnitude
-    so astronomically large values never overflow.
+def _fold(x: np.ndarray, deg: int):
+    """The reversed-form rule (module docstring) at points x, for degree
+    ``deg``: (y, outer, sign) with outer = |x| > 1, y = 1/x there and x
+    elsewhere, and sign = the sign of x^deg on ``outer``, +1 elsewhere.
+    The sign reads x, not y: at x = -inf, y is -0.0.
     """
-    m, width = coeff_rows.shape
-    n = width - 1
-    vals = np.empty(m)
-    logmag = np.empty(m)
-    sign = np.empty(m)
-    direct = np.abs(x) <= 1.0
-    if direct.any():
-        xs = x[direct]
-        rows = coeff_rows[direct]
-        acc = rows[:, -1].copy()
-        for k in range(n - 1, -1, -1):
-            acc = acc * xs + rows[:, k]
-        vals[direct] = acc
-    sel = ~direct
-    if sel.any():
-        y = 1.0 / x[sel]
-        rows = coeff_rows[sel]
-        acc = rows[:, 0].copy()  # R(y) = sum_j A_j y^{n-j}, Horner from A_0
-        for k in range(1, n + 1):
-            acc = acc * y + rows[:, k]
-        sgn_r = np.sign(acc)
-        sgn_x_pow = np.where((x[sel] < 0.0) & (n % 2 == 1), -1.0, 1.0)
-        sign[sel] = sgn_r * sgn_x_pow
-        with np.errstate(divide="ignore"):
-            logmag[sel] = n * np.log2(np.abs(x[sel])) + np.log2(np.abs(acc))
-    below = np.empty((m, levels.size), dtype=bool)
-    for col, u in enumerate(levels):
-        if u == math.inf:
-            below[:, col] = True
-            continue
-        if u == -math.inf:
-            below[:, col] = False
-            continue
-        res = np.empty(m, dtype=bool)
-        res[direct] = vals[direct] <= u
-        if sel.any():
-            s = sign[sel]
-            lm = logmag[sel]
-            if u > 0.0:
-                res[sel] = (s < 0.0) | ((s > 0.0) & (lm <= math.log2(u))) | (s == 0.0)
-            elif u < 0.0:
-                res[sel] = (s < 0.0) & (lm >= math.log2(-u))
-            else:
-                res[sel] = s <= 0.0
-        below[:, col] = res
-    return below
+    outer = np.abs(x) > 1.0
+    y = np.divide(1.0, x, out=x.copy(), where=outer)
+    sign = np.where(outer & (x < 0.0) & (deg % 2 == 1), -1.0, 1.0)
+    return y, outer, sign
+
+
+def _scaled_value(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(x) / max(1, |x|)^deg for coefficient row i (ascending powers) at
+    x[i]; finite wherever the coefficients are."""
+    width = rows.shape[1]
+    y, outer, sign = _fold(x, width - 1)
+    rows = np.where(outer[:, None], rows[:, ::-1], rows)
+    return sign * np.vecdot(rows, np.vander(y, N=width, increasing=True))
+
+
+def _deriv_sign_matrix(dcoef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Signs of Q' at the shared grid points x (rows) for each trial
+    (columns)."""
+    width = dcoef.shape[1]
+    y, outer, sign = _fold(x, width - 1)
+    out = np.empty((x.size, dcoef.shape[0]))
+    for part, c in ((~outer, dcoef), (outer, dcoef[:, ::-1])):
+        out[part] = np.vander(y[part], N=width, increasing=True) @ c.T
+    out *= sign[:, None]
+    return np.sign(out, out=out)
 
 
 def count_maxima_below(
@@ -278,46 +193,44 @@ def count_maxima_below(
 
     ``coeff`` is a (trials, n+1) coefficient matrix (see
     ``sample_coefficients``); returns an integer array of shape
-    (trials, len(levels)).
+    (trials, len(levels)).  Raises ``ValueError`` unless lo < hi and
+    every level is a number (+-inf allowed).
     """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    grid = _build_grid(model, lo, hi, points_per_unit)
+    if np.isnan(levels).any():
+        raise ValueError(f"levels must not be NaN, got {levels.tolist()!r}")
+    x = _build_grid(model, lo, hi, points_per_unit)
     n = model.degree
-    j = np.arange(1, n + 1, dtype=float)
-    dcoef = coeff[:, 1:] * j
-    trials = coeff.shape[0]
-    counts = np.zeros((trials, levels.size), dtype=np.int64)
+    dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
+    counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
 
-    prev_sign = None
-    for start in range(0, grid.x.size, _GRID_CHUNK):
-        sl = slice(start, min(start + _GRID_CHUNK, grid.x.size))
-        s = _deriv_sign_matrix(coeff, grid, sl)
-        if prev_sign is not None:
-            s_ext = np.concatenate([prev_sign[:, None], s], axis=1)
-            base = start - 1
-        else:
-            s_ext = s
-            base = start
-        prev_sign = s[:, -1]
-        down = (s_ext[:, :-1] > 0.0) & (s_ext[:, 1:] <= 0.0)
-        rows, cols = np.nonzero(down)
+    # chunks share their end points, so every grid cell lies in one chunk
+    for start in range(0, x.size - 1, _GRID_CHUNK - 1):
+        s = _deriv_sign_matrix(dcoef, x[start : start + _GRID_CHUNK])
+        cols, rows = np.nonzero((s[:-1] > 0.0) & (s[1:] <= 0.0))
         if rows.size == 0:
             continue
-        k = base + cols  # crossing bracketed by grid points k, k+1
-        x_lo = grid.x[k]
-        x_hi = grid.x[k + 1]
+        k = start + cols  # crossing bracketed by grid points k, k+1
+        x_lo = x[k]
+        x_hi = x[k + 1]
         # the far-tail anchor at infinity: pull the bracket end inside
         x_hi = np.where(np.isinf(x_hi), 2.0 * np.maximum(np.abs(x_lo), 1.0), x_hi)
         x_lo = np.where(np.isinf(x_lo), -2.0 * np.maximum(np.abs(x_hi), 1.0), x_lo)
         drows = dcoef[rows]
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (x_lo + x_hi)
-            sm = _eval_deriv_at(drows, mid)
-            pos = sm > 0.0
+            pos = _scaled_value(drows, mid) > 0.0
             x_lo = np.where(pos, mid, x_lo)
             x_hi = np.where(pos, x_hi, mid)
         root = 0.5 * (x_lo + x_hi)
-        below = _value_below(coeff[rows], root, levels)
+        # undo the scaling: past the float range Q reads +-inf, so an
+        # infinite level is decided by its sign alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.maximum(np.abs(root), 1.0) ** n
+            value = _scaled_value(coeff[rows], root) * scale
+        below = np.where(np.isinf(levels), levels > 0.0, value[:, None] <= levels)
         np.add.at(counts, rows, below.astype(np.int64))
     return counts
 
@@ -370,8 +283,6 @@ def estimate_many(
     levels = [float(u) for u in levels]
     if not levels:
         raise ValueError("levels must be non-empty")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
     n = config.trials
     total, total_sq = _run_batches(model, lo, hi, levels, config)
     out = []

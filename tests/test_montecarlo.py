@@ -84,6 +84,18 @@ class TestGroundTruthParity:
         got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
         assert np.array_equal(got, root_count_below(coeff, levels))
 
+    def test_values_past_the_float_range_compare_by_sign(self):
+        # Degree 200: Q = x + 50 x^199 - x^200 peaks once, at x ~ 49.75,
+        # and Q(-x) once at x ~ -49.75; both peaks are ~1e337, past the
+        # float range.
+        model = PolynomialModel(200)
+        coeff = np.zeros((2, 201))
+        coeff[0, [1, 199, 200]] = [1.0, 50.0, -1.0]
+        coeff[1, [1, 199, 200]] = [-1.0, -50.0, -1.0]
+        levels = [-INF, -1e300, 0.0, 1e300, INF]
+        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        assert got.tolist() == [[0, 0, 0, 0, 1]] * 2
+
     def test_count_matrix_is_monotone_in_level(self):
         model = PolynomialModel(6)
         coeff = sample_coefficients(model, 300, seed=23)
@@ -185,6 +197,24 @@ class TestValidation:
             estimate_many(model, -INF, INF, [], config)
         with pytest.raises(ValueError, match="lo < hi"):
             estimate_many(model, 2.0, 2.0, [1.0], config)
+        with pytest.raises(ValueError, match="NaN"):
+            estimate_many(model, -INF, INF, [math.nan], config)
+
+    @pytest.mark.parametrize(
+        "lo, hi, levels, match",
+        [
+            (2.0, 1.0, [INF], "lo < hi"),
+            (1.0, 1.0, [INF], "lo < hi"),
+            (math.nan, 1.0, [INF], "lo < hi"),
+            (0.0, math.nan, [INF], "lo < hi"),
+            (-INF, INF, [0.0, math.nan], "NaN"),
+        ],
+    )
+    def test_count_rejects_bad_queries(self, lo, hi, levels, match):
+        model = PolynomialModel(6)
+        coeff = sample_coefficients(model, 400, seed=5)
+        with pytest.raises(ValueError, match=match):
+            count_maxima_below(model, coeff, lo, hi, levels)
 
     def test_single_trial_has_infinite_stderr(self):
         est = estimate_em(
