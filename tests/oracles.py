@@ -195,9 +195,12 @@ def cubic_count_below(
     return counts
 
 
-def root_count_below(coeffs: np.ndarray, levels) -> np.ndarray:
-    """Per-trial counts (trials, len(levels)) of local maxima on the whole
-    line with value <= each level, from the companion-matrix roots of Q'.
+def root_count_below(
+    coeffs: np.ndarray, levels, lo: float = -math.inf, hi: float = math.inf
+) -> np.ndarray:
+    """Per-trial counts (trials, len(levels)) of local maxima strictly
+    inside (lo, hi) with value <= each level, from the companion-matrix
+    roots of Q'.
 
     A root is real when |imag| <= 1e-7 max(1, |root|); it is a maximum
     when Q'' < 0 there.
@@ -208,6 +211,7 @@ def root_count_below(coeffs: np.ndarray, levels) -> np.ndarray:
         d1 = P.polyder(a)
         roots = P.polyroots(d1)
         real = roots[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))].real
+        real = real[(real > lo) & (real < hi)]
         maxima = real[P.polyval(real, P.polyder(d1)) < 0.0]
         values = P.polyval(maxima, a)
         counts[i] = (values[:, None] <= levels).sum(axis=0)

@@ -18,6 +18,10 @@ from rice_maxima import (
 from oracles import cubic_count_below, root_count_below
 
 INF = math.inf
+SUB_INTERVALS = [
+    (0.2, 1.5), (-3.0, -0.5), (1.0, INF), (-INF, -1.0),
+    (0.0, 1.0), (0.99, 1.01), (-1.0, 0.0),
+]
 
 
 class TestSampling:
@@ -73,16 +77,36 @@ class TestGroundTruthParity:
         )
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n, trials", [(8, 200), (64, 200), (256, 40)])
-    def test_counts_match_companion_matrix_roots(self, n, trials):
-        # Companion-matrix roots of Q' per trial on the whole line.  Even
-        # degrees make x^(n-1) negative for x < 0, so they exercise the
-        # reversed-form parity at the x = -inf anchor; the cubic cannot.
-        model = PolynomialModel(n)
-        coeff = sample_coefficients(model, trials, seed=2024)
+    @pytest.mark.parametrize(
+        "model, trials, seed, lo, hi",
+        [
+            pytest.param(PolynomialModel(n), trials, 2024, -INF, INF, id=f"{n}-{trials}")
+            for n, trials in ((8, 200), (64, 200), (256, 40))
+        ]
+        # a maximum between a query end and the first grid point inside it
+        # (n = 6, trial 230 has one at x ~ 0.2014)
+        + [
+            pytest.param(PolynomialModel(n), 300, 77, lo, hi, id=f"{n}-({lo},{hi})")
+            for n in (3, 6, 16, 64)
+            for lo, hi in SUB_INTERVALS
+        ]
+        # A_1 = A_2 = 0 on every path: Q' touches zero at x = 0 without
+        # changing sign, so x = 0 is no maximum
+        + [
+            pytest.param(
+                PolynomialModel(6, sigma=(0, 0, 1, 1, 1, 1)), 400, 5, -INF, INF,
+                id="touching-zero-at-0",
+            )
+        ],
+    )
+    def test_counts_match_companion_matrix_roots(self, model, trials, seed, lo, hi):
+        # Companion-matrix roots of Q' per trial.  Even degrees make
+        # x^(n-1) negative for x < 0, so they exercise the reversed-form
+        # parity at the x = -inf end; the cubic cannot.
+        coeff = sample_coefficients(model, trials, seed=seed)
         levels = [-1.0, 0.0, 1.0, INF]
-        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
-        assert np.array_equal(got, root_count_below(coeff, levels))
+        got = count_maxima_below(model, coeff, lo, hi, levels, points_per_unit=64)
+        assert np.array_equal(got, root_count_below(coeff, levels, lo, hi))
 
     def test_values_past_the_float_range_compare_by_sign(self):
         # Degree 200: Q = x + 50 x^199 - x^200 peaks once, at x ~ 49.75,
