@@ -5,17 +5,17 @@ degree-adapted sign grid for down-crossings (+ to -) of the derivative,
 refines every crossing by bisection, and counts the maximum if the
 polynomial value there lies at or below the level.
 
-Grid.  Critical points cluster in O(1/n) neighbourhoods of |x| = 1, so a
-uniform x-grid would either drown in points or miss oscillations.  Each
-half-axis is covered in four zones (ppu = ``points_per_unit``):
-
-    |x| in (0, 1/2]   : uniform x-grid, spacing 1/(2 ppu)
-    |x| in (1/2, 1)   : x = n/(n+t), uniform t-grid with spacing 1/ppu
-    |x| in (1, 2]     : x = 1 + t/n, the same t-grid
-    |x| in (2, inf)   : uniform grid in y = 1/x, spacing 1/(2 ppu)
-
-Grid points sit at cell midpoints (plus one anchor at y = 0 so the far
-tail is closed at infinity); no point lands on 0 or +-1 exactly.
+Grid.  Critical points cluster in O(1/n) neighbourhoods of |x| = 1, and
+their separations grow with the distance t = n ln|x| from that layer, so
+the grid is uniform in the one coordinate sigma = asinh(t): points
+x = +-exp(sinh(sigma)/n) at sigma = (k + 1/2)/ppu, k = -m .. m-1, with
+m = ceil(ppu asinh(n ln(4 ppu))) and ppu = ``points_per_unit``.  That
+covers |x| in [1/(4 ppu), 4 ppu], is symmetric under x -> 1/x, and spaces
+the points cosh(sigma)/ppu ~ max(1, |t|)/ppu apart in t.  The grid is the
+query end lo, the points strictly inside (lo, hi), then the end hi (either
+end may be infinite); only an end can be 0 or +-1 exactly.  A down-crossing
+is a strict sign change (+ to -) between neighbouring points, so a zero of
+Q' at a query end is never counted: it is not inside the open interval.
 
 Evaluation.  One rule serves the sign grid, the bisection and the level
 test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
@@ -58,9 +58,10 @@ class MCConfig:
     """Trial budget and execution knobs for a Monte-Carlo run.
 
     ``trials`` and ``seed`` define the estimate; ``points_per_unit``
-    controls the sign-grid resolution (per unit of the stretched t
-    variable near |x| = 1); ``workers`` and ``batch_size`` only affect
-    speed, never the result.
+    controls the sign-grid resolution (points per unit of the grid
+    coordinate sigma = asinh(n ln|x|), so per unit of t = n ln|x| near
+    |x| = 1); ``workers`` and ``batch_size`` only affect speed, never the
+    result.
     """
 
     trials: int
@@ -124,27 +125,13 @@ def sample_coefficients(
 # sign grid and evaluation
 
 
-def _half_axis(n: int, ppu: int) -> np.ndarray:
-    """Ascending grid for (0, +inf): bulk, inner layer, outer layer, far."""
-    h_t = 1.0 / ppu
-    h_x = 0.5 / ppu
-    t = (np.arange(n * ppu) + 0.5) * h_t  # (0, n)
-    bulk = (np.arange(ppu) + 0.5) * h_x  # (0, 1/2)
-    inner = n / (n + t[::-1])  # (1/2, 1) ascending
-    outer = 1.0 + t / n  # (1, 2]
-    far_y = (np.arange(ppu) + 0.5) * h_x  # y in (0, 1/2)
-    far = 1.0 / far_y[::-1]  # [2, inf) ascending
-    return np.concatenate([bulk, inner, outer, far, [math.inf]])
-
-
-def _build_grid(model: PolynomialModel, lo: float, hi: float, ppu: int) -> np.ndarray:
-    pos = _half_axis(model.degree, ppu)
-    x = np.concatenate([-pos[::-1], [0.0], pos])
-    x = x[(x >= lo) & (x <= hi)]
-    if x.size < 2:
-        # interval narrower than the grid pitch: fall back to a uniform fill
-        x = np.linspace(lo, hi, 16)
-    return x
+def _build_grid(n: int, lo: float, hi: float, ppu: int) -> np.ndarray:
+    """The sign grid (module docstring): lo, the stretched points strictly
+    inside (lo, hi), then hi."""
+    m = math.ceil(ppu * math.asinh(n * math.log(4 * ppu)))
+    pos = np.exp(np.sinh((np.arange(-m, m) + 0.5) / ppu) / n)
+    x = np.concatenate([-pos[::-1], pos])
+    return np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
 
 
 def _fold(x: np.ndarray, deg: int):
@@ -201,21 +188,21 @@ def count_maxima_below(
     levels = np.atleast_1d(np.asarray(levels, dtype=float))
     if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {levels.tolist()!r}")
-    x = _build_grid(model, lo, hi, points_per_unit)
     n = model.degree
+    x = _build_grid(n, lo, hi, points_per_unit)
     dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
 
     # chunks share their end points, so every grid cell lies in one chunk
     for start in range(0, x.size - 1, _GRID_CHUNK - 1):
         s = _deriv_sign_matrix(dcoef, x[start : start + _GRID_CHUNK])
-        cols, rows = np.nonzero((s[:-1] > 0.0) & (s[1:] <= 0.0))
+        cols, rows = np.nonzero((s[:-1] > 0.0) & (s[1:] < 0.0))
         if rows.size == 0:
             continue
         k = start + cols  # crossing bracketed by grid points k, k+1
         x_lo = x[k]
         x_hi = x[k + 1]
-        # the far-tail anchor at infinity: pull the bracket end inside
+        # an infinite query end: pull the bracket end inside
         x_hi = np.where(np.isinf(x_hi), 2.0 * np.maximum(np.abs(x_lo), 1.0), x_hi)
         x_lo = np.where(np.isinf(x_lo), -2.0 * np.maximum(np.abs(x_hi), 1.0), x_lo)
         drows = dcoef[rows]
