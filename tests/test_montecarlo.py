@@ -80,7 +80,9 @@ class TestGroundTruthParity:
     @pytest.mark.parametrize(
         "model, trials, seed, lo, hi",
         [
-            pytest.param(PolynomialModel(n), trials, 2024, -INF, INF, id=f"{n}-{trials}")
+            pytest.param(
+                PolynomialModel(n), trials, 2024, -INF, INF, id=f"{n}-{trials}"
+            )
             for n, trials in ((8, 200), (64, 200), (256, 40))
         ]
         # a maximum between a query end and the first grid point inside it
@@ -138,12 +140,17 @@ class TestGroundTruthParity:
         assert abs(est.mean - 0.5) <= 4.0 * est.stderr
 
     def test_agrees_with_exact_engine(self):
-        model = PolynomialModel(5)
-        exact = expected_count(model, CountQuery(-INF, INF, 0.5)).value
-        est = estimate_em(
-            model, -INF, INF, 0.5, MCConfig(trials=40_000, seed=31, workers=2)
-        )
-        assert abs(est.mean - exact) <= 4.0 * est.stderr
+        # n = 1000 is past the degrees the companion-matrix test reaches
+        cases = [
+            (5, [0.5], MCConfig(trials=40_000, seed=31, workers=2)),
+            (1000, [0.0, 30.0, INF], MCConfig(trials=3000, seed=3, points_per_unit=64)),
+        ]
+        for n, levels, config in cases:
+            model = PolynomialModel(n)
+            estimates = estimate_many(model, -INF, INF, levels, config)
+            for u, est in zip(levels, estimates):
+                exact = expected_count(model, CountQuery(-INF, INF, u)).value
+                assert abs(est.mean - exact) <= 4.0 * est.stderr, (n, u)
 
 
 class TestExecutionInvariance:
