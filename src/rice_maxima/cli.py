@@ -22,9 +22,7 @@ for any other.
 Every subcommand accepts ``--json``.  JSON output is deterministic — the
 wall-time field stays null unless ``--timing`` is given — and validates
 against the schema files shipped in ``rice_maxima/schema``.  Infinities
-are serialized as the strings ``"inf"`` and ``"-inf"``.  The environment
-variable ``RICE_MAXIMA_THREADS``, when set to a positive integer,
-overrides ``--workers``.
+are serialized as the strings ``"inf"`` and ``"-inf"``.
 
 Exit codes: 0 success; 1 usage error; 2 degenerate or invalid model;
 3 quadrature tolerance not met (the best estimate is still printed);
@@ -37,7 +35,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -186,23 +183,6 @@ def _is_unit(model: PolynomialModel) -> bool:
     return model.sigma0 == 0.0 and all(s == 1.0 for s in model.sigma)
 
 
-def _workers(flag_value: int) -> int:
-    env = os.environ.get("RICE_MAXIMA_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-        print(
-            f"warning: ignoring RICE_MAXIMA_THREADS={env!r} "
-            "(need a positive integer)",
-            file=sys.stderr,
-        )
-    return flag_value
-
-
 def _jsonable(value):
     if isinstance(value, float):
         if math.isinf(value):
@@ -281,9 +261,8 @@ def _cmd_asymptotic(args, model):
 
 
 def _cmd_montecarlo(args, model):
-    workers = _workers(args.workers)
     config = MCConfig(
-        args.trials, args.seed, args.points_per_unit, workers, args.batch_size
+        args.trials, args.seed, args.points_per_unit, args.workers, args.batch_size
     )
     estimate = estimate_em(model, *args.interval, args.u, config)
     body = _single_result(
@@ -320,13 +299,12 @@ def _cmd_verify_constants(args, _model):
 def _cmd_compare(args, _model):
     lo, hi = args.interval
     family = _BOUNDS_TO_FAMILY.get(args.interval)
-    workers = _workers(args.workers)
     cells = []
     code = _OK
     for n in args.n_list:
         model = _load_model(n, args.sigma_file)
         config = MCConfig(
-            args.trials, args.seed, args.points_per_unit, workers, args.batch_size
+            args.trials, args.seed, args.points_per_unit, args.workers, args.batch_size
         )
         estimates = estimate_many(model, lo, hi, args.u_list, config)
         for u, estimate in zip(args.u_list, estimates):
@@ -399,12 +377,7 @@ def _add_simulation(p, trials: int) -> None:
     """The Monte Carlo options; ``trials`` is the default sample size."""
     p.add_argument("--trials", type=_integer(1), default=trials, help="sample size")
     p.add_argument("--seed", type=_integer(0), default=0, help="base seed")
-    p.add_argument(
-        "--workers",
-        type=_integer(1),
-        default=1,
-        help="worker threads (RICE_MAXIMA_THREADS overrides)",
-    )
+    p.add_argument("--workers", type=_integer(1), default=1, help="worker threads")
     p.add_argument(
         "--points-per-unit",
         type=_integer(1),

@@ -12,10 +12,12 @@ x = +-exp(sinh(sigma)/n) at sigma = (k + 1/2)/ppu, k = -m .. m-1, with
 m = ceil(ppu asinh(n ln(4 ppu))) and ppu = ``points_per_unit``.  That
 covers |x| in [1/(4 ppu), 4 ppu], is symmetric under x -> 1/x, and spaces
 the points cosh(sigma)/ppu ~ max(1, |t|)/ppu apart in t.  The grid is the
-query end lo, the points strictly inside (lo, hi), then the end hi (either
-end may be infinite); only an end can be 0 or +-1 exactly.  A down-crossing
-is a strict sign change (+ to -) between neighbouring points, so a zero of
-Q' at a query end is never counted: it is not inside the open interval.
+query end lo, the points strictly inside (lo, hi), then the end hi.  Either
+end may be infinite; a finite end is moved 2^-40 of its cell inside, so Q'
+there has the sign it has just inside the end, also where it vanishes at
+the end itself (Q'(0) = 0 whenever A_1 = 0).  A down-crossing is a strict
+sign change (+ to -) between neighbouring points; a critical point at a
+query end is not inside the open interval and is never counted.
 
 Evaluation.  One rule serves the sign grid, the bisection and the level
 test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
@@ -131,7 +133,12 @@ def _build_grid(n: int, lo: float, hi: float, ppu: int) -> np.ndarray:
     m = math.ceil(ppu * math.asinh(n * math.log(4 * ppu)))
     pos = np.exp(np.sinh((np.arange(-m, m) + 0.5) / ppu) / n)
     x = np.concatenate([-pos[::-1], pos])
-    return np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
+    x = np.concatenate([[lo], x[(x > lo) & (x < hi)], [hi]])
+    # a zero of Q' at an end would hide a maximum just inside it
+    for end, inner in ((0, 1), (-1, -2)):
+        if math.isfinite(x[end]) and math.isfinite(x[inner]):
+            x[end] += math.ldexp(x[inner] - x[end], -40)
+    return x
 
 
 def _fold(x: np.ndarray, deg: int):

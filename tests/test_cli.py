@@ -31,11 +31,6 @@ from rice_maxima.counts import CountQuery, expected_count
 INF = math.inf
 
 
-@pytest.fixture(autouse=True)
-def no_thread_override(monkeypatch):
-    monkeypatch.delenv("RICE_MAXIMA_THREADS", raising=False)
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -331,7 +326,9 @@ class TestMonteCarlo:
     def test_repeated_runs_are_identical(self, capsys):
         _, out_a, _ = run(capsys, *self.ARGS)
         _, out_b, _ = run(capsys, *self.ARGS)
-        assert out_a == out_b
+        # worker threads never change the estimate
+        _, out_c, _ = run(capsys, *self.ARGS, "--workers", "3")
+        assert out_a == out_b == out_c
 
     def test_json_record_validates(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--json")
@@ -350,22 +347,6 @@ class TestMonteCarlo:
         )
         assert code == 0
         assert float(out.split()[0]) == 0.0
-
-    def test_env_override_keeps_output_by_worker_invariance(self, capsys, monkeypatch):
-        _, baseline, _ = run(capsys, *self.ARGS)
-        monkeypatch.setenv("RICE_MAXIMA_THREADS", "3")
-        code, out, err = run(capsys, *self.ARGS)
-        assert code == 0
-        assert out == baseline
-        assert err == ""
-
-    def test_invalid_env_override_warns_and_falls_back(self, capsys, monkeypatch):
-        _, baseline, _ = run(capsys, *self.ARGS)
-        monkeypatch.setenv("RICE_MAXIMA_THREADS", "zero")
-        code, out, err = run(capsys, *self.ARGS)
-        assert code == 0
-        assert out == baseline
-        assert "ignoring RICE_MAXIMA_THREADS" in err
 
     def test_zero_trials_is_usage_error(self, capsys):
         code, out, err = run(

@@ -93,12 +93,14 @@ class TestGroundTruthParity:
             for lo, hi in SUB_INTERVALS
         ]
         # A_1 = A_2 = 0 on every path: Q' touches zero at x = 0 without
-        # changing sign, so x = 0 is no maximum
+        # changing sign, so x = 0 is no maximum, and as a query end it must
+        # not hide a maximum just inside it (seed 5, trial 66: x ~ -0.0039)
         + [
             pytest.param(
-                PolynomialModel(6, sigma=(0, 0, 1, 1, 1, 1)), 400, 5, -INF, INF,
-                id="touching-zero-at-0",
+                PolynomialModel(6, sigma=(0, 0, 1, 1, 1, 1)), 400, 5, lo, hi,
+                id=f"touching-zero-({lo},{hi})",
             )
+            for lo, hi in ((-INF, INF), (-1.0, 0.0))
         ],
     )
     def test_counts_match_companion_matrix_roots(self, model, trials, seed, lo, hi):
