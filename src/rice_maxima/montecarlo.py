@@ -13,11 +13,12 @@ m = ceil(ppu asinh(n ln(4 ppu))) and ppu = ``points_per_unit``.  That
 covers |x| in [1/(4 ppu), 4 ppu], is symmetric under x -> 1/x, and spaces
 the points cosh(sigma)/ppu ~ max(1, |t|)/ppu apart in t.  The grid is the
 query end lo, the points strictly inside (lo, hi), then the end hi.  Either
-end may be infinite; a finite end is moved 2^-40 of its cell inside, so Q'
-there has the sign it has just inside the end, also where it vanishes at
-the end itself (Q'(0) = 0 whenever A_1 = 0).  A down-crossing is a strict
-sign change (+ to -) between neighbouring points; a critical point at a
-query end is not inside the open interval and is never counted.
+end may be infinite; a finite end of a finite cell is moved 2^-40 of the
+cell inside, so Q' there has the sign it has just inside the end, also
+where it vanishes at the end itself (Q'(0) = 0 whenever A_1 = 0).  A
+down-crossing is a strict sign change (+ to -) between neighbouring
+points; a critical point at a query end is not inside the open interval
+and is never counted.
 
 Evaluation.  One rule serves the sign grid, the bisection and the level
 test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
