@@ -261,9 +261,7 @@ def _cmd_asymptotic(args, model):
 
 
 def _cmd_montecarlo(args, model):
-    config = MCConfig(
-        args.trials, args.seed, args.points_per_unit, args.workers, args.batch_size
-    )
+    config = MCConfig(args.trials, args.seed, args.points_per_unit, args.workers)
     estimate = estimate_em(model, *args.interval, args.u, config)
     body = _single_result(
         args, args.interval, "monte-carlo", float(estimate.mean),
@@ -301,11 +299,9 @@ def _cmd_compare(args, _model):
     family = _BOUNDS_TO_FAMILY.get(args.interval)
     cells = []
     code = _OK
+    config = MCConfig(args.trials, args.seed, args.points_per_unit, args.workers)
     for n in args.n_list:
         model = _load_model(n, args.sigma_file)
-        config = MCConfig(
-            args.trials, args.seed, args.points_per_unit, args.workers, args.batch_size
-        )
         estimates = estimate_many(model, lo, hi, args.u_list, config)
         for u, estimate in zip(args.u_list, estimates):
             try:
@@ -383,9 +379,6 @@ def _add_simulation(p, trials: int) -> None:
         type=_integer(1),
         default=512,
         help="critical-point scan resolution",
-    )
-    p.add_argument(
-        "--batch-size", type=_integer(1), default=256, help="trials per work unit"
     )
 
 

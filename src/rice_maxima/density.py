@@ -18,9 +18,10 @@ standard deviation of the first derivative.  The two limits are
     u -> +inf : (sigma_W / B) / (2 pi)   (all local maxima counted)
     u -> -inf : 0
 
-All inputs pass through the scaled-moment layer, so the evaluation stays
-finite for degrees and locations where raw covariance entries overflow
-float64.
+All inputs come from ``moment_rows``, which peels x^n off for |x| > 1 and
+returns it as n log|x| (entering only the level ratio u / sigma_U), so the
+evaluation stays finite for degrees and locations where raw covariance
+entries overflow float64.
 
 ``maxima_density_batch`` evaluates a whole array of points (a quadrature
 panel) with one batched moments call; ``maxima_density`` is its one-point

@@ -28,9 +28,13 @@ polynomial in y = 1/x times the sign of x^d, so every power lies in
 values past the float range become +-inf, which still compare correctly
 with every finite level.
 
-Reproducibility.  Trial i draws from ``SeedSequence(seed, spawn_key=(i,))``,
-so the estimate is a pure function of (model, interval, levels, trials,
-seed, points_per_unit) — independent of batch size and worker count.
+Reproducibility.  Trials come in blocks of ``_BLOCK`` = 256: block k draws
+all its rows from one generator seeded by ``SeedSequence(seed,
+spawn_key=(k,))``, and trial i is row i mod 256 of block i // 256.  A short
+last block draws only its rows, which equal the first rows of a full
+block.  The block is also the work unit, so the estimate is a pure function
+of (model, interval, levels, trials, seed, points_per_unit), whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -52,26 +56,26 @@ __all__ = [
     "sample_coefficients",
 ]
 
+_BLOCK = 256
 _BISECT_ITERS = 50
 _GRID_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Trial budget and execution knobs for a Monte-Carlo run.
+    """Trial budget and execution knob for a Monte-Carlo run.
 
     ``trials`` and ``seed`` define the estimate; ``points_per_unit``
     controls the sign-grid resolution (points per unit of the grid
     coordinate sigma = asinh(n ln|x|), so per unit of t = n ln|x| near
-    |x| = 1); ``workers`` and ``batch_size`` only affect speed, never the
-    result.
+    |x| = 1); ``workers`` threads share the blocks of 256 trials (module
+    docstring) and only affect speed, never the result.
     """
 
     trials: int
     seed: int = 0
     points_per_unit: int = 512
     workers: int = 1
-    batch_size: int = 256
 
     def __post_init__(self) -> None:
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -84,10 +88,6 @@ class MCConfig:
             )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -100,28 +100,26 @@ class MCEstimate:
     seed: int
 
 
-def sample_coefficients(
-    model: PolynomialModel, trials: int, seed: int, *, first_trial: int = 0
-) -> np.ndarray:
-    """Coefficient matrix A of shape (trials, n+1), one row per trial.
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """(k, rows) for each block of a run of ``trials`` trials."""
+    return [(k, min(_BLOCK, trials - k * _BLOCK)) for k in range(-(-trials // _BLOCK))]
 
-    Row i is drawn from ``SeedSequence(seed, spawn_key=(first_trial+i,))``:
-    increments D_k ~ N(0, sigma_k^2) accumulate into A_j = D_0 + ... + D_j
-    (with D_0 = 0 unless the model carries sigma0 > 0).
-    """
-    n = model.degree
-    sig = np.asarray(model.sigma, dtype=float)
-    out = np.empty((trials, n + 1), dtype=float)
-    for i in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(first_trial + i,)))
-        )
-        draws = rng.standard_normal(n + 1)
-        increments = np.empty(n + 1)
-        increments[0] = draws[0] * model.sigma0
-        increments[1:] = draws[1:] * sig
-        np.cumsum(increments, out=out[i])
-    return out
+
+def _sample_block(model: PolynomialModel, seed: int, k: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of block k (module docstring): increments
+    D_j ~ N(0, sigma_j^2) accumulate into A_j = D_0 + ... + D_j (with
+    D_0 = 0 unless the model carries sigma0 > 0)."""
+    key = np.random.SeedSequence(seed, spawn_key=(k,))
+    rng = np.random.Generator(np.random.PCG64(key))
+    scale = np.array((model.sigma0, *model.sigma))
+    return np.cumsum(rng.standard_normal((rows, scale.size)) * scale, axis=1)
+
+
+def sample_coefficients(model: PolynomialModel, trials: int, seed: int) -> np.ndarray:
+    """Coefficient matrix A of shape (trials, n+1), one row per trial, in
+    the order of the blocks (module docstring)."""
+    blocks = _blocks(trials)
+    return np.concatenate([_sample_block(model, seed, k, r) for k, r in blocks])
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +214,14 @@ def count_maxima_below(
         drows = dcoef[rows]
         for _ in range(_BISECT_ITERS):
             mid = 0.5 * (x_lo + x_hi)
-            pos = _scaled_value(drows, mid) > 0.0
+            q = _scaled_value(drows, mid)
+            # a zero of Q' at the midpoint (x = 0 whenever A_1 = 0): read
+            # the sign just toward x_hi, as at the grid ends
+            zero = q == 0.0
+            if zero.any():
+                nudged = mid[zero] + np.ldexp(x_hi[zero] - mid[zero], -40)
+                q[zero] = _scaled_value(drows[zero], nudged)
+            pos = q > 0.0
             x_lo = np.where(pos, mid, x_lo)
             x_hi = np.where(pos, x_hi, mid)
         root = 0.5 * (x_lo + x_hi)
@@ -234,33 +239,23 @@ def count_maxima_below(
 # estimation
 
 
-def _run_batches(model, lo, hi, levels, config):
-    nlev = len(levels)
-    total = np.zeros(nlev, dtype=np.int64)
-    total_sq = np.zeros(nlev, dtype=np.int64)
+def _run_blocks(model, lo, hi, levels, config):
+    """Sums of the counts and of their squares per level, over all trials."""
 
-    def one(start: int, stop: int):
-        coeff = sample_coefficients(
-            model, stop - start, config.seed, first_trial=start
-        )
+    def one(block):
+        coeff = _sample_block(model, config.seed, *block)
         c = count_maxima_below(
             model, coeff, lo, hi, levels, points_per_unit=config.points_per_unit
         )
         return c.sum(axis=0), (c * c).sum(axis=0)
 
-    spans = [
-        (s, min(s + config.batch_size, config.trials))
-        for s in range(0, config.trials, config.batch_size)
-    ]
+    blocks = _blocks(config.trials)
     if config.workers == 1:
-        parts = [one(s, t) for s, t in spans]
+        parts = [one(b) for b in blocks]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(lambda st: one(*st), spans))
-    for c1, c2 in parts:
-        total += c1
-        total_sq += c2
-    return total, total_sq
+            parts = list(pool.map(one, blocks))
+    return sum(c1 for c1, _ in parts), sum(c2 for _, c2 in parts)
 
 
 def estimate_many(
@@ -279,7 +274,7 @@ def estimate_many(
     if not levels:
         raise ValueError("levels must be non-empty")
     n = config.trials
-    total, total_sq = _run_batches(model, lo, hi, levels, config)
+    total, total_sq = _run_blocks(model, lo, hi, levels, config)
     out = []
     for k in range(len(levels)):
         mean = float(total[k] / n)

@@ -151,9 +151,7 @@ def test_acceptance_3_density_against_quadrature_oracle():
 
 
 def test_acceptance_4_simulation_brackets_exact_counts():
-    config = MCConfig(
-        trials=200_000, seed=0, points_per_unit=64, workers=4, batch_size=512
-    )
+    config = MCConfig(trials=200_000, seed=0, points_per_unit=64, workers=4)
     levels = [-1.0, 0.0, 1.0, INF]
     start = time.perf_counter()
     within = 0
@@ -182,9 +180,7 @@ def test_acceptance_4_simulation_brackets_exact_counts():
 
 def test_acceptance_5_quadratic_edge_case():
     model = PolynomialModel(2)
-    config = MCConfig(
-        trials=1_000_000, seed=0, points_per_unit=64, workers=4, batch_size=2048
-    )
+    config = MCConfig(trials=1_000_000, seed=0, points_per_unit=64, workers=4)
     estimate = estimate_em(model, -INF, INF, INF, config)
     z = abs(estimate.mean - 0.5) / estimate.stderr
     refused = False
@@ -271,15 +267,12 @@ def test_acceptance_7_invariant_suites():
             failures.append(f"scale-covariance(c={c})")
 
     # the simulation is deterministic and worker-schedule independent
-    config = MCConfig(
-        trials=2000, seed=11, points_per_unit=64, workers=1, batch_size=256
-    )
+    config = MCConfig(trials=2000, seed=11, points_per_unit=64, workers=1)
     first = estimate_em(PolynomialModel(4), -1.0, 2.0, 0.8, config)
     again = estimate_em(PolynomialModel(4), -1.0, 2.0, 0.8, config)
     rearranged = estimate_em(
         PolynomialModel(4), -1.0, 2.0, 0.8,
-        MCConfig(trials=2000, seed=11, points_per_unit=64, workers=4,
-                 batch_size=173),
+        MCConfig(trials=2000, seed=11, points_per_unit=64, workers=4),
     )
     if (first.mean, first.stderr) != (again.mean, again.stderr):
         failures.append("mc-determinism")

@@ -315,8 +315,7 @@ class TestMonteCarlo:
     def test_value_matches_library(self, capsys):
         code, out, err = run(capsys, *self.ARGS)
         assert code == 0
-        config = MCConfig(trials=400, seed=7, points_per_unit=32, workers=1,
-                          batch_size=256)
+        config = MCConfig(trials=400, seed=7, points_per_unit=32, workers=1)
         estimate = estimate_em(PolynomialModel(3), -1.0, 1.0, 0.5, config)
         mean, plus_minus, stderr, detail = out.split(maxsplit=3)
         assert float(mean) == estimate.mean
@@ -353,6 +352,11 @@ class TestMonteCarlo:
             capsys, "montecarlo", "--n", "3", "--u", "0.5",
             "--interval", "unit", "--trials", "0",
         )
+        assert code == 1
+
+    def test_batch_size_is_not_an_option(self, capsys):
+        # trials run in fixed blocks; there is no work-unit size to set
+        code, out, err = run(capsys, *self.ARGS, "--batch-size", "64")
         assert code == 1
 
 

@@ -34,13 +34,14 @@ class TestSampling:
         model0 = PolynomialModel(5, sigma0=2.0)
         assert np.all(sample_coefficients(model0, 7, seed=3)[:, 0] != 0.0)
 
-    def test_rows_are_trial_indexed_not_stream_indexed(self):
-        # Trial i depends only on (seed, i): a later window of a longer run
-        # is bit-identical to a shorter run starting at that trial index.
+    def test_a_shorter_run_is_a_prefix_across_a_block_boundary(self):
+        # Trials come in blocks of 256, each from its own generator: 300
+        # trials (one full block and 44 rows of the next) are bit-identical
+        # to the first 300 rows of a 600-trial run.
         model = PolynomialModel(4)
-        full = sample_coefficients(model, 8, seed=11)
-        window = sample_coefficients(model, 5, seed=11, first_trial=3)
-        assert np.array_equal(full[3:], window)
+        short = sample_coefficients(model, 300, 11)
+        long = sample_coefficients(model, 600, 11)
+        assert np.array_equal(short, long[:300])
 
     def test_distinct_seeds_differ(self):
         model = PolynomialModel(4)
@@ -112,6 +113,19 @@ class TestGroundTruthParity:
         got = count_maxima_below(model, coeff, lo, hi, levels, points_per_unit=64)
         assert np.array_equal(got, root_count_below(coeff, levels, lo, hi))
 
+    def test_maximum_beside_a_touching_zero_at_the_first_midpoint(self):
+        # A_1 = 0, so Q'(0) = 0, and the first bisection midpoint of the
+        # central cell (-a, a) is exactly 0.  Row 0, Q = x^3 - 400 x^4, has
+        # its maximum at x = 0.001875 (value ~1.6e-9 > 0); row 1 mirrors it.
+        model = PolynomialModel(6, sigma=(0, 0, 1, 1, 1, 1))
+        coeff = np.zeros((2, 7))
+        coeff[0, [3, 4]] = [1.0, -400.0]
+        coeff[1, [3, 4]] = [-1.0, -400.0]
+        levels = [-1.0, 0.0, 1.0, INF]
+        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        assert got.tolist() == root_count_below(coeff, levels).tolist()
+        assert got.tolist() == [[0, 0, 1, 1]] * 2
+
     def test_values_past_the_float_range_compare_by_sign(self):
         # Degree 200: Q = x + 50 x^199 - x^200 peaks once, at x ~ 49.75,
         # and Q(-x) once at x ~ -49.75; both peaks are ~1e337, past the
@@ -164,27 +178,16 @@ class TestExecutionInvariance:
         assert first == second
 
     def test_workers_and_batching_never_change_the_estimate(self):
+        # 400 trials: one full block of 256 and a partial one of 144
         model = PolynomialModel(6)
         base = estimate_many(
-            model,
-            -INF,
-            INF,
-            [0.5, INF],
-            MCConfig(trials=400, seed=5, points_per_unit=64, workers=1, batch_size=64),
+            model, -INF, INF, [0.5, INF],
+            MCConfig(trials=400, seed=5, points_per_unit=64, workers=1),
         )
-        for workers, batch in ((3, 64), (1, 17), (4, 401)):
+        for workers in (2, 3, 4):
             other = estimate_many(
-                model,
-                -INF,
-                INF,
-                [0.5, INF],
-                MCConfig(
-                    trials=400,
-                    seed=5,
-                    points_per_unit=64,
-                    workers=workers,
-                    batch_size=batch,
-                ),
+                model, -INF, INF, [0.5, INF],
+                MCConfig(trials=400, seed=5, points_per_unit=64, workers=workers),
             )
             assert other == base
 
@@ -216,7 +219,6 @@ class TestValidation:
             {"trials": 10, "seed": 1.5},
             {"trials": 10, "points_per_unit": 4},
             {"trials": 10, "workers": 0},
-            {"trials": 10, "batch_size": 0},
         ],
     )
     def test_config_rejects_bad_values(self, kwargs):
