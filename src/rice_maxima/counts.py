@@ -7,12 +7,26 @@ at s = +-2; the density decays like 1/x^2 in the tails, so the mapped
 integrand stays finite there.
 
 The edges are the query ends and the points of ``split_points(n)`` strictly
-inside the query: the density concentrates in O(1/n) neighbourhoods of
-|x| = 1 and changes character across x = 0.  Quadrature nodes are open, so
-the density is never evaluated at a cut or at x = 0 itself.  All panels
-share one error heap, so the budget ``_MAX_PANELS`` and the tolerance apply
-to the whole integral: a tail that carries little mass is refined only as
-far as the total error needs.
+inside the query.  Quadrature nodes are open, so the density is never
+evaluated at a cut or at x = 0 itself.  All panels share one error heap, so
+the budget ``_MAX_PANELS`` and the tolerance apply to the whole integral: a
+tail that carries little mass is refined only as far as the total error
+needs.
+
+The density changes character across x = 0 and concentrates in O(1/n)
+neighbourhoods of |x| = 1; between 1/n and 1/2 of |x| = 1 it falls off like
+1/(1 - |x|), the stretch that gives the count its ln n term.  The cuts are
+graded geometrically toward both unit layers, as QUADPACK advises for a
+known endpoint singularity (Piessens et al. 1983): widths 10/n, 30/n,
+90/n, ... up to 1/2 on either side of -1 and +1, so each initial panel
+spans a factor 3 of that profile.  Otherwise bisection has to find the
+profile level by level, evaluating and discarding a parent panel at each.
+The ratio is 3 because one Gauss-Kronrod panel of 1/t over [1, 3] already
+has an error estimate of 1.4e-8 of its value, while over [1, 4] it is 3e-7
+and needs bisecting.  Measured on the whole line at u = 1, rel_tol = 1e-8,
+ratio 3 takes 540 and 660 evaluations at n = 10^3 and 10^4, against 600
+and 780 for ratio 2, 600 and 810 for ratio 4, and 960 and 1350 with one
+layer cut on either side of +-1.
 
 The integrand is an array function: the quadrature hands it the 15 x-nodes
 of a Gauss-Kronrod panel, which go to ``maxima_density_batch`` in one call,
@@ -37,7 +51,7 @@ __all__ = ["CountQuery", "NumericResult", "expected_count", "split_points"]
 
 _ABS_FLOOR = 1e-16
 # Panels of the one integral.  The hardest query measured (rel_tol = 1e-12,
-# whole line, n = 10^4) converged with 148.
+# whole line, n = 10^4, u = inf) converged with 79, 32 of them initial.
 _MAX_PANELS = 1000
 
 
@@ -76,9 +90,14 @@ class NumericResult:
 
 
 def split_points(degree: int) -> tuple[float, ...]:
-    """Cut points around the unit layers and the origin, in x."""
-    delta = min(0.5, max(10.0 / degree, 1e-6))
-    return (-1.0 - delta, -1.0 + delta, 0.0, 1.0 - delta, 1.0 + delta)
+    """Cut points around the unit layers and the origin, in x: 0 and
+    +-1 +- delta_k for the widths delta_0 = min(1/2, max(10/n, 1e-6)),
+    delta_{k+1} = min(1/2, 3 delta_k), up to and including 1/2."""
+    deltas = [min(0.5, max(10.0 / degree, 1e-6))]
+    while deltas[-1] < 0.5:
+        deltas.append(min(0.5, 3.0 * deltas[-1]))
+    right = [1.0 - d for d in reversed(deltas)] + [1.0 + d for d in deltas]
+    return (*(-c for c in reversed(right)), 0.0, *right)
 
 
 def expected_count(
@@ -118,7 +137,11 @@ def expected_count(
         abs_tol=_ABS_FLOOR,
         max_panels=_MAX_PANELS,
     )
-    meta |= {"evaluations": total.evaluations, "pieces": total.pieces}
+    meta |= {
+        "evaluations": total.evaluations,
+        "pieces": total.pieces,
+        "panels": total.panels,
+    }
     value = max(total.value, 0.0)
     abs_error = total.abs_error
     result = NumericResult(value, abs_error, "exact", meta)

@@ -85,7 +85,8 @@ class QuadResult:
     """Value and error estimate of a numerical integral.
 
     ``pieces`` is the number of initial panels: the segments between the
-    distinct s-edges of the range.
+    distinct s-edges of the range; ``panels`` is the number of panels when
+    refinement stopped, so ``panels - pieces`` bisections were made.
     """
 
     value: float
@@ -93,6 +94,7 @@ class QuadResult:
     evaluations: int
     converged: bool
     pieces: int = 0
+    panels: int = 0
 
 
 _ZERO = QuadResult(0.0, 0.0, 0, True)
@@ -198,4 +200,4 @@ def integrate_adaptive(
     for item in final:
         value += item[4]
         error += -item[0]
-    return QuadResult(value, error, evals, converged, len(s_edges) - 1)
+    return QuadResult(value, error, evals, converged, len(s_edges) - 1, panels)

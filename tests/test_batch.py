@@ -22,27 +22,38 @@ DEGREES = (3, 10, 100, 1000, 10_000)
 LEVELS = (-0.5, 1.0, INF)
 
 
+def layer_width(n):
+    """Half-width of the innermost layer around +-1 that ``split_points``
+    cuts out: 10/n, capped at 1/2."""
+    return min(0.5, 10.0 / n)
+
+
 def six_piece_nodes(n):
-    """Two points inside each of the six pieces ``expected_count`` cuts the
-    line into, from the far negative tail to the far positive tail."""
-    c = split_points(n)
-    d = c[-1] - 1.0
+    """Two points in each of six regions of the line, from the far negative
+    tail to the far positive tail: the tails beyond the layers, the layers
+    within ``layer_width(n)`` of -1 and +1, and either side of 0 between."""
+    d = layer_width(n)
     return np.array(
         [
-            -1e4, c[0] - 3.0 * d,  # negative tail
-            c[0] + 0.3 * d, -1.0 + 0.2 * d,  # layer around -1
-            0.6 * c[1], -1e-3,  # (-1 + d, 0)
-            2e-3, 0.4 * c[3],  # (0, 1 - d)
-            1.0 - 0.1 * d, c[4] - 0.1 * d,  # layer around +1
-            c[4] + 0.5 * d, 7e3,  # positive tail
+            -1e4, -1.0 - 4.0 * d,  # negative tail
+            -1.0 - 0.7 * d, -1.0 + 0.2 * d,  # layer around -1
+            0.6 * (-1.0 + d), -1e-3,  # (-1 + d, 0)
+            2e-3, 0.4 * (1.0 - d),  # (0, 1 - d)
+            1.0 - 0.1 * d, 1.0 + 0.9 * d,  # layer around +1
+            1.0 + 1.5 * d, 7e3,  # positive tail
         ]
     )
 
 
 def straddling_panel(n, centre):
     """The 15 Kronrod nodes of a layer panel centred on ``centre`` = +-1."""
-    d = split_points(n)[-1] - 1.0
-    return centre + 0.5 * d * KRONROD_NODES
+    return centre + 0.5 * layer_width(n) * KRONROD_NODES
+
+
+def test_layer_width_is_the_innermost_cut():
+    for n in DEGREES:
+        d = layer_width(n)
+        assert min(c for c in split_points(n) if c > 1.0) == pytest.approx(1.0 + d)
 
 
 def assert_matches_scalar(model, xs, u):

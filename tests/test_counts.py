@@ -14,6 +14,8 @@ from rice_maxima import (
     scale_model,
     split_points,
 )
+from rice_maxima.density import maxima_density_batch
+from rice_maxima.quadrature import integrate_adaptive
 from oracles import cubic_em_mc
 
 INF = math.inf
@@ -58,6 +60,7 @@ class TestFrozenValues:
         assert result.metadata["u"] == INF
         assert result.metadata["evaluations"] > 0
         assert result.metadata["pieces"] >= 1
+        assert result.metadata["panels"] >= result.metadata["pieces"]
         assert result.abs_error < 1e-7
 
 
@@ -85,11 +88,15 @@ class TestStructure:
         assert count(0.5, 1.0, INF) <= count(0.0, 1.5, INF) <= count(-INF, INF, INF)
 
     def test_split_points_track_the_layer_width(self):
-        assert split_points(40) == (-1.25, -0.75, 0.0, 0.75, 1.25)
-        assert split_points(5) == (-1.5, -0.5, 0.0, 0.5, 1.5)  # width clamps at 1/2
-        assert split_points(20_000_000) == pytest.approx(
-            (-1.000001, -0.999999, 0.0, 0.999999, 1.000001)
+        # widths 10/n, 30/n, 90/n, ... up to and including 1/2
+        assert split_points(40) == (
+            -1.5, -1.25, -0.75, -0.5, 0.0, 0.5, 0.75, 1.25, 1.5
         )
+        assert split_points(5) == (-1.5, -0.5, 0.0, 0.5, 1.5)  # width clamps at 1/2
+        cuts = split_points(20_000_000)  # the innermost width floors at 1e-6
+        inner = (max(c for c in cuts if 0.0 < c < 1.0), min(c for c in cuts if c > 1.0))
+        assert inner == pytest.approx((0.999999, 1.000001), abs=1e-15)
+        assert cuts[-1] == 1.5 and cuts == tuple(-c for c in reversed(cuts))
 
     def test_query_end_one_float_past_a_cut(self):
         # 1.5 (a cut at n = 3) and the next float map to the same s
@@ -109,6 +116,44 @@ class TestStructure:
                     rel_tol=1e-9,
                 )
                 assert scaled.value == pytest.approx(base.value, rel=1e-8)
+
+
+def five_cut_count(model, query, rel_tol):
+    """Oracle for the graded cuts: the same integral over the five cuts
+    0, +-1 +- d, with only the innermost width d = min(1/2, max(10/n, 1e-6))."""
+    d = min(0.5, max(10.0 / model.degree, 1e-6))
+    cuts = (-1.0 - d, -1.0 + d, 0.0, 1.0 - d, 1.0 + d)
+    return integrate_adaptive(
+        lambda x: maxima_density_batch(model, x, query.u),
+        [query.lo, *(c for c in cuts if query.lo < c < query.hi), query.hi],
+        rel_tol=rel_tol,
+        abs_tol=counts._ABS_FLOOR,
+        max_panels=counts._MAX_PANELS,
+    )
+
+
+class TestGradedEdges:
+    # Whole-line evaluations at u = 1, rel_tol = 1e-8 over the five cuts:
+    # 210, 540, 960 and 1350 at n = 10, 100, 10^3 and 10^4.  The ladder
+    # must not cost more at small n and must save 40% at n >= 10^3.
+    @pytest.mark.parametrize(
+        "n,most", [(10, 210), (100, 540), (1000, 0.6 * 960), (10_000, 0.6 * 1350)]
+    )
+    def test_whole_line_evaluations(self, n, most):
+        result = expected_count(PolynomialModel(n), CountQuery(-INF, INF, 1.0))
+        assert result.metadata["evaluations"] <= most
+
+    @pytest.mark.parametrize("n", (10, 200, 10_000))
+    @pytest.mark.parametrize(
+        "lo,hi,u", [(-INF, INF, 1.0), (0.5, 1.5, INF), (-INF, -0.2, 0.0)]
+    )
+    def test_agrees_with_the_five_cuts(self, n, lo, hi, u):
+        model = PolynomialModel(n)
+        query = CountQuery(lo, hi, u)
+        oracle = five_cut_count(model, query, 1e-12)
+        assert oracle.converged
+        result = expected_count(model, query, rel_tol=1e-12)
+        assert result.value == pytest.approx(oracle.value, rel=1e-11, abs=0.0)
 
 
 class TestKnownDefects:

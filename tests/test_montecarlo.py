@@ -138,6 +138,26 @@ class TestGroundTruthParity:
         got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
         assert got.tolist() == [[0, 0, 0, 0, 1]] * 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: far out, the sign grid (uniform in "
+        "asinh(n ln|x|)) spaces its points ~|x| ln|x| / ppu apart, so a "
+        "maximum/minimum pair closer than that shares one cell and the "
+        "maximum is not counted",
+    )
+    def test_close_pair_in_the_far_zone(self):
+        # Q = -x^198 ((x - 50)^2 + 0.01): a minimum at x ~ 49.52 and a
+        # maximum at x ~ 49.98, 0.46 apart, inside the ppu-64 cell
+        # (49.23, 52.35).  Measured: ppu 64 counts 0, ppu 512 counts 1.
+        model = PolynomialModel(200)
+        coeff = np.zeros((1, 201))
+        coeff[0, [198, 199, 200]] = [-2500.01, 100.0, -1.0]
+        with np.errstate(over="ignore"):  # |Q| ~ 1e334 at the maximum
+            truth = root_count_below(coeff, [INF], 1.0, INF)
+        assert truth.tolist() == [[1]]
+        got = count_maxima_below(model, coeff, 1.0, INF, [INF], points_per_unit=64)
+        assert got.tolist() == truth.tolist()
+
     def test_count_matrix_is_monotone_in_level(self):
         model = PolynomialModel(6)
         coeff = sample_coefficients(model, 300, seed=23)

@@ -125,6 +125,7 @@ class TestFiniteInterval:
         )
         assert not result.converged
         assert result.abs_error > 0.0
+        assert result.panels == 6
 
     def test_kink_on_an_edge_is_exact_on_the_initial_panels(self):
         # |x - 0.3| is linear on either side of the edge at 0.3
@@ -132,7 +133,17 @@ class TestFiniteInterval:
         result = integrate_adaptive(f, [0.0, 0.3, 1.0], rel_tol=1e-12)
         assert result.converged
         assert result.evaluations == 2 * 15
+        assert result.pieces == result.panels == 2
         assert result.value == pytest.approx(0.045 + 0.245, abs=1e-15)
+
+    def test_panels_count_the_bisections(self):
+        # each bisection adds one panel and costs two panel evaluations
+        f = lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2)  # noqa: E731
+        result = integrate_adaptive(f, [0.0, 0.5, 1.0], rel_tol=1e-10)
+        assert result.converged
+        assert result.pieces == 2
+        assert result.panels > result.pieces
+        assert result.evaluations == 15 * (2 * result.panels - result.pieces)
 
     def test_deterministic(self):
         f = lambda x: np.exp(-x * x) * np.cos(7.0 * x)  # noqa: E731
