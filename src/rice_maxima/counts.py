@@ -28,10 +28,12 @@ ratio 3 takes 540 and 660 evaluations at n = 10^3 and 10^4, against 600
 and 780 for ratio 2, 600 and 810 for ratio 4, and 960 and 1350 with one
 layer cut on either side of +-1.
 
-The integrand is an array function: the quadrature hands it the 15 x-nodes
-of a Gauss-Kronrod panel, which go to ``maxima_density_batch`` in one call,
-so the moments of a panel come from one batched evaluation (in row chunks
-that bound its memory; see ``moments``).
+The integrand is an array function: the quadrature hands it the x-nodes of
+a whole round of Gauss-Kronrod panels (every initial panel, or both halves
+of a bisection), which go to ``maxima_density_batch`` in one call, so the
+moments of a round come from one batched evaluation (in row chunks that
+bound its memory; see ``moments``).  A point's density does not depend on
+the other points of the call, so the grouping does not change the result.
 """
 
 from __future__ import annotations
@@ -110,9 +112,13 @@ def expected_count(
     ``(query.lo, query.hi)``.
 
     Raises DegenerateModel when fewer than three coefficients carry noise
-    (the value/slope/curvature covariance is then singular everywhere) and
+    (the value/slope/curvature covariance is then singular everywhere),
     ToleranceNotMet — with the best available estimate attached — when the
-    quadrature budget is exhausted before reaching ``rel_tol``.
+    quadrature budget is exhausted before reaching ``rel_tol``, and
+    DegenerateCovariance when refinement puts a node beyond the covariance
+    wall, near |x| ~ 1e12 / n^1.5, where the conditional covariance is
+    singular within tolerance (seen at n = 10^4 on (10^4, inf), and on the
+    whole line at n = 10^5 with rel_tol = 1e-12).
     """
     if not 1e-12 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must be in [1e-12, 1e-2], got {rel_tol!r}")

@@ -23,8 +23,8 @@ returns it as n log|x| (entering only the level ratio u / sigma_U), so the
 evaluation stays finite for degrees and locations where raw covariance
 entries overflow float64.
 
-``maxima_density_batch`` evaluates a whole array of points (a quadrature
-panel) with one batched moments call; ``maxima_density`` is its one-point
+``maxima_density_batch`` evaluates a whole array of points (a round of
+quadrature panels) with one batched moments call; ``maxima_density`` is its one-point
 view.  Only the erfc bracket runs per point, with ``math.erfc``.
 """
 
@@ -58,7 +58,7 @@ def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
 
 def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:
     """``maxima_density`` at every point of the 1-D array ``xs`` in one
-    batched moments evaluation (one call per quadrature panel).
+    batched moments evaluation (one call per quadrature round).
 
     Raises like ``maxima_density``; a DegenerateCovariance or
     NonFiniteResult names a point of ``xs`` where the evaluation failed.

@@ -16,9 +16,9 @@ There are two tiers of constants:
   what ``verify-constants`` checks.  Each integral over t in (0, inf) is
   one ``integrate_adaptive`` call, the same compact-coordinate integral
   the exact engine uses.  The four index sets of a family are integrated
-  together on the same initial panels, with one kernel pass per panel:
-  ``family_kernels`` gives the four kernels at the panel's nodes, and each
-  integrand multiplies rows of that array.
+  together on the same initial panels, with one kernel pass per quadrature
+  round: ``family_kernels`` gives the four kernels at the round's nodes,
+  and each integrand multiplies rows of that array.
 
 * ``theorem_expansion`` uses the frozen constants below, which are the ones
   the exact engine (:func:`rice_maxima.counts.expected_count`) actually
@@ -113,18 +113,20 @@ def _family_integrals(
 ) -> dict[tuple[int, ...], QuadResult]:
     """The integral of every allowed pair of ``family``.
 
-    The four pairs bisect the same initial panels, so each panel's kernels
-    are evaluated once, as a (4, nodes) array kept by the panel's node
-    bytes for the length of this call; a pair's integrand multiplies rows
-    of it.
+    The four pairs start from the same initial panels and often bisect the
+    same ones, and each integrand call is one quadrature round: every
+    initial panel, or both halves of one bisection.  The kernels of a round
+    are evaluated once, as a (4, nodes) array keyed by the round's node
+    bytes until this function returns, so a round another pair already made
+    costs no kernel pass; a pair's integrand multiplies rows of it.
     """
-    panels: dict[bytes, np.ndarray] = {}
+    rounds: dict[bytes, np.ndarray] = {}
 
     def product(pair: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
         key = ts.tobytes()
-        rows = panels.get(key)
+        rows = rounds.get(key)
         if rows is None:
-            rows = panels[key] = family_kernels(family, ts)
+            rows = rounds[key] = family_kernels(family, ts)
         value = rows[pair[0] - 1]
         for index in pair[1:]:
             value = value * rows[index - 1]

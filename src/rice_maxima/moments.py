@@ -2,8 +2,8 @@
 parameters, evaluated without overflow or catastrophic cancellation for any
 degree and any point.
 
-Batching.  One private kernel evaluates a whole batch of points (a
-quadrature panel) at once: it builds the weighted basis vectors of every
+Batching.  One private kernel evaluates a whole batch of points (a round
+of quadrature panels) at once: it builds the weighted basis vectors of every
 point as rows of (rows, n+1) arrays and reads all Gram quantities off them
 with row-wise dot products.  ``moment_rows`` returns the per-point results
 the density consumes; ``moments`` is the one-row view that also assembles

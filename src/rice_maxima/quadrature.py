@@ -24,9 +24,13 @@ tolerance, the panel budget runs out, or the worst panel is too narrow for
 the nodes of its halves to stay off their ends (the last two are reported
 as unconverged).
 
-Integrands are array-in/array-out: ``f`` receives the 15 x-nodes of a panel
-as one float64 array and returns their values as an array of the same
-shape, so an integrand can evaluate a whole panel in one vectorised call.
+Integrands are array-in/array-out.  ``f`` receives the x-nodes of one round
+as one float64 array, panel after panel, 15 nodes each: all initial panels
+in one call, then both halves of each bisection in one call.  It returns
+their values as an array of the same shape.  The value at a node must not
+depend on the other nodes of the call; each panel's Kronrod and Gauss sums
+are then formed from its own 15 values exactly as for a lone panel, so the
+result does not depend on how panels are grouped into calls.
 
 Results are bit-reproducible: panels are refined in a deterministic order
 and the final value is accumulated left to right.
@@ -99,7 +103,8 @@ class QuadResult:
 
 _ZERO = QuadResult(0.0, 0.0, 0, True)
 
-# maps the nodes of a panel (a float64 array) to the integrand values there
+# maps the nodes of a round of panels (a float64 array) to the integrand
+# values there, node by node
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
@@ -110,14 +115,22 @@ def _compact(x: float) -> float:
     return math.copysign(2.0, x) - 1.0 / x
 
 
-def _panel(f: Integrand, a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 and embedded Gauss-7 estimates of the integral over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    values = f(mid + half * KRONROD_NODES)
-    hi = float(KRONROD_WEIGHTS @ values)
-    lo = float(GAUSS_WEIGHTS @ values[1::2])
-    return half * hi, half * lo
+def _panels(
+    f: Integrand, spans: Sequence[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Kronrod-15 and embedded Gauss-7 estimates of the integral over each
+    span [a, b], from one call of ``f`` on the nodes of every span."""
+    ends = np.array(spans, dtype=float)
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    nodes = mid[:, None] + half[:, None] * KRONROD_NODES
+    values = np.reshape(f(nodes.ravel()), nodes.shape)
+    # one 15-vector product per panel, as for a lone panel: a (k, 15)
+    # matrix product may sum in another order
+    return [
+        (h * float(KRONROD_WEIGHTS @ v), h * float(GAUSS_WEIGHTS @ v[1::2]))
+        for h, v in zip(half.tolist(), values)
+    ]
 
 
 def _open(a: float, b: float) -> bool:
@@ -165,14 +178,13 @@ def integrate_adaptive(
 
     heap: list[tuple[float, int, float, float, float, float]] = []
     seq = 0
-    evals = 0
     total = 0.0
-    for left, right in zip(s_edges[:-1], s_edges[1:]):
-        hi, lo = _panel(h, left, right)
-        evals += PANEL_EVALUATIONS
+    spans = list(zip(s_edges[:-1], s_edges[1:]))
+    for (left, right), (hi, lo) in zip(spans, _panels(h, spans)):
         total += hi
         heapq.heappush(heap, (-abs(hi - lo), seq, left, right, hi, lo))
         seq += 1
+    evals = len(spans) * PANEL_EVALUATIONS
     panels = len(heap)
     while True:
         error = sum(-item[0] for item in heap)
@@ -185,8 +197,7 @@ def integrate_adaptive(
             converged = False
             break
         heapq.heappop(heap)
-        hi1, lo1 = _panel(h, left, mid)
-        hi2, lo2 = _panel(h, mid, right)
+        (hi1, lo1), (hi2, lo2) = _panels(h, [(left, mid), (mid, right)])
         evals += 2 * PANEL_EVALUATIONS
         total += hi1 + hi2 - hi
         heapq.heappush(heap, (-abs(hi1 - lo1), seq, left, mid, hi1, lo1))

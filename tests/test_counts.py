@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from rice_maxima import (
     CountQuery,
+    DegenerateCovariance,
     DegenerateModel,
     PolynomialModel,
     ToleranceNotMet,
@@ -180,6 +182,39 @@ class TestKnownDefects:
         tight = expected_count(model, query, rel_tol=1e-12)
         loose = expected_count(model, query, rel_tol=1e-8)
         assert tight.value == pytest.approx(loose.value, rel=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DegenerateCovariance,
+        reason="known defect: refinement of the tail reaches the covariance wall "
+        "near |x| ~ 1e12/n^1.5 (ROADMAP direction 3)",
+    )
+    def test_tail_beyond_the_covariance_wall_converges(self):
+        # Measured: raises DegenerateCovariance at x = 2340651.69.
+        result = expected_count(PolynomialModel(10_000), CountQuery(1e4, INF, 1.0))
+        assert math.isfinite(result.value) and result.value >= 0.0
+
+
+class TestOneCallPerRound:
+    @pytest.mark.parametrize("n", (10, 1000, 10_000))
+    def test_bit_identical_to_panel_by_panel_density(self, n, monkeypatch):
+        model = PolynomialModel(n)
+        query = CountQuery(-INF, INF, 1.0)
+        batched = expected_count(model, query)
+
+        def panel_by_panel(model, xs, u):
+            parts = [
+                maxima_density_batch(model, xs[i : i + 15], u)
+                for i in range(0, len(xs), 15)
+            ]
+            return np.concatenate(parts)
+
+        monkeypatch.setattr(counts, "maxima_density_batch", panel_by_panel)
+        alone = expected_count(model, query)
+        assert batched.metadata["panels"] > batched.metadata["pieces"]
+        assert batched.value == alone.value
+        assert batched.abs_error == alone.abs_error
+        assert batched.metadata["evaluations"] == alone.metadata["evaluations"]
 
 
 class TestValidation:

@@ -1,8 +1,10 @@
 """Improper kernel-product integrals: frozen pins and input validation."""
 
+import numpy as np
 import pytest
 
 from rice_maxima import ToleranceNotMet, expansion, h_integral
+from rice_maxima.kernels import family_kernels
 
 # 12-digit regression pins captured from a verified build (quadrature
 # rel_tol 1e-9; the pin tolerance leaves room for node-level jitter only).
@@ -89,3 +91,33 @@ class TestValidation:
     def test_bad_pair(self, pair):
         with pytest.raises(ValueError, match="pair"):
             h_integral(1, pair)
+
+
+class TestKernelCache:
+    # t-nodes a family's four integrals evaluate at rel_tol 1e-9: 90 for the
+    # six initial panels plus 30 per distinct bisection
+    NODES = {1: 270, 2: 240, 3: 240, 4: 570}
+
+    @pytest.mark.parametrize("family", sorted(NODES))
+    def test_every_node_evaluated_once_in_whole_rounds(self, family, monkeypatch):
+        calls = []
+
+        def recorded(family, ts):
+            calls.append(ts.copy())
+            return family_kernels(family, ts)
+
+        monkeypatch.setattr(expansion, "family_kernels", recorded)
+        expansion._family_integrals.cache_clear()
+        try:
+            results = expansion._family_integrals(family, 1e-9)
+        finally:
+            expansion._family_integrals.cache_clear()
+        nodes = np.concatenate(calls)
+        assert len(nodes) == self.NODES[family]
+        assert len(np.unique(nodes)) == len(nodes)
+        # one call for the initial round the four pairs share, then at most
+        # one per bisection
+        bisections = sum(r.panels - r.pieces for r in results.values())
+        assert len(calls[0]) == 15 * results[(1,)].pieces
+        assert all(len(ts) == 30 for ts in calls[1:])
+        assert len(calls) <= 1 + bisections

@@ -1,7 +1,8 @@
 """Adaptive quadrature primitives against closed-form integrals.
 
-Integrands are array callables: each call receives the 15 nodes of one
-Gauss-Kronrod panel.
+Integrands are array callables: each call receives the nodes of one round
+of Gauss-Kronrod panels (every initial panel, or both halves of a
+bisection), 15 per panel.
 """
 
 import math
@@ -107,10 +108,18 @@ class TestFiniteInterval:
         assert result.value == pytest.approx(2.0, rel=1e-6)
 
     def test_infinite_value_is_not_converged(self):
-        # inf at a Kronrod-only node makes the error estimate inf as well
+        # inf at a Kronrod-only node (the first) of the one initial panel
+        # [0, 1] makes the error estimate inf as well; with no budget to
+        # bisect, an infinite estimate must not pass the tolerance test
+        node = 0.5 + 0.5 * KRONROD_NODES[0]
         result = integrate_adaptive(
-            lambda x: np.where(x == x[0], np.inf, 1.0), [0.0, 1.0], rel_tol=1e-8
+            lambda x: np.where(x == node, np.inf, 1.0),
+            [0.0, 1.0],
+            rel_tol=1e-8,
+            max_panels=1,
         )
+        assert result.pieces == result.panels == 1
+        assert result.abs_error == math.inf
         assert not result.converged
 
     def test_result_holds_plain_floats(self):
@@ -185,3 +194,65 @@ class TestInfiniteEdges:
         result = integrate_adaptive(lambda t: 1.0 / t, [1.0, math.inf], rel_tol=1e-8)
         assert not result.converged
         assert math.isfinite(result.value)
+
+
+def panel_by_panel(f):
+    """``f`` evaluated on one 15-node panel at a time, as a lone-panel rule
+    would call it."""
+    return lambda x: np.concatenate([f(x[i : i + 15]) for i in range(0, len(x), 15)])
+
+
+def counted(f, calls):
+    def g(x):
+        calls.append(len(x))
+        return f(x)
+
+    return g
+
+
+class TestOneCallPerRound:
+    CASES = {
+        "finite": (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), [0.0, 0.5, 1.0], {}),
+        "whole-line": (
+            lambda x: np.exp(-0.1 * x * x) * np.cos(3.0 * x),
+            [-math.inf, 0.0, math.inf],
+            {},
+        ),
+        "budget-exhausted": (
+            lambda x: 1.0 / (1e-8 + (x - 0.37) ** 2),
+            np.linspace(0.0, 1.0, 5),
+            {"max_panels": 6},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_panel_by_panel(self, case):
+        f, edges, options = self.CASES[case]
+        batched = integrate_adaptive(f, edges, rel_tol=1e-12, **options)
+        alone = integrate_adaptive(panel_by_panel(f), edges, rel_tol=1e-12, **options)
+        assert batched.panels > batched.pieces
+        assert batched == alone
+
+    def test_each_panel_summed_as_a_lone_15_vector(self):
+        # a (k, 15) matrix product may sum a panel in another order
+        f = lambda x: np.exp(np.sin(7.0 * x))  # noqa: E731
+        edges = [0.0, 0.3, 0.7, 1.0]
+        result = integrate_adaptive(f, edges, rel_tol=1e-2)
+        assert result.pieces == result.panels == 3
+        value = error = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            v = f(mid + half * KRONROD_NODES)
+            hi = half * float(KRONROD_WEIGHTS @ v)
+            value += hi
+            error += abs(hi - half * float(GAUSS_WEIGHTS @ v[1::2]))
+        assert (result.value, result.abs_error) == (value, error)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_call_for_the_initial_panels_and_one_per_bisection(self, case):
+        f, edges, options = self.CASES[case]
+        calls = []
+        result = integrate_adaptive(counted(f, calls), edges, rel_tol=1e-12, **options)
+        bisections = result.panels - result.pieces
+        assert calls == [15 * result.pieces] + [30] * bisections
+        assert sum(calls) == result.evaluations
