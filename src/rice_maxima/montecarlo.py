@@ -2,8 +2,9 @@
 
 Each trial draws the coefficient increments, scans the x-interval on a
 degree-adapted sign grid for down-crossings (+ to -) of the derivative,
-refines every crossing by bisection, and counts the maximum if the
-polynomial value there lies at or below the level.
+refines every crossing to a root of Q' by safeguarded Newton steps, and
+counts the maximum if the polynomial value there lies at or below the
+level.
 
 Grid.  Critical points cluster in O(1/n) neighbourhoods of |x| = 1, and
 their separations grow with the distance t = n ln|x| from that layer, so
@@ -20,13 +21,32 @@ down-crossing is a strict sign change (+ to -) between neighbouring
 points; a critical point at a query end is not inside the open interval
 and is never counted.
 
-Evaluation.  One rule serves the sign grid, the bisection and the level
+Evaluation.  One rule serves the sign grid, the refinement and the level
 test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
 |x| <= 1 that is the plain sum; beyond, it is the coefficient-reversed
 polynomial in y = 1/x times the sign of x^d, so every power lies in
 [-1, 1] and nothing overflows.  The level test multiplies |x|^n back in;
 values past the float range become +-inf, which still compare correctly
 with every finite level.
+
+Refinement.  Each crossing keeps a bracket (x_lo, x_hi) with Q' > 0 at
+x_lo and Q' < 0 at x_hi, starting from its grid cell (an infinite query
+end is first pulled in to 2 max(1, |other end|)), and steps from the
+bracket midpoint (``rtsafe`` in Press et al., Numerical Recipes).  One
+power table of the folded point gives both Q' and Q'' by the rule above:
+on the outer side Q''/x^(d-1) = sum_i (d-i) c_(d-i) y^i uses the same
+powers as Q', and Q'/Q'' = x S/T there for the two sums S and T.  The
+sign of Q' moves one bracket end to the point; where Q' is exactly 0
+(x = 0 whenever A_1 = 0) its sign is read 2^-40 of the bracket toward
+x_hi, as at the grid ends.  The Newton point is taken only where Q'' < 0
+and it lies strictly inside the bracket, otherwise the bracket midpoint,
+so the iteration ends on a maximum, never on a minimum sharing the cell.
+A crossing is done when Q'' < 0 and the Newton correction is at most
+2^-30 max(1, |x|), ending on the Newton point (also where x was the root
+to rounding, so the point is a bracket end), or when its bracket is that
+narrow; ``_REFINE_STEPS`` = 64 caps the steps, of which a crossing takes
+~3.  Q moves only to second order in the distance to a root of Q', so
+such a root gives Q to about rounding.
 
 Reproducibility.  Trials come in blocks of ``_BLOCK`` = 256: block k draws
 all its rows from one generator seeded by ``SeedSequence(seed,
@@ -57,7 +77,8 @@ __all__ = [
 ]
 
 _BLOCK = 256
-_BISECT_ITERS = 50
+_REFINE_TOL = 2.0**-30
+_REFINE_STEPS = 64
 _GRID_CHUNK = 1 << 13
 
 
@@ -173,6 +194,68 @@ def _deriv_sign_matrix(dcoef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sign(out, out=out)
 
 
+def _newton_terms(drows: np.ndarray, x: np.ndarray):
+    """(S, T, outer, sign) for derivative row i at x[i] by the reversed-form
+    rule: Q' = sign S max(1, |x|)^deg, and Q'' = T inside, x^(deg-1) T on
+    the ``outer`` side, from one power table of the folded point."""
+    width = drows.shape[1]
+    ramp = np.arange(1.0, width)
+    y, outer, sign = _fold(x, width - 1)
+    power = np.vander(y, N=width, increasing=True)
+    rows = np.where(outer[:, None], drows[:, ::-1], drows)
+    s = np.vecdot(rows, power)
+    # T over y^0 .. y^(deg-1): (j+1) c_(j+1) inside, (deg-j) times the
+    # reversed row on the outer side
+    t = np.where(
+        outer,
+        np.einsum("kj,kj,j->k", rows[:, :-1], power[:, :-1], ramp[::-1]),
+        np.einsum("kj,kj,j->k", rows[:, 1:], power[:, :-1], ramp),
+    )
+    return s, t, outer, sign
+
+
+def _refine(drows: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
+    """A maximum of Q in each finite bracket (x_lo[i], x_hi[i]) across which
+    Q' (derivative row i, ascending powers) goes from + to -: safeguarded
+    Newton steps, each crossing on its own row (module docstring)."""
+    odd = drows.shape[1] % 2 == 1  # deg - 1 odd: x^(deg-1) < 0 for x < 0
+    x = 0.5 * (x_lo + x_hi)
+    root = np.empty_like(x)
+    active = np.arange(x.size)
+    for _ in range(_REFINE_STEPS):
+        s, t, outer, sign = _newton_terms(drows, x)
+        q = sign * s
+        # a zero of Q' (x = 0 whenever A_1 = 0): read the sign just toward
+        # x_hi, as at the grid ends
+        zero = q == 0.0
+        if zero.any():
+            nudged = x[zero] + np.ldexp(x_hi[zero] - x[zero], -40)
+            q[zero] = _scaled_value(drows[zero], nudged)
+        pos = q > 0.0
+        x_lo = np.where(pos, x, x_lo)
+        x_hi = np.where(pos, x_hi, x)
+        curved = np.where(outer & (x < 0.0) & odd, t > 0.0, t < 0.0)  # Q'' < 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(outer, x, 1.0) * (s / t)  # Q'/Q''
+        newton = x - step
+        tol = _REFINE_TOL * np.maximum(np.abs(x), 1.0)
+        # a step from the root to rounding may end on x, now a bracket end;
+        # where Q'' > 0 the Newton point leaves the bracket on its own
+        close = curved & (np.abs(step) <= tol)
+        take = close | (x_lo < newton) & (newton < x_hi)
+        x = np.where(take, newton, 0.5 * (x_lo + x_hi))
+        done = close | (x_hi - x_lo <= tol)
+        if done.any():
+            root[active[done]] = x[done]
+            keep = ~done
+            active, drows = active[keep], drows[keep]
+            x, x_lo, x_hi = x[keep], x_lo[keep], x_hi[keep]
+            if active.size == 0:
+                break
+    root[active] = x
+    return root
+
+
 def count_maxima_below(
     model: PolynomialModel,
     coeff: np.ndarray,
@@ -211,20 +294,7 @@ def count_maxima_below(
         # an infinite query end: pull the bracket end inside
         x_hi = np.where(np.isinf(x_hi), 2.0 * np.maximum(np.abs(x_lo), 1.0), x_hi)
         x_lo = np.where(np.isinf(x_lo), -2.0 * np.maximum(np.abs(x_hi), 1.0), x_lo)
-        drows = dcoef[rows]
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (x_lo + x_hi)
-            q = _scaled_value(drows, mid)
-            # a zero of Q' at the midpoint (x = 0 whenever A_1 = 0): read
-            # the sign just toward x_hi, as at the grid ends
-            zero = q == 0.0
-            if zero.any():
-                nudged = mid[zero] + np.ldexp(x_hi[zero] - mid[zero], -40)
-                q[zero] = _scaled_value(drows[zero], nudged)
-            pos = q > 0.0
-            x_lo = np.where(pos, mid, x_lo)
-            x_hi = np.where(pos, x_hi, mid)
-        root = 0.5 * (x_lo + x_hi)
+        root = _refine(dcoef[rows], x_lo, x_hi)
         # undo the scaling: past the float range Q reads +-inf, so an
         # infinite level is decided by its sign alone
         with np.errstate(over="ignore", invalid="ignore"):

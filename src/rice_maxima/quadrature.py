@@ -205,6 +205,9 @@ def integrate_adaptive(
         heapq.heappush(heap, (-abs(hi2 - lo2), seq, mid, right, hi2, lo2))
         seq += 1
         panels += 1
+        if not math.isfinite(total):
+            # inf - inf once an infinite panel is split: sum afresh
+            total = sum(item[4] for item in heap)
     final = sorted(heap, key=lambda item: item[2])
     value = 0.0
     error = 0.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from rice_maxima import (
     MCConfig,
@@ -15,6 +16,7 @@ from rice_maxima import (
     CountQuery,
     sample_coefficients,
 )
+from rice_maxima import montecarlo
 from oracles import cubic_count_below, root_count_below
 
 INF = math.inf
@@ -114,9 +116,10 @@ class TestGroundTruthParity:
         assert np.array_equal(got, root_count_below(coeff, levels, lo, hi))
 
     def test_maximum_beside_a_touching_zero_at_the_first_midpoint(self):
-        # A_1 = 0, so Q'(0) = 0, and the first bisection midpoint of the
-        # central cell (-a, a) is exactly 0.  Row 0, Q = x^3 - 400 x^4, has
-        # its maximum at x = 0.001875 (value ~1.6e-9 > 0); row 1 mirrors it.
+        # A_1 = 0, so Q'(0) = 0, and the refinement of the central cell
+        # (-a, a) starts at its midpoint, exactly 0.  Row 0,
+        # Q = x^3 - 400 x^4, has its maximum at x = 0.001875 (value ~1.6e-9
+        # > 0); row 1 mirrors it.
         model = PolynomialModel(6, sigma=(0, 0, 1, 1, 1, 1))
         coeff = np.zeros((2, 7))
         coeff[0, [3, 4]] = [1.0, -400.0]
@@ -187,6 +190,135 @@ class TestGroundTruthParity:
             for u, est in zip(levels, estimates):
                 exact = expected_count(model, CountQuery(-INF, INF, u)).value
                 assert abs(est.mean - exact) <= 4.0 * est.stderr, (n, u)
+
+
+def companion_critical_points(d1):
+    """Real roots of Q' (coefficients ``d1``) from the companion matrix,
+    each polished by two Newton steps in float64, and whether Q'' < 0
+    there."""
+    d2 = P.polyder(d1)
+    roots = P.polyroots(d1)
+    x = roots[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))].real
+    for _ in range(2):
+        x = x - P.polyval(x, d1) / P.polyval(x, d2)
+    return x, P.polyval(x, d2) < 0.0
+
+
+class TestRefine:
+    @pytest.mark.parametrize("n, trials", [(3, 400), (8, 400), (64, 100), (256, 20)])
+    def test_lone_maxima_match_companion_roots(self, monkeypatch, n, trials):
+        # every grid cell holding one critical point of Q', a maximum.  A
+        # Newton step now and then lands on the root to rounding, which
+        # makes it a bracket end: the next step must stop there, not halve
+        # the bracket down to the tolerance (~25 steps).
+        grid = montecarlo._build_grid(n, -INF, INF, 64)[1:-1]
+        calls = []
+        terms = montecarlo._newton_terms
+        monkeypatch.setattr(
+            montecarlo, "_newton_terms", lambda *a: calls.append(1) or terms(*a)
+        )
+        checked = 0
+        for a in sample_coefficients(PolynomialModel(n), trials, seed=11):
+            d1 = P.polyder(a)
+            real, maximum = companion_critical_points(d1)
+            cells = np.searchsorted(grid, real)
+            for x, k in zip(real[maximum], cells[maximum]):
+                if k == 0 or k == grid.size or np.sum(cells == k) != 1:
+                    continue
+                calls.clear()
+                got = montecarlo._refine(d1[None], grid[k - 1 : k], grid[k : k + 1])
+                assert abs(got[0] - x) <= 1e-12 * max(1.0, abs(x)), (n, x, got[0])
+                assert len(calls) <= 8, (n, x, len(calls))
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "roots, half",
+        [
+            # Q'(0) < 0 at the midpoint of the cell: the left maximum
+            ((-0.002, 0.0004, 0.0025), (-INF, 0.0)),
+            # the minimum within the stopping tolerance of that midpoint
+            ((-0.002, 1e-10, 0.0025), (-INF, 0.0)),
+            # A_1 = 0, so Q'(0) = 0 at the midpoint, read just to its
+            # right: the right maximum
+            ((-0.0025, 0.0, 0.002), (0.0, INF)),
+        ],
+    )
+    def test_cell_holding_maximum_minimum_maximum(self, roots, half):
+        # Q' = -(x - r1)(x - r2)(x - r3): maxima at r1 and r3, a minimum at
+        # r2, all in the grid's central cell (-a, a).  The refinement must
+        # end on one of the maxima, never on the minimum, and the level
+        # test must then read that maximum's value.
+        model = PolynomialModel(4)
+        d1 = -P.polyfromroots(roots)
+        coeff = P.polyint(d1)[None]
+        grid = montecarlo._build_grid(4, -INF, INF, 64)
+        k = np.searchsorted(grid, 0.0)
+        a = grid[k]
+        assert grid[k - 1] == -a and -a < roots[0] and roots[2] < a
+        got = montecarlo._refine(d1[None], np.array([-a]), np.array([a]))[0]
+        assert P.polyval(got, P.polyder(d1)) < 0.0
+        real, maximum = companion_critical_points(d1)
+        maxima = real[maximum]
+        assert np.min(np.abs(maxima - got)) <= 1e-12
+        # the two maxima lie on either side of the middle level
+        values = P.polyval(maxima, coeff[0])
+        levels = [0.0, float(values.mean()), INF]
+        counts = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        assert counts.tolist() == root_count_below(coeff, levels, *half).tolist()
+        assert counts.tolist() != root_count_below(coeff, levels, *half[::-1]).tolist()
+
+    @pytest.mark.parametrize(
+        "r, lo, hi", [(0.3137, 0.3037, 0.3437), (-3.3, -7.0, -3.0)]
+    )
+    def test_triple_root_finishes_inside_the_step_cap(self, monkeypatch, r, lo, hi):
+        # Q' = -(x - r)^3 has Q'' = 0 at its root, so Newton converges only
+        # linearly (ratio 2/3), and the rounded coefficients fix the root
+        # only to ~eps^(1/3); the refinement must still stop by its own
+        # tests, both inside |x| <= 1 and on the reversed-form side.
+        d1 = -P.polyfromroots([r, r, r])
+        steps = []
+        terms = montecarlo._newton_terms
+        monkeypatch.setattr(
+            montecarlo, "_newton_terms", lambda *a: steps.append(1) or terms(*a)
+        )
+        got = montecarlo._refine(d1[None], np.array([lo]), np.array([hi]))[0]
+        assert len(steps) < montecarlo._REFINE_STEPS
+        assert abs(got - r) <= 1e-4 * max(1.0, abs(r))
+
+
+class TestPinnedEstimates:
+    # (mean, stderr) per level of estimate_many on the whole line, seed
+    # 2026, recorded with the earlier refinement (50 bisection halvings per
+    # crossing): a change of refinement must move no count.
+    LEVELS = (-1.0, 0.0, 1.0, INF)
+    CASES = {
+        (8, 64, 3000): [
+            (0.0013333333333333333, 0.0006663331387545217),
+            (0.036, 0.0034017432715832507),
+            (0.612, 0.011079190932229354),
+            (0.7963333333333333, 0.012530100101100096),
+        ],
+        (64, 64, 400): [
+            (0.0175, 0.006564457728034959),
+            (0.0925, 0.014504666088740709),
+            (0.7425, 0.033063838533152284),
+            (1.285, 0.040478807227813246),
+        ],
+        (256, 64, 30): [
+            (0.0, 0.0),
+            (0.06666666666666667, 0.04632055558531008),
+            (0.6666666666666666, 0.12983927582936036),
+            (1.4333333333333333, 0.1491996528094735),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: "n{}p{}-{}".format(*c))
+    def test_estimates_are_unchanged(self, case):
+        n, ppu, trials = case
+        config = MCConfig(trials=trials, seed=2026, points_per_unit=ppu)
+        got = estimate_many(PolynomialModel(n), -INF, INF, self.LEVELS, config)
+        assert [(e.mean, e.stderr) for e in got] == self.CASES[case]
 
 
 class TestExecutionInvariance:

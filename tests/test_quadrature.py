@@ -122,6 +122,20 @@ class TestFiniteInterval:
         assert result.abs_error == math.inf
         assert not result.converged
 
+    def test_infinite_panel_split_keeps_the_relative_test(self):
+        # Splitting the initial panel, whose Kronrod estimate is inf, must
+        # not leave a NaN running total (inf + (finite - inf)) behind: the
+        # relative test would then read rel_tol * nan and refine to the
+        # budget.  Once the inf node is gone, sqrt converges as it does alone.
+        node = 0.5 + 0.5 * KRONROD_NODES[0]
+        result = integrate_adaptive(
+            lambda x: np.where(x == node, np.inf, np.sqrt(x)), [0.0, 1.0], rel_tol=1e-6
+        )
+        plain = integrate_adaptive(np.sqrt, [0.0, 1.0], rel_tol=1e-6)
+        assert result.converged
+        assert result.panels == plain.panels == 7
+        assert result.value == plain.value
+
     def test_result_holds_plain_floats(self):
         result = integrate_adaptive(np.sin, [0.0, 1.0, math.inf], rel_tol=1e-3)
         assert type(result.value) is float
