@@ -24,7 +24,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .model import PolynomialModel, scale_model
-from .moments import MomentSet, moments
+from .moments import moments
 from .montecarlo import (
     MCConfig,
     MCEstimate,
@@ -70,7 +70,6 @@ __all__ = [
     "FAMILY_INTERVALS",
     "MCConfig",
     "MCEstimate",
-    "MomentSet",
     "NonFiniteResult",
     "NumericResult",
     "PolynomialModel",

@@ -31,9 +31,9 @@ layer cut on either side of +-1.
 The integrand is an array function: the quadrature hands it the x-nodes of
 a whole round of Gauss-Kronrod panels (every initial panel, or both halves
 of a bisection), which go to ``maxima_density_batch`` in one call, so the
-moments of a round come from one batched evaluation (in row chunks that
-bound its memory; see ``moments``).  A point's density does not depend on
-the other points of the call, so the grouping does not change the result.
+moments of a round come from one ``moments`` call (in row chunks that bound
+its memory).  A point's density does not depend on the other points of the
+call, so the grouping does not change the result.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ def expected_count(
     """
     if not 1e-12 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must be in [1e-12, 1e-2], got {rel_tol!r}")
+    # ``moments`` checks the rank too; u = -inf below evaluates no density
     model.require_rank_for_density()
     meta = {
         "n": model.degree,

@@ -18,14 +18,14 @@ standard deviation of the first derivative.  The two limits are
     u -> +inf : (sigma_W / B) / (2 pi)   (all local maxima counted)
     u -> -inf : 0
 
-All inputs come from ``moment_rows``, which peels x^n off for |x| > 1 and
-returns it as n log|x| (entering only the level ratio u / sigma_U), so the
-evaluation stays finite for degrees and locations where raw covariance
-entries overflow float64.
+All inputs come from ``moments``: sigma_W / B, rho, 1 - rho^2 and sigma_U,
+the last with x^n peeled off for |x| > 1 and returned as n log|x| (entering
+only the level ratio u / sigma_U), so the evaluation stays finite for
+degrees and locations where raw covariance entries overflow float64.
 
 ``maxima_density_batch`` evaluates a whole array of points (a round of
-quadrature panels) with one batched moments call; ``maxima_density`` is its one-point
-view.  Only the erfc bracket runs per point, with ``math.erfc``.
+quadrature panels) with one ``moments`` call; ``maxima_density`` is its
+one-point view.  Only the erfc bracket runs per point, with ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NonFiniteResult
 from .model import PolynomialModel
-from .moments import moment_rows
+from .moments import moments
 
 __all__ = ["maxima_density", "maxima_density_batch"]
 
@@ -65,8 +65,7 @@ def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:
     """
     if math.isnan(u):
         raise ValueError("u must not be NaN")
-    model.require_rank_for_density()
-    rows = moment_rows(model, xs, clamp_rho=True)
+    rows = moments(model, xs, clamp_rho=True)
     swb = rows.sigma_w_over_b
     if u == math.inf:
         values = swb / _TWO_PI
@@ -93,7 +92,8 @@ def maxima_density(model: PolynomialModel, x: float, u: float) -> float:
     """Density (per unit x) of local maxima with polynomial value below u.
 
     ``u`` may be ``inf`` (count every local maximum) or ``-inf`` (zero).
-    Raises DegenerateCovariance when the value/slope/curvature covariance at
+    Raises DegenerateModel when fewer than three increments carry noise,
+    DegenerateCovariance when the value/slope/curvature covariance at
     ``x`` is singular, and NonFiniteResult if the evaluation produces a
     non-finite number.  This is the one-point view of
     ``maxima_density_batch``.

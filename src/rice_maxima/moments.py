@@ -1,15 +1,21 @@
-"""Covariance moments of (Q, Q', Q'') and the derived quadratic-form
-parameters, evaluated without overflow or catastrophic cancellation for any
-degree and any point.
+"""Conditional moments of (Q, Q', Q'') that the Kac-Rice density of local
+maxima consumes, evaluated without overflow or catastrophic cancellation for
+any degree and any point.
 
-Batching.  One private kernel evaluates a whole batch of points (a round
-of quadrature panels) at once: it builds the weighted basis vectors of every
-point as rows of (rows, n+1) arrays and reads all Gram quantities off them
-with row-wise dot products.  ``moment_rows`` returns the per-point results
-the density consumes; ``moments`` is the one-row view that also assembles
-the full ``MomentSet``.  Rows are processed in chunks of at most
-``_CHUNK_ELEMENTS`` array elements, so the temporaries stay small at any
-degree (one row per chunk once n + 1 exceeds that budget).
+At each x the density needs three quantities of the Gaussian triple
+(Q, Q', Q''): sigma_U, the standard deviation of Q given Q' = 0;
+sigma_W / B, that of Q'' given Q' = 0 over the standard deviation B of Q';
+and rho, the correlation of Q and Q'' given Q' = 0.  ``moments`` returns
+them for every point of a batch as ``MomentRows``, with 1 - rho^2 formed
+from residual norms so it stays accurate as rho approaches +-1.
+
+Batching.  ``moments`` takes a float or a 1-D array of points (a round of
+quadrature panels); a float is a batch of one.  It builds the weighted basis
+vectors of every point as rows of (rows, n+1) arrays and reads all Gram
+quantities off them with row-wise dot products.  Rows are processed in
+chunks of at most ``_CHUNK_ELEMENTS`` array elements, so the temporaries
+stay small at any degree (one row per chunk once n + 1 exceeds that
+budget).  A row's result does not depend on the other rows of its batch.
 
 Scaling.  For |x| <= 1 every basis sum is bounded by a small polynomial in
 n, so the weighted basis vectors are formed directly.  For |x| > 1 the
@@ -21,11 +27,11 @@ dominant factor ``x**n`` is peeled off analytically: with y = 1/x,
 
 so each moment is (bounded tilde sum) x (pure power of x), and every ratio
 is formed so the powers of x cancel analytically rather than numerically.
-On the batched path the peeled powers enter only as 1/|x| (in sigma_W/B)
-and as n log|x| (in the level ratio u/sigma_U); ``moments`` carries them as
-``ScaledValue`` for its covariance fields.  Powers below the smallest
-normal float64 are set to zero instead of computed: they cannot change any
-Gram sum, and subnormal arithmetic is an order of magnitude slower.
+The peeled powers enter only as 1/|x| (in sigma_W/B) and as n log|x| (the
+``peel`` of sigma_U, used by the level ratio u/sigma_U).  Powers below the
+smallest normal float64 are set to zero instead of computed: they cannot
+change any Gram sum, and subnormal arithmetic is an order of magnitude
+slower.
 
 Conditioning.  Near |x| = 1 at large degree the three weighted basis
 vectors become nearly collinear (the covariance approaches rank one), and
@@ -39,16 +45,14 @@ norms — sums of squares, which cancel nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateCovariance
 from .model import PolynomialModel
-from .scaled import ScaledValue
 
-__all__ = ["MomentRows", "MomentSet", "moment_rows", "moments"]
+__all__ = ["MomentRows", "moments"]
 
 # A residual direction shorter than this fraction of its parent vector is
 # treated as numerically zero: the covariance is rank-deficient within
@@ -60,62 +64,19 @@ _CHUNK_ELEMENTS = 1 << 14
 _LOG2_TINY = -1022.0
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """Moments of (Q, Q', Q'') at a point, plus the quadratic-form ratios.
-
-    ``a2, b2, d2`` are the variances of Q, Q', Q''; ``c, e, f`` the
-    covariances (Q,Q'), (Q,Q''), (Q',Q'').  ``k, l, m`` are the coefficients
-    of the exponent -L r^2 - 2 M r t - K t^2 of the joint density of
-    (Q, Q'') at Q' = 0, with r the value coordinate (Q) and t the curvature
-    coordinate (Q''), and ``s = k - m**2/(4l)``; ``s_conditional =
-    k - m**2/l`` is the completed-square variant (the reciprocal of twice
-    the variance of Q'' given Q' = 0).
-
-    ``sigma_u`` is the conditional standard deviation of Q given Q' = 0;
-    ``sigma_w_over_b`` is the conditional standard deviation of Q'' given
-    Q' = 0 divided by the standard deviation of Q'; ``rho`` is the
-    conditional correlation of (Q, Q'') given Q' = 0.  These three are the
-    well-scaled quantities the density evaluation consumes.
-    """
-
-    x: float
-    a2: ScaledValue
-    b2: ScaledValue
-    d2: ScaledValue
-    c: ScaledValue
-    e: ScaledValue
-    f: ScaledValue
-    det_sigma: ScaledValue
-    k: float
-    l: float
-    m: float
-    s: float
-    s_conditional: float
-    sigma_u: ScaledValue
-    sigma_w_over_b: float
-    rho: float
-    # 1 - rho**2 computed from residual norms (not from rho), so it stays
-    # accurate when the conditional correlation approaches +-1.
-    one_minus_rho_sq: float
-
-
 class _Gram(NamedTuple):
     """Per-row Gram quantities of the weighted basis vectors u, v, z (for Q,
     Q', Q''), with the powers of x peeled off for |x| > 1.
 
-    ``sa, sb, sd, sc, se, sf`` are u.u, v.v, z.z, u.v, u.z, v.z; ``ru`` and
-    ``rz`` are u and z with the v direction projected out, ``rzz`` is rz
-    with the ru direction projected out: ``nu2 = |ru|^2``, ``nz2 = |rz|^2``,
-    ``cr = ru.rz`` and ``rzz2 = |rzz|^2``.
+    ``sa, sb, sd`` are u.u, v.v, z.z; ``ru`` and ``rz`` are u and z with the
+    v direction projected out, ``rzz`` is rz with the ru direction projected
+    out: ``nu2 = |ru|^2``, ``nz2 = |rz|^2``, ``cr = ru.rz`` and
+    ``rzz2 = |rzz|^2``.
     """
 
     sa: np.ndarray
     sb: np.ndarray
     sd: np.ndarray
-    sc: np.ndarray
-    se: np.ndarray
-    sf: np.ndarray
     nu2: np.ndarray
     nz2: np.ndarray
     cr: np.ndarray
@@ -123,12 +84,13 @@ class _Gram(NamedTuple):
 
 
 class MomentRows(NamedTuple):
-    """What the density needs at each point of a batch, one entry per row.
+    """The density inputs at each point of a batch, one entry per row.
 
-    ``sigma_w_over_b``, ``rho`` and ``one_minus_rho_sq`` are the
-    ``MomentSet`` fields of the same names.  ``sigma_u_tilde`` is sigma_U
-    with the peeled power removed and ``peel`` is n log|x| for |x| > 1 (0
-    otherwise), so that sigma_U = sigma_u_tilde * exp(peel).
+    ``sigma_w_over_b`` is sigma_W / B, ``rho`` the conditional correlation
+    and ``one_minus_rho_sq`` is 1 - rho^2 from residual norms.
+    ``sigma_u_tilde`` is sigma_U with the peeled power removed and ``peel``
+    is n log|x| for |x| > 1 (0 otherwise), so that
+    sigma_U = sigma_u_tilde * exp(peel).
     """
 
     x: np.ndarray
@@ -228,24 +190,12 @@ def _gram_sums(basis: np.ndarray) -> _Gram:
         (nu2, cr), (_, nz2) = dot(resid[:, None], resid[None, :])
         rzz = rz - (cr / nu2)[:, None] * ru
         rzz2 = dot(rzz, rzz)  # = nz2 (1 - rho^2)
-    sa, sd = gram[0, 0], gram[2, 2]
-    sc, se, sf = gram[0, 1], gram[0, 2], gram[1, 2]
-    return _Gram(sa, sb, sd, sc, se, sf, nu2, nz2, cr, rzz2)
+    return _Gram(gram[0, 0], sb, gram[2, 2], nu2, nz2, cr, rzz2)
 
 
-def _gram(model: PolynomialModel, xs: np.ndarray, clamp_rho: bool) -> _Gram:
-    """The batched kernel: Gram quantities at every point of ``xs``.
-
-    Raises ValueError for a non-finite point and DegenerateCovariance,
-    carrying the first failing point, when any covariance is singular
-    within tolerance (see ``moments``).
-    """
-    if not np.isfinite(xs).all():
-        raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
-    if model.effective_rank < 3:
-        raise DegenerateCovariance(
-            float(xs[0]), f"effective rank {model.effective_rank} < 3"
-        )
+def _gram(model: PolynomialModel, xs: np.ndarray) -> _Gram:
+    """The batched kernel: Gram quantities at every (finite) point of
+    ``xs``, chunk by chunk."""
     n = model.degree
     root_w = np.sqrt(model.variance_weights())
     out = np.empty((len(_Gram._fields), len(xs)))
@@ -269,12 +219,7 @@ def _gram(model: PolynomialModel, xs: np.ndarray, clamp_rho: bool) -> _Gram:
             else:
                 basis = _inner_basis(base[rows], horizon[rows], root_w, width)
             out[:, rows] = _gram_sums(basis)
-    g = _Gram(*out)
-
-    _check(xs, g, clamp_rho)
-    if clamp_rho:
-        np.maximum(g.rzz2, _RESIDUAL_RTOL**2 * g.nz2, out=g.rzz2)
-    return g
+    return _Gram(*out)
 
 
 def _check(xs: np.ndarray, g: _Gram, clamp_rho: bool) -> None:
@@ -293,18 +238,34 @@ def _check(xs: np.ndarray, g: _Gram, clamp_rho: bool) -> None:
             raise DegenerateCovariance(x, "conditional correlation within tolerance of 1")
 
 
-def moment_rows(
-    model: PolynomialModel, xs, *, clamp_rho: bool = False
-) -> MomentRows:
-    """Density inputs at every point of the 1-D array ``xs`` in one call.
+def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRows:
+    """The density inputs at ``xs``, a float or a 1-D array of points (a
+    float gives one row).
 
-    Same errors and ``clamp_rho`` semantics as ``moments``.
+    Raises DegenerateModel when fewer than three increments carry noise (the
+    covariance of (Q, Q', Q'') is then singular everywhere), ValueError for
+    a non-finite point, and DegenerateCovariance, carrying the first failing
+    point, when a covariance is singular within tolerance at a point, such
+    as x = 0 for a model with no constant term.
+
+    With ``clamp_rho=True`` a conditional correlation that is within
+    float64 resolution of +-1 is clamped to the resolvable boundary instead
+    of raising.  This happens far out in the tails (|x| very large), where
+    the three basis directions genuinely collapse towards one another while
+    every density-relevant quantity keeps a finite limit; the clamp lets the
+    density be evaluated continuously there.  Rank-type degeneracies still
+    raise regardless of the flag.
     """
-    xs = np.asarray(xs, dtype=float)
-    return _rows(model, xs, _gram(model, xs, clamp_rho))
-
-
-def _rows(model: PolynomialModel, xs: np.ndarray, g: _Gram) -> MomentRows:
+    model.require_rank_for_density()
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a float or a 1-D array, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+    g = _gram(model, xs)
+    _check(xs, g, clamp_rho)
+    if clamp_rho:
+        np.maximum(g.rzz2, _RESIDUAL_RTOL**2 * g.nz2, out=g.rzz2)
     abs_x = np.abs(xs)
     outer = abs_x > 1.0
     # sigma_W/B carries x**(n-2) / x**(n-1) = 1/x on the peeled side
@@ -316,71 +277,3 @@ def _rows(model: PolynomialModel, xs: np.ndarray, g: _Gram) -> MomentRows:
     peel = np.zeros_like(xs)
     peel[outer] = model.degree * np.log(abs_x[outer])
     return MomentRows(xs, swb, rho, g.rzz2 / g.nz2, np.sqrt(g.nu2), peel)
-
-
-def moments(
-    model: PolynomialModel, x: float, *, clamp_rho: bool = False
-) -> MomentSet:
-    """Covariance moments of (Q, Q', Q'') at ``x``.
-
-    Raises DegenerateCovariance when the 3x3 covariance is singular within
-    tolerance: fewer than three active increments, or a structurally
-    degenerate point such as x = 0 for a model with no constant term.
-
-    With ``clamp_rho=True`` a conditional correlation that is within
-    float64 resolution of +-1 is clamped to the resolvable boundary instead
-    of raising.  This happens far out in the tails (|x| very large), where
-    the three basis directions genuinely collapse towards one another while
-    every density-relevant quantity keeps a finite limit; the clamp lets the
-    density be evaluated continuously there.  Rank-type degeneracies still
-    raise regardless of the flag.
-    """
-    x = float(x)
-    xs = np.array([x])
-    g = _gram(model, xs, clamp_rho)
-    rows = _rows(model, xs, g)
-    n = model.degree
-    if abs(x) <= 1.0:
-        pa = pb = pd = ScaledValue.from_float(1.0)
-    else:
-        xv = ScaledValue.from_float(x)
-        pa, pb, pd = xv.powi(n), xv.powi(n - 1), xv.powi(n - 2)
-    SA, SB, SD, SC, SE, SF, nu2, nz2, cr, rzz2 = (float(v[0]) for v in g)
-
-    sv = ScaledValue.from_float
-    pa2 = pa * pa
-    pd2 = pd * pd
-    papd = pa * pd
-
-    # det(Sigma) = x^(6n-6) * B2 * |u_perp|^2 * |z_perp_perp|^2
-    det_sigma = (pa * pb * pd).powi(2) * sv(SB * nu2 * rzz2)
-
-    k_sv = one_over(pd2 * sv(2.0 * rzz2))
-    l_sv = sv(nz2) / (pa2 * sv(2.0 * nu2 * rzz2))
-    m_sv = sv(-cr) / (papd * sv(2.0 * nu2 * rzz2))
-    s_cond_sv = one_over(pd2 * sv(2.0 * nz2))
-    m2_over_l_sv = sv(cr * cr) / (pd2 * sv(2.0 * nu2 * rzz2 * nz2))
-
-    return MomentSet(
-        x=x,
-        a2=pa2 * sv(SA),
-        b2=(pb * pb) * sv(SB),
-        d2=pd2 * sv(SD),
-        c=(pa * pb) * sv(SC),
-        e=papd * sv(SE),
-        f=(pb * pd) * sv(SF),
-        det_sigma=det_sigma,
-        k=k_sv.to_float(),
-        l=l_sv.to_float(),
-        m=m_sv.to_float(),
-        s=(s_cond_sv + sv(0.75) * m2_over_l_sv).to_float(),
-        s_conditional=s_cond_sv.to_float(),
-        sigma_u=abs(pa) * sv(math.sqrt(nu2)),
-        sigma_w_over_b=float(rows.sigma_w_over_b[0]),
-        rho=float(rows.rho[0]),
-        one_minus_rho_sq=float(rows.one_minus_rho_sq[0]),
-    )
-
-
-def one_over(value: ScaledValue) -> ScaledValue:
-    return ScaledValue.from_float(1.0) / value

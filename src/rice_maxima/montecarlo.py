@@ -30,9 +30,11 @@ values past the float range become +-inf, which still compare correctly
 with every finite level.
 
 Refinement.  Each crossing keeps a bracket (x_lo, x_hi) with Q' > 0 at
-x_lo and Q' < 0 at x_hi, starting from its grid cell (an infinite query
-end is first pulled in to 2 max(1, |other end|)), and steps from the
-bracket midpoint (``rtsafe`` in Press et al., Numerical Recipes).  One
+x_lo and Q' < 0 at x_hi, starting from its grid cell, and steps from the
+bracket midpoint (``rtsafe`` in Press et al., Numerical Recipes).  An
+infinite query end is first pulled in to 2 max(1, |other end|), or
+further, to Fujiwara's bound on the roots of Q' of that trial, so the
+bracket holds a maximum that lies past the last grid point.  One
 power table of the folded point gives both Q' and Q'' by the rule above:
 on the outer side Q''/x^(d-1) = sum_i (d-i) c_(d-i) y^i uses the same
 powers as Q', and Q'/Q'' = x S/T there for the two sums S and T.  The
@@ -214,6 +216,17 @@ def _newton_terms(drows: np.ndarray, x: np.ndarray):
     return s, t, outer, sign
 
 
+def _root_bound(drows: np.ndarray) -> np.ndarray:
+    """Fujiwara's bound 2 max_k |c_(d-k) / c_d|^(1/k) on the moduli of the
+    roots of each row (ascending coefficients c_0 .. c_d, c_d != 0), here
+    without its usual halving of c_0, which keeps it above the root of a
+    linear row."""
+    d = drows.shape[1] - 1
+    with np.errstate(over="ignore"):
+        ratio = np.abs(drows[:, :-1] / drows[:, -1:])
+    return 2.0 * np.max(ratio ** (1.0 / np.arange(d, 0, -1)), axis=1)
+
+
 def _refine(drows: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray:
     """A maximum of Q in each finite bracket (x_lo[i], x_hi[i]) across which
     Q' (derivative row i, ascending powers) goes from + to -: safeguarded
@@ -291,9 +304,15 @@ def count_maxima_below(
         k = start + cols  # crossing bracketed by grid points k, k+1
         x_lo = x[k]
         x_hi = x[k + 1]
-        # an infinite query end: pull the bracket end inside
-        x_hi = np.where(np.isinf(x_hi), 2.0 * np.maximum(np.abs(x_lo), 1.0), x_hi)
-        x_lo = np.where(np.isinf(x_lo), -2.0 * np.maximum(np.abs(x_hi), 1.0), x_lo)
+        # an infinite query end: pull the bracket end in to 2 max(1, |other
+        # end|), or further, past every root of Q', where Q' has the sign it
+        # has at infinity
+        inf_lo, inf_hi = np.isinf(x_lo), np.isinf(x_hi)
+        pull = 2.0 * np.maximum(np.abs(np.where(inf_lo, x_hi, x_lo)), 1.0)
+        far = inf_lo | inf_hi
+        pull[far] = np.maximum(pull[far], _root_bound(dcoef[rows[far]]))
+        x_lo = np.where(inf_lo, -pull, x_lo)
+        x_hi = np.where(inf_hi, pull, x_hi)
         root = _refine(dcoef[rows], x_lo, x_hi)
         # undo the scaling: past the float range Q reads +-inf, so an
         # infinite level is decided by its sign alone

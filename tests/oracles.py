@@ -8,7 +8,8 @@ conditioning plus 2-D quadrature, the simulation checks by closed-form
 arbitrary-precision or exact rational arithmetic on the rational tables.
 Agreement with the engine is then evidence, not tautology.  The
 exceptions: ``density_split``, a two-term rearrangement of the density's
-closed form kept to compare the two conditional-variance conventions, and
+closed form kept to compare the two conditional-variance conventions (its
+inputs come from ``brute_force_covariance``), and
 ``bracket_names``/``bracket_value``, which expose the engine's brackets to
 be checked against the oracles here.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import integrate
 
-from rice_maxima import PolynomialModel, ScaledValue, moments
+from rice_maxima import PolynomialModel
 from rice_maxima.kernels import _BRACKETS, _Nodes
 
 
@@ -86,6 +87,60 @@ def brute_force_covariance(model: PolynomialModel, x: float) -> np.ndarray:
         v = np.array([a, b, d])
         cov += weights[k] * np.outer(v, v)
     return cov
+
+
+def conditional_pair_cov(cov: np.ndarray) -> np.ndarray:
+    """Covariance of (Q, Q'') given Q' = 0, from the full 3x3 covariance."""
+    cross = cov[[0, 2], 1]
+    return cov[np.ix_([0, 2], [0, 2])] - np.outer(cross, cross) / cov[1, 1]
+
+
+def conditional_moments(model: PolynomialModel, x: float) -> tuple[float, ...]:
+    """(sigma_U, sigma_W / B, rho, 1 - rho^2) at ``x`` by Gaussian
+    conditioning of ``brute_force_covariance`` in float64: sigma_U and
+    sigma_W are the standard deviations of Q and Q'' given Q' = 0, rho their
+    correlation and B the standard deviation of Q'."""
+    cov = brute_force_covariance(model, x)
+    pair = conditional_pair_cov(cov)
+    rho = pair[0, 1] / math.sqrt(pair[0, 0] * pair[1, 1])
+    return (
+        math.sqrt(pair[0, 0]),
+        math.sqrt(pair[1, 1] / cov[1, 1]),
+        rho,
+        1.0 - rho * rho,
+    )
+
+
+def quadratic_form(model: PolynomialModel, x: float) -> tuple[float, ...]:
+    """(k, l, m, det Sigma) at ``x`` from ``brute_force_covariance``:
+    -l r^2 - 2 m r t - k t^2 is the exponent of the joint density of
+    (Q, Q'') = (r, t) given Q' = 0 (half the inverse of their conditional
+    covariance), and det Sigma the determinant of the full 3x3 covariance."""
+    cov = brute_force_covariance(model, x)
+    inv = np.linalg.inv(conditional_pair_cov(cov))
+    det = float(np.linalg.det(cov))
+    return inv[1, 1] / 2.0, inv[0, 0] / 2.0, inv[0, 1] / 2.0, det
+
+
+def log_sigma_u_mp(model: PolynomialModel, x: float, dps: int = 40):
+    """ln sigma_U at ``x`` in ``dps``-digit arithmetic, from the covariance
+    of (Q, Q') summed over the increments, with the basis sums a_k and b_k
+    accumulated from k = n down (O(n) terms, so n = 10^4 takes ~0.5 s)."""
+    n = model.degree
+    weights = [model.sigma0**2] + [s * s for s in model.sigma]
+    with mpmath.workdps(dps):
+        xx = mpmath.mpf(x)
+        a = b = saa = sab = sbb = mpmath.mpf(0)
+        for k in range(n, -1, -1):
+            a += xx**k
+            if k > 0:
+                b += k * xx ** (k - 1)
+            if weights[k]:
+                w = mpmath.mpf(weights[k])
+                saa += w * a * a
+                sab += w * a * b
+                sbb += w * b * b
+        return mpmath.log(saa - sab * sab / sbb) / 2
 
 
 def oracle_density(
@@ -244,31 +299,23 @@ def density_split(
     alternative ``s_convention="combined"`` uses ``S = K - M^2 / (4 L)``,
     which rescales the base amplitude and is kept for cross-checking only.
 
-    This diagnostic works with plain float64 quadratic-form coefficients and
-    composes ``erf(.) + 1``, which loses accuracy deep in the lower tail
-    (``u * sqrt(L) << -1``) where the production ``erfc`` form stays exact.
+    This diagnostic works with the float64 quadratic-form coefficients of
+    ``quadratic_form`` and composes ``erf(.) + 1``, which loses accuracy deep
+    in the lower tail (``u * sqrt(L) << -1``) where the production ``erfc``
+    form stays exact.
     It is intended for moderate degrees, locations and levels; the production
     path is ``maxima_density``.
     """
     if u in (math.inf, -math.inf):
         raise ValueError("density_split requires a finite level u")
-    mom = moments(model, x)
-    k, l, m = mom.k, mom.l, mom.m
+    k, l, m, det = quadratic_form(model, x)
     if s_convention == "conditional":
         s = k - m * m / l
     elif s_convention == "combined":
         s = k - m * m / (4.0 * l)
     else:
         raise ValueError(f"unknown s_convention: {s_convention!r}")
-    # amplitude 1 / (2 S sqrt(2 L det)) evaluated in scaled arithmetic
-    det = mom.det_sigma
-    amp = (
-        ScaledValue.from_float(1.0)
-        / (
-            ScaledValue.from_float(2.0 * s)
-            * (ScaledValue.from_float(2.0 * l) * det).sqrt()
-        )
-    ).to_float()
+    amp = 1.0 / (2.0 * s * math.sqrt(2.0 * l * det))
     base = amp / (4.0 * math.pi) * (math.erf(u * math.sqrt(l)) + 1.0)
     ratio = abs(m) / math.sqrt(l * k)
     arg = u * m / math.sqrt(k)

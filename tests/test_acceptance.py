@@ -35,7 +35,7 @@ from rice_maxima import (
 from rice_maxima.counts import CountQuery, expected_count
 from rice_maxima.expansion import h_integral, kernel_pieces
 from rice_maxima.reference import INTEGRAL_REFERENCES
-from oracles import brute_force_covariance, oracle_density
+from oracles import conditional_moments, oracle_density
 
 INF = math.inf
 
@@ -225,21 +225,21 @@ def test_acceptance_6_expansion_converges_to_exact_count():
 def test_acceptance_7_invariant_suites():
     failures = []
 
-    # moment identities against the direct-summation oracle
+    # conditional moments against the direct-summation oracle
     for n in (3, 7, 12):
         for x in (0.7, -1.3):
-            ms = moments(PolynomialModel(n), x)
-            cov = brute_force_covariance(PolynomialModel(n), x)
-            pairs = (
-                (ms.a2, cov[0, 0]), (ms.b2, cov[1, 1]), (ms.d2, cov[2, 2]),
-                (ms.c, cov[0, 1]), (ms.e, cov[0, 2]), (ms.f, cov[1, 2]),
+            rows = moments(PolynomialModel(n), x)
+            got = (
+                rows.sigma_u_tilde[0] * math.exp(rows.peel[0]),
+                rows.sigma_w_over_b[0],
+                rows.rho[0],
+                rows.one_minus_rho_sq[0],
             )
-            if any(
-                abs(sv.to_float() - ref) > 1e-9 * abs(ref) for sv, ref in pairs
-            ):
+            ref = conditional_moments(PolynomialModel(n), x)
+            if any(abs(g - r) > 1e-9 * abs(r) for g, r in zip(got, ref)):
                 failures.append(f"moments(n={n}, x={x})")
-            if not ms.c * ms.c <= ms.a2 * ms.b2 * (1.0 + 1e-10):
-                failures.append(f"cauchy-schwarz(n={n}, x={x})")
+            if not (abs(got[2]) < 1.0 and 0.0 <= got[3] <= 1.0):
+                failures.append(f"correlation bounds(n={n}, x={x})")
 
     # the density is nonnegative and nondecreasing in the level
     for n in (3, 8):

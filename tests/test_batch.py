@@ -2,20 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from rice_maxima import (
     DegenerateCovariance,
     PolynomialModel,
-    ScaledValue,
     maxima_density,
     moments,
     split_points,
 )
 from rice_maxima.density import maxima_density_batch
-from rice_maxima.moments import _CHUNK_ELEMENTS, moment_rows
+from rice_maxima.moments import _CHUNK_ELEMENTS
 from rice_maxima.quadrature import KRONROD_NODES
+from oracles import log_sigma_u_mp
 
 INF = math.inf
 DEGREES = (3, 10, 100, 1000, 10_000)
@@ -89,23 +90,24 @@ def test_batch_split_into_chunks(n):
 def test_moments_view_is_bit_equal_to_the_batch(n):
     model = PolynomialModel(n)
     xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0)])
-    rows = moment_rows(model, xs, clamp_rho=True)
+    rows = moments(model, xs, clamp_rho=True)
     for i, x in enumerate(xs.tolist()):
-        ms = moments(model, x, clamp_rho=True)
-        assert ms.sigma_w_over_b == rows.sigma_w_over_b[i]
-        assert ms.rho == rows.rho[i]
-        assert ms.one_minus_rho_sq == rows.one_minus_rho_sq[i]
+        one = moments(model, x, clamp_rho=True)
+        for name, column in one._asdict().items():
+            assert column.tolist() == [getattr(rows, name)[i]], name
 
 
 @pytest.mark.parametrize("n,x", [(10, 0.4), (100, -2.5), (1000, 1.02), (10_000, 1.3)])
 def test_level_ratio_matches_scaled_arithmetic(n, x):
-    # At n = 10^4 and x = 1.3, sigma_U ~ x**n overflows float64; the batch
-    # carries it as n log|x|, moments() as a ScaledValue.
+    # At n = 10^4 and x = 1.3, sigma_U ~ 1e1139 overflows float64; the rows
+    # carry it as ln(sigma_u_tilde) + n ln|x|, the oracle in mpmath.
     model = PolynomialModel(n)
-    ms = moments(model, x, clamp_rho=True)
-    rows = moment_rows(model, [x], clamp_rho=True)
+    rows = moments(model, x, clamp_rho=True)
+    log_sigma_u = log_sigma_u_mp(model, x)
+    got = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
+    assert got == pytest.approx(float(log_sigma_u), rel=1e-14, abs=1e-12)
     for u in (-3.0, 0.5, 1e300):
-        expected = (ScaledValue.from_float(u) / ms.sigma_u).to_float()
+        expected = float(u * mpmath.exp(-log_sigma_u))  # 0.0 past the float range
         assert rows.level_ratio(u)[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert rows.level_ratio(0.0)[0] == 0.0
 
@@ -131,3 +133,7 @@ class TestFailures:
     def test_non_finite_node_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             maxima_density_batch(PolynomialModel(5), np.array([0.5, np.nan]), 1.0)
+
+    def test_two_dimensional_batch_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            moments(PolynomialModel(5), np.full((2, 2), 0.5))

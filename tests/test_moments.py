@@ -1,4 +1,4 @@
-"""Covariance moments against a direct-summation oracle, plus invariants."""
+"""Conditional moments against a direct-summation oracle, plus invariants."""
 
 import math
 
@@ -7,11 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rice_maxima import DegenerateCovariance, PolynomialModel, moments, scale_model
-from oracles import brute_force_covariance
+from rice_maxima import (
+    DegenerateCovariance,
+    DegenerateModel,
+    PolynomialModel,
+    moments,
+    scale_model,
+)
+from oracles import (
+    brute_force_covariance,
+    conditional_moments,
+    conditional_pair_cov,
+    log_sigma_u_mp,
+    quadratic_form,
+)
 
 DEGREES = (3, 5, 8, 12)
 POINTS = (0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.1, -1.1, 2.0, -3.0)
+FIELDS = ("sigma_w_over_b", "rho", "one_minus_rho_sq", "sigma_u_tilde", "peel")
 
 nonzero_x = st.one_of(
     st.floats(min_value=0.05, max_value=3.0),
@@ -19,82 +32,86 @@ nonzero_x = st.one_of(
 )
 
 
-def conditional_pair_cov(cov):
-    """Covariance of (Q, Q'') given Q' = 0, from the full 3x3 covariance."""
-    cross = np.array([cov[0, 1], cov[2, 1]])
-    return (
-        np.array([[cov[0, 0], cov[0, 2]], [cov[2, 0], cov[2, 2]]])
-        - np.outer(cross, cross) / cov[1, 1]
-    )
+def one_row(model, x, **kwargs):
+    """(sigma_U, sigma_W / B, rho, 1 - rho^2) of ``moments`` at one point,
+    with sigma_U formed in float64 (fine at these degrees)."""
+    rows = moments(model, x, **kwargs)
+    sigma_u = rows.sigma_u_tilde[0] * math.exp(rows.peel[0])
+    return sigma_u, rows.sigma_w_over_b[0], rows.rho[0], rows.one_minus_rho_sq[0]
 
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", POINTS)
     def test_second_moments(self, n, x):
-        ms = moments(PolynomialModel(n), x)
+        # The conditional covariance of (Q, Q'') given Q' = 0, rebuilt from
+        # the engine's outputs, against conditioning the direct sums.
+        sigma_u, swb, rho, _ = one_row(PolynomialModel(n), x)
         cov = brute_force_covariance(PolynomialModel(n), x)
-        got = [ms.a2, ms.b2, ms.d2, ms.c, ms.e, ms.f]
-        ref = [cov[0, 0], cov[1, 1], cov[2, 2], cov[0, 1], cov[0, 2], cov[1, 2]]
-        for sv, expected in zip(got, ref):
-            assert sv.to_float() == pytest.approx(expected, rel=1e-10)
+        pair = conditional_pair_cov(cov)
+        sigma_w = swb * math.sqrt(cov[1, 1])
+        got = [sigma_u**2, sigma_w**2, rho * sigma_u * sigma_w]
+        for value, expected in zip(got, [pair[0, 0], pair[1, 1], pair[0, 1]]):
+            assert value == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", (0.5, -0.9, 1.1, 2.0))
     def test_determinant(self, n, x):
-        ms = moments(PolynomialModel(n), x)
-        det = np.linalg.det(brute_force_covariance(PolynomialModel(n), x))
+        # det(Sigma) = B^4 sigma_U^2 (sigma_W / B)^2 (1 - rho^2), a product
+        # of the engine's residual norms.
+        sigma_u, swb, _, omr = one_row(PolynomialModel(n), x)
+        cov = brute_force_covariance(PolynomialModel(n), x)
+        det = np.linalg.det(cov)
         # The oracle determinant itself loses digits on near-collinear
         # covariances, so the tolerance is its, not the engine's.
-        assert ms.det_sigma.to_float() == pytest.approx(det, rel=1e-6)
+        assert cov[1, 1] ** 2 * (sigma_u * swb) ** 2 * omr == pytest.approx(det, rel=1e-6)
 
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", POINTS)
     def test_quadratic_form_coefficients(self, n, x):
-        ms = moments(PolynomialModel(n), x)
-        cov = brute_force_covariance(PolynomialModel(n), x)
-        inv = np.linalg.inv(conditional_pair_cov(cov))
         # Index 0 of the conditional pair is the value Q, index 1 the
         # curvature Q''; k multiplies the curvature coordinate.
-        assert ms.k == pytest.approx(inv[1, 1] / 2, rel=1e-7)
-        assert ms.l == pytest.approx(inv[0, 0] / 2, rel=1e-7)
-        assert ms.m == pytest.approx(inv[0, 1] / 2, rel=1e-7)
+        sigma_u, swb, rho, omr = one_row(PolynomialModel(n), x)
+        k, l, m, _ = quadratic_form(PolynomialModel(n), x)
+        sigma_w = swb * math.sqrt(brute_force_covariance(PolynomialModel(n), x)[1, 1])
+        assert k == pytest.approx(1.0 / (2.0 * sigma_w**2 * omr), rel=1e-7)
+        assert l == pytest.approx(1.0 / (2.0 * sigma_u**2 * omr), rel=1e-7)
+        assert m == pytest.approx(-rho / (2.0 * sigma_u * sigma_w * omr), rel=1e-7)
 
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", POINTS)
     def test_conditional_scales(self, n, x):
-        ms = moments(PolynomialModel(n), x)
-        cov = brute_force_covariance(PolynomialModel(n), x)
-        pair = conditional_pair_cov(cov)
-        assert ms.sigma_u.to_float() == pytest.approx(math.sqrt(pair[0, 0]), rel=1e-10)
-        assert ms.sigma_w_over_b == pytest.approx(
-            math.sqrt(pair[1, 1] / cov[1, 1]), rel=1e-10
-        )
-        assert ms.s_conditional == pytest.approx(1.0 / (2.0 * pair[1, 1]), rel=1e-10)
+        got = one_row(PolynomialModel(n), x)
+        sigma_u, swb, rho, omr = conditional_moments(PolynomialModel(n), x)
+        assert got[0] == pytest.approx(sigma_u, rel=1e-10)
+        assert got[1] == pytest.approx(swb, rel=1e-10)
+        assert got[2] == pytest.approx(rho, rel=1e-10)
+        # The oracle forms 1 - rho^2 by cancellation (it reads ~3e-12 off
+        # where rho is near -1), so the absolute tolerance is its.
+        assert got[3] == pytest.approx(omr, rel=1e-10, abs=1e-11)
 
 
 class TestInternalIdentities:
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", POINTS)
     def test_completed_square_relations(self, n, x):
-        ms = moments(PolynomialModel(n), x)
-        assert ms.s == pytest.approx(ms.k - ms.m**2 / (4.0 * ms.l), rel=1e-12)
-        assert ms.s_conditional == pytest.approx(ms.k - ms.m**2 / ms.l, rel=1e-9)
-        assert ms.rho**2 + ms.one_minus_rho_sq == pytest.approx(1.0, abs=1e-12)
+        # Completing the square in the curvature coordinate: k - m^2 / l is
+        # the reciprocal of twice the variance of Q'' given Q' = 0.
+        _, swb, rho, omr = one_row(PolynomialModel(n), x)
+        k, l, m, _ = quadratic_form(PolynomialModel(n), x)
+        b2 = brute_force_covariance(PolynomialModel(n), x)[1, 1]
+        assert k - m**2 / l == pytest.approx(1.0 / (2.0 * swb**2 * b2), rel=1e-9)
+        assert rho**2 + omr == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(min_value=3, max_value=12), nonzero_x)
     @settings(max_examples=120, deadline=None)
     def test_cauchy_schwarz_and_positivity(self, n, x):
-        ms = moments(PolynomialModel(n), x)
-        slack = 1.0 + 1e-10
-        assert ((ms.c * ms.c) / (ms.a2 * ms.b2)).to_float() <= slack
-        assert ((ms.e * ms.e) / (ms.a2 * ms.d2)).to_float() <= slack
-        assert ((ms.f * ms.f) / (ms.b2 * ms.d2)).to_float() <= slack
-        assert ms.det_sigma.sign() == 1
-        assert 0.0 <= ms.one_minus_rho_sq <= 1.0
-        assert abs(ms.rho) < 1.0
-        assert ms.l > 0.0 and ms.k > 0.0
-        assert ms.s > 0.0 and ms.s_conditional > 0.0
+        rows = moments(PolynomialModel(n), x)
+        assert rows.sigma_u_tilde[0] > 0.0 and rows.sigma_w_over_b[0] > 0.0
+        assert 0.0 <= rows.one_minus_rho_sq[0] <= 1.0
+        assert abs(rows.rho[0]) < 1.0
+        peel = n * math.log(abs(x)) if abs(x) > 1.0 else 0.0
+        assert rows.peel[0] == pytest.approx(peel, rel=1e-15, abs=0.0)
 
     @given(
         st.integers(min_value=3, max_value=10),
@@ -105,35 +122,30 @@ class TestInternalIdentities:
     def test_scale_covariance(self, n, x, factor):
         base = moments(PolynomialModel(n), x)
         scaled = moments(scale_model(PolynomialModel(n), factor), x)
-        csq = factor * factor
-        for name in ("a2", "b2", "d2", "c", "e", "f", "sigma_u"):
-            got = getattr(scaled, name).to_float()
-            ref = getattr(base, name).to_float()
-            expected = ref * (factor if name == "sigma_u" else csq)
-            assert got == pytest.approx(expected, rel=1e-12)
-        # Precisions scale inversely with variance; shapes are invariant.
-        assert scaled.k == pytest.approx(base.k / csq, rel=1e-12)
-        assert scaled.l == pytest.approx(base.l / csq, rel=1e-12)
-        assert scaled.m == pytest.approx(base.m / csq, rel=1e-12)
-        assert scaled.s == pytest.approx(base.s / csq, rel=1e-12)
-        assert scaled.s_conditional == pytest.approx(base.s_conditional / csq, rel=1e-12)
-        assert scaled.rho == pytest.approx(base.rho, rel=1e-12)
-        assert scaled.sigma_w_over_b == pytest.approx(base.sigma_w_over_b, rel=1e-12)
+        # sigma_U scales with the deviations; the ratios are invariant.
+        assert scaled.sigma_u_tilde[0] == pytest.approx(
+            factor * base.sigma_u_tilde[0], rel=1e-12
+        )
+        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq", "peel"):
+            got, ref = getattr(scaled, name)[0], getattr(base, name)[0]
+            assert got == pytest.approx(ref, rel=1e-12), name
 
     def test_huge_degree_far_point_stays_finite(self):
-        # x**(6n) would overflow float64 by hundreds of orders of magnitude.
-        ms = moments(PolynomialModel(400), 3.0)
-        assert ms.det_sigma.sign() == 1
-        assert ms.det_sigma.log2() > 3000.0  # float64 gives up at 1024
-        for field in (ms.k, ms.l, ms.m, ms.s, ms.s_conditional, ms.sigma_w_over_b):
-            assert math.isfinite(field)
+        # The covariance entries (~x**(2n)) and det(Sigma) (~x**(6n)) would
+        # overflow float64; the rows carry sigma_U as ln + n ln|x|.
+        model = PolynomialModel(400)
+        rows = moments(model, 3.0)
+        for name in FIELDS:
+            assert np.isfinite(getattr(rows, name)).all(), name
+        log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
+        assert log_sigma_u == pytest.approx(float(log_sigma_u_mp(model, 3.0)), rel=1e-14)
 
 
 class TestDegeneracies:
     def test_fewer_than_three_sources(self):
-        with pytest.raises(DegenerateCovariance, match="effective rank"):
+        with pytest.raises(DegenerateModel, match="only 2 independent"):
             moments(PolynomialModel(2), 0.7)
-        with pytest.raises(DegenerateCovariance, match="effective rank"):
+        with pytest.raises(DegenerateModel, match="only 2 independent"):
             moments(PolynomialModel(5, sigma=(1, 0, 0, 1, 0)), 0.7)
 
     def test_origin_without_constant_term(self):
@@ -152,9 +164,9 @@ class TestDegeneracies:
         # float64 resolution: the default raises, the clamp evaluates.
         with pytest.raises(DegenerateCovariance, match="conditional correlation"):
             moments(PolynomialModel(3), 1e9)
-        ms = moments(PolynomialModel(3), 1e9, clamp_rho=True)
-        assert abs(ms.rho) < 1.0
-        assert 0.0 <= ms.one_minus_rho_sq < 1e-20
+        rows = moments(PolynomialModel(3), 1e9, clamp_rho=True)
+        assert abs(rows.rho[0]) < 1.0
+        assert 0.0 <= rows.one_minus_rho_sq[0] < 1e-20
 
     def test_clamp_does_not_mask_rank_collapse(self):
         with pytest.raises(DegenerateCovariance, match="conditional variance"):

@@ -287,6 +287,45 @@ class TestRefine:
         assert abs(got - r) <= 1e-4 * max(1.0, abs(r))
 
 
+    @pytest.mark.parametrize("case", ["sampled-neg", "built-pos"])
+    def test_far_maximum_past_the_grid(self, monkeypatch, case):
+        # One maximum far past the last grid point (~265 at n = 8, ppu 64),
+        # so its bracket runs to an infinite query end.  Pulling that end in
+        # to 2 max(1, |other end|) (~531) left the maximum outside the
+        # bracket, and the level test read Q at the pulled end instead.
+        model = PolynomialModel(8)
+        if case == "sampled-neg":
+            # the maximum is at x = -2191.94 with Q = 2.2e22; Q reads 6.8e18
+            # at -531
+            coeff = sample_coefficients(model, 2560, 7)[1707:1708]
+            levels = [1e19, 1e20, 1e21, INF]
+        else:
+            # Q' = -(x - 5000)(x^2 + 1)^3: one maximum, at x = 5000
+            d1 = -P.polymul([-5000.0, 1.0], P.polypow([1.0, 0.0, 1.0], 3))
+            coeff = P.polyint(d1)[None]
+            value = P.polyval(5000.0, coeff[0])
+            levels = [0.5 * value, 2.0 * value, INF]
+        steps = []
+        terms = montecarlo._newton_terms
+        monkeypatch.setattr(
+            montecarlo, "_newton_terms", lambda *a: steps.append(1) or terms(*a)
+        )
+        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        truth = root_count_below(coeff, levels)
+        assert got.tolist() == truth.tolist()
+        assert truth[0, 0] == 0 and truth[0, -1] == 1
+        assert len(steps) < montecarlo._REFINE_STEPS
+
+    def test_root_bound_covers_every_root(self):
+        coeff = sample_coefficients(PolynomialModel(8), 2560, 7)
+        d1 = coeff[:, 1:] * np.arange(1, 9)
+        bound = montecarlo._root_bound(d1)
+        largest = [np.abs(P.polyroots(row)).max() for row in d1]
+        assert np.all(largest < bound)
+        # a linear row: the bound is twice its root
+        assert montecarlo._root_bound(np.array([[3.0, -0.5]])).tolist() == [12.0]
+
+
 class TestPinnedEstimates:
     # (mean, stderr) per level of estimate_many on the whole line, seed
     # 2026, recorded with the earlier refinement (50 bisection halvings per
