@@ -23,7 +23,7 @@ from .errors import (
     RiceMaximaError,
     ToleranceNotMet,
 )
-from .model import PolynomialModel, scale_model
+from .model import PolynomialModel
 from .moments import moments
 from .montecarlo import (
     MCConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "maxima_density",
     "moments",
     "sample_coefficients",
-    "scale_model",
     "split_points",
     "theorem_expansion",
     "verify_constants",

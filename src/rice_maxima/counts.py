@@ -115,10 +115,7 @@ def expected_count(
     (the value/slope/curvature covariance is then singular everywhere),
     ToleranceNotMet — with the best available estimate attached — when the
     quadrature budget is exhausted before reaching ``rel_tol``, and
-    DegenerateCovariance when refinement puts a node beyond the covariance
-    wall, near |x| ~ 1e12 / n^1.5, where the conditional covariance is
-    singular within tolerance (seen at n = 10^4 on (10^4, inf), and on the
-    whole line at n = 10^5 with rel_tol = 1e-12).
+    DegenerateCovariance if a node lands where the covariance lost rank.
     """
     if not 1e-12 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must be in [1e-12, 1e-2], got {rel_tol!r}")

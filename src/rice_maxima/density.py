@@ -31,6 +31,7 @@ one-point view.  Only the erfc bracket runs per point, with ``math.erfc``.
 from __future__ import annotations
 
 import math
+from math import erfc, exp, expm1
 
 import numpy as np
 
@@ -42,16 +43,45 @@ __all__ = ["maxima_density", "maxima_density_batch"]
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# 5-point Gauss-Legendre rule on [-1, 1]: nodes 0, +-T1, +-T2, weights W0, W1, W2
+_T1, _W1 = 0.538469310105683091036314420700208, 0.478628670499366468041291514835639
+_T2, _W2 = 0.906179845938663992797626878299393, 0.236926885056189087514264040719918
+_W0 = 0.568888888888888888888888888888889
 
 
 def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
-    """erfc(-q g) + rho exp(-q^2/2) erfc(rho q g), clipped at 0."""
+    """erfc(-q g) + rho exp(-q^2/2) erfc(rho q g), clipped at 0.
+
+    For rho < 0 and a = q / s >= -1 (s^2 = 1 - rho^2, c = -rho) the terms
+    cancel as rho -> -1, so there it is summed as 2 [Phi(a) - Phi(c a)]
+    + 2 Phi(c a) [s^2 / (1 + c) - c expm1(-q^2/2)], the difference by
+    Gauss-Legendre on a narrow interval; s = 0 (rho = -1) is the limit.
+    """
     if q == math.inf:
         return 2.0
     if q == -math.inf:
         return 0.0
-    g = 1.0 / math.sqrt(2.0 * one_minus_rho_sq)
-    bracket = math.erfc(-q * g) + rho * math.exp(-0.5 * q * q) * math.erfc(rho * q * g)
+    s = math.sqrt(one_minus_rho_sq)
+    if rho < 0.0 and (q >= -s or s == 0.0):
+        c = -rho
+        a = q / s if s else math.copysign(math.inf, q)
+        one_minus_c = one_minus_rho_sq / (1.0 + c)
+        half = 0.5 * one_minus_c * a  # half the width of (c a, a); half * a >= 0
+        two_phi_ca = erfc(-c * a * _SQRT_HALF)
+        if -0.025 <= half <= 0.025 and half * a <= 0.025:
+            mid, h1, h2 = a - half, half * _T1, half * _T2
+            pair1 = exp(-0.5 * (mid - h1) ** 2) + exp(-0.5 * (mid + h1) ** 2)
+            pair2 = exp(-0.5 * (mid - h2) ** 2) + exp(-0.5 * (mid + h2) ** 2)
+            mass = _W0 * exp(-0.5 * mid * mid) + _W1 * pair1 + _W2 * pair2
+            mass *= _SQRT_2_OVER_PI * half
+        else:
+            mass = erfc(-a * _SQRT_HALF) - two_phi_ca
+        bracket = mass + two_phi_ca * (one_minus_c - c * expm1(-0.5 * q * q))
+    else:
+        g = 1.0 / math.sqrt(2.0 * one_minus_rho_sq)
+        bracket = erfc(-q * g) + rho * exp(-0.5 * q * q) * erfc(rho * q * g)
     # the bracket is a probability-like quantity; clip rounding noise
     return 0.0 if bracket < 0.0 else bracket
 
@@ -65,21 +95,15 @@ def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:
     """
     if math.isnan(u):
         raise ValueError("u must not be NaN")
-    rows = moments(model, xs, clamp_rho=True)
+    rows = moments(model, xs)
     swb = rows.sigma_w_over_b
     if u == math.inf:
         values = swb / _TWO_PI
     elif u == -math.inf:
         values = np.zeros_like(swb)
     else:
-        brackets = [
-            _bracket(q, rho, omr)
-            for q, rho, omr in zip(
-                rows.level_ratio(u).tolist(),
-                rows.rho.tolist(),
-                rows.one_minus_rho_sq.tolist(),
-            )
-        ]
+        q, rho, omr = rows.level_ratio(u), rows.rho, rows.one_minus_rho_sq
+        brackets = list(map(_bracket, q.tolist(), rho.tolist(), omr.tolist()))
         values = swb / _FOUR_PI * np.array(brackets)
     finite = np.isfinite(values)
     if not finite.all():

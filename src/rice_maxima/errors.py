@@ -13,8 +13,9 @@ class DegenerateModel(RiceMaximaError):
 
 
 class DegenerateCovariance(RiceMaximaError):
-    """The joint covariance of (value, slope, curvature) at a point is
-    numerically singular, so the crossing intensity is undefined there."""
+    """The joint covariance of (value, slope, curvature) at a point has lost
+    rank, as at x = 0 for a model without a constant term, so the crossing
+    intensity is undefined there."""
 
     def __init__(self, x: float, detail: str = ""):
         self.x = x

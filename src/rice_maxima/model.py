@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateModel
 
-__all__ = ["PolynomialModel", "scale_model"]
+__all__ = ["PolynomialModel"]
 
 
 @dataclass(frozen=True)
@@ -94,21 +94,4 @@ class PolynomialModel:
         out[1:] = np.square(self.sigma)
         out.setflags(write=False)
         return out
-
-
-def scale_model(model: PolynomialModel, c: float) -> PolynomialModel:
-    """Multiply every increment deviation by ``c > 0``.
-
-    The paths of the scaled model are exactly ``c`` times the originals, so
-    maxima locations are unchanged and levels scale linearly — the basis of
-    the scale-covariance checks.
-    """
-    c = float(c)
-    if not (c > 0) or not np.isfinite(c):
-        raise ValueError(f"scale factor must be positive and finite, got {c!r}")
-    return PolynomialModel(
-        degree=model.degree,
-        sigma=tuple(c * s for s in model.sigma),
-        sigma0=c * model.sigma0,
-    )
 

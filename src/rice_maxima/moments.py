@@ -19,19 +19,27 @@ budget).  A row's result does not depend on the other rows of its batch.
 
 Scaling.  For |x| <= 1 every basis sum is bounded by a small polynomial in
 n, so the weighted basis vectors are formed directly.  For |x| > 1 the
-dominant factor ``x**n`` is peeled off analytically: with y = 1/x,
+powers x**n, x**(n-1) and x**(n-2) are peeled off a_k, b_k and d_k
+analytically.  What remains, sums over m <= n - k of y**m, (n-m) y**m and
+(n-m)(n-m-1) y**m with y = 1/x, shares its leading terms, so conditioning
+one sum on another would cancel every digit of 1 - rho^2 ~ y^2.  The rows
+used instead are triangular in powers of y:
 
-    a_k(x) = x**n     * sum_{m=0}^{n-k} y**m
-    b_k(x) = x**(n-1) * sum_{m=0}^{n-k} (n-m) y**m
-    d_k(x) = x**(n-2) * sum_{m=0}^{n-k} (n-m)(n-m-1) y**m
+    P' = sum m y**(m-1),    v = sum (n-m) y**m,    P'' = sum m(m-1) y**(m-2)
 
-so each moment is (bounded tilde sum) x (pure power of x), and every ratio
-is formed so the powers of x cancel analytically rather than numerically.
-The peeled powers enter only as 1/|x| (in sigma_W/B) and as n log|x| (the
-``peel`` of sigma_U, used by the level ratio u/sigma_U).  Powers below the
-smallest normal float64 are set to zero instead of computed: they cannot
-change any Gram sum, and subnormal arithmetic is an order of magnitude
-slower.
+They span the same space (a = (v + y P') / n, d = (n-1)(v - y P') + y^2 P''),
+so with W2 = |(n-1) ru - y rz|^2 for the residuals ru, rz, rzz below,
+
+    sigma_W / B = y^2 sqrt(W2 / |v|^2)      sigma_U = |y| |ru| / n * |x|**n
+    rho = (y ru.rz - (n-1) |ru|^2) / (|ru| sqrt(W2))
+    1 - rho^2 = y^2 |rzz|^2 / W2
+
+where every power of y is explicit.  Beyond |x| ~ 1e154, y^2 underflows
+to 0: sigma_W / B = 1 - rho^2 = 0 and rho = -1, the limit.  The peeled
+|x|**n of sigma_U is returned as n log|x| (the ``peel``, used by the level
+ratio u / sigma_U).  Powers below the smallest normal float64 are set to
+zero instead of computed: they cannot change any Gram sum, and subnormal
+arithmetic is an order of magnitude slower.
 
 Conditioning.  Near |x| = 1 at large degree the three weighted basis
 vectors become nearly collinear (the covariance approaches rank one), and
@@ -39,7 +47,10 @@ determinant-style differences such as A2*B2 - C^2 lose all significant
 digits.  All such differences are therefore computed by progressive
 orthogonalization: project out the Q' direction, then the conditioned Q
 direction, and read Gram determinants off as products of residual squared
-norms — sums of squares, which cancel nothing.
+norms — sums of squares, which cancel nothing.  A point is refused only
+where the covariance has lost rank, as at x = 0 without a constant term.
+(Near that x = 0 the unpeeled basis still cancels: 1 - rho^2 ~ x^2 is
+computed with a relative error of ~1e-19 / x^2.)
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ _LOG2_TINY = -1022.0
 
 class _Gram(NamedTuple):
     """Per-row Gram quantities of the weighted basis vectors u, v, z (for Q,
-    Q', Q''), with the powers of x peeled off for |x| > 1.
+    Q', Q''; for |x| > 1 the rows P', v, P'' of the peeled basis).
 
     ``sa, sb, sd`` are u.u, v.v, z.z; ``ru`` and ``rz`` are u and z with the
     v direction projected out, ``rzz`` is rz with the ru direction projected
@@ -136,31 +147,35 @@ def _powers(base: np.ndarray, horizon: np.ndarray, width: int) -> np.ndarray:
     return powers
 
 
-def _inner_basis(x: np.ndarray, horizon: np.ndarray, root_w: np.ndarray, width: int):
-    """Weighted basis rows for |x| <= 1, cut to ``width`` columns, stacked
-    as u, v, z along the first axis of a (3, rows, width) array."""
-    j = np.arange(width, dtype=float)
-    powers = _powers(x, horizon, width)
+def _terms(powers: np.ndarray) -> np.ndarray:
+    """Summands p_j, j p_(j-1) and j(j-1) p_(j-2) of powers p_j (j along
+    the last axis), stacked as a (3, rows, width) array."""
+    j = np.arange(powers.shape[1], dtype=float)
     terms = np.zeros((3,) + powers.shape)
     terms[0] = powers
     terms[1, :, 1:] = j[1:] * powers[:, :-1]
     terms[2, :, 2:] = (j[2:] * (j[2:] - 1.0)) * powers[:, :-2]
+    return terms
+
+
+def _inner_basis(x: np.ndarray, horizon: np.ndarray, root_w: np.ndarray, width: int):
+    """Weighted basis rows for |x| <= 1, cut to ``width`` columns, stacked
+    as u, v, z along the first axis of a (3, rows, width) array."""
+    terms = _terms(_powers(x, horizon, width))
     # reversed cumulative sums: entry k holds the sum over j >= k
     return root_w[:width] * np.cumsum(terms[..., ::-1], axis=2)[..., ::-1]
 
 
 def _outer_basis(n: int, y: np.ndarray, horizon: np.ndarray, root_w: np.ndarray):
-    """Weighted tilde basis rows for |x| > 1 (x**n, x**(n-1), x**(n-2)
-    peeled off), from y = 1/x, stacked like ``_inner_basis``."""
-    width = int(min(n, horizon.max())) + 1
-    m_idx = np.arange(width, dtype=float)
-    ym = _powers(y, horizon, width)
-    # sum_{m<=i} y^m, m y^m and m^2 y^m
-    partial = np.cumsum(np.stack([ym, m_idx * ym, m_idx * m_idx * ym]), axis=2)
-    ta, tsb, tsm2 = _by_increment(partial, n)
-    tb = n * ta - tsb
-    td = n * (n - 1.0) * ta - (2.0 * n - 1.0) * tsb + tsm2
-    return root_w * np.stack([ta, tb, td])
+    """Weighted basis rows P', v, P'' for |x| > 1 from y = 1/x, stacked
+    like ``_inner_basis``."""
+    width = int(min(n, horizon.max() + 2.0)) + 1
+    terms = _terms(_powers(y, horizon, width))
+    terms[[0, 1]] = terms[1], (n - np.arange(width, dtype=float)) * terms[0]
+    np.cumsum(terms, axis=2, out=terms)
+    out = _by_increment(terms, n)
+    out *= root_w  # in place: one more (3, rows, n+1) array costs page faults
+    return out
 
 
 def _by_increment(partial: np.ndarray, n: int) -> np.ndarray:
@@ -222,20 +237,16 @@ def _gram(model: PolynomialModel, xs: np.ndarray) -> _Gram:
     return _Gram(*out)
 
 
-def _check(xs: np.ndarray, g: _Gram, clamp_rho: bool) -> None:
+def _check(xs: np.ndarray, g: _Gram) -> None:
     """Raise DegenerateCovariance at the first row whose covariance is
     singular within tolerance."""
     tol2 = _RESIDUAL_RTOL**2
-    columns = (g.sa, g.sb, g.sd, g.nu2, g.nz2, g.rzz2)
-    for x, sa, sb, sd, nu2, nz2, rzz2 in zip(
-        xs.tolist(), *(c.tolist() for c in columns)
-    ):
+    columns = (g.sa, g.sb, g.sd, g.nu2, g.nz2)
+    for x, sa, sb, sd, nu2, nz2 in zip(xs.tolist(), *(c.tolist() for c in columns)):
         if sa <= 0.0 or sb <= 0.0 or sd <= 0.0:
             raise DegenerateCovariance(x, "a component of (Q, Q', Q'') is deterministic")
         if nu2 <= tol2 * sa or nz2 <= tol2 * sd:
             raise DegenerateCovariance(x, "conditional variance below tolerance")
-        if rzz2 <= tol2 * nz2 and not clamp_rho:
-            raise DegenerateCovariance(x, "conditional correlation within tolerance of 1")
 
 
 def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRows:
@@ -245,16 +256,13 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
     Raises DegenerateModel when fewer than three increments carry noise (the
     covariance of (Q, Q', Q'') is then singular everywhere), ValueError for
     a non-finite point, and DegenerateCovariance, carrying the first failing
-    point, when a covariance is singular within tolerance at a point, such
-    as x = 0 for a model with no constant term.
+    point, when the covariance at a point has lost rank within tolerance:
+    at x = 0 for a model with no constant term, and there also at
+    0 < |x| < ~1e-12, where the unpeeled basis cancels.  Every point with
+    |x| > 1 evaluates, out to |x| ~ 1e308, where rho = -1 and 1 - rho^2 = 0.
 
-    With ``clamp_rho=True`` a conditional correlation that is within
-    float64 resolution of +-1 is clamped to the resolvable boundary instead
-    of raising.  This happens far out in the tails (|x| very large), where
-    the three basis directions genuinely collapse towards one another while
-    every density-relevant quantity keeps a finite limit; the clamp lets the
-    density be evaluated continuously there.  Rank-type degeneracies still
-    raise regardless of the flag.
+    ``clamp_rho`` is ignored: it is kept so that existing callers still
+    work, but no correlation needs clamping.
     """
     model.require_rank_for_density()
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -263,17 +271,21 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
     g = _gram(model, xs)
-    _check(xs, g, clamp_rho)
-    if clamp_rho:
-        np.maximum(g.rzz2, _RESIDUAL_RTOL**2 * g.nz2, out=g.rzz2)
-    abs_x = np.abs(xs)
-    outer = abs_x > 1.0
-    # sigma_W/B carries x**(n-2) / x**(n-1) = 1/x on the peeled side
+    _check(xs, g)
     swb = np.sqrt(g.nz2 / g.sb)
-    swb[outer] /= abs_x[outer]
     rho = g.cr / np.sqrt(g.nu2 * g.nz2)
-    # |rho| >= 1 is only reachable through rounding of cr
-    rho = np.where(np.abs(rho) >= 1.0, np.copysign(1.0 - 1e-15, rho), rho)
+    omr = g.rzz2 / g.nz2
+    sigma_u = np.sqrt(g.nu2)
     peel = np.zeros_like(xs)
-    peel[outer] = model.degree * np.log(abs_x[outer])
-    return MomentRows(xs, swb, rho, g.rzz2 / g.nz2, np.sqrt(g.nu2), peel)
+    outer = np.abs(xs) > 1.0
+    if outer.any():
+        # the peeled read-out of the module docstring, W2 = |(n-1) ru - y rz|^2
+        n, y = model.degree, 1.0 / xs[outer]
+        nu2, nz2, cr = g.nu2[outer], g.nz2[outer], g.cr[outer]
+        w2 = (n - 1.0) ** 2 * nu2 - 2.0 * (n - 1.0) * y * cr + y * y * nz2
+        swb[outer] = y * y * np.sqrt(w2 / g.sb[outer])
+        rho[outer] = (y * cr - (n - 1.0) * nu2) / np.sqrt(nu2 * w2)
+        omr[outer] = y * y * g.rzz2[outer] / w2
+        sigma_u[outer] = np.abs(y) * np.sqrt(nu2) / n
+        peel[outer] = n * np.log(np.abs(xs[outer]))
+    return MomentRows(xs, swb, rho, omr, sigma_u, peel)

@@ -9,15 +9,19 @@ arbitrary-precision or exact rational arithmetic on the rational tables.
 Agreement with the engine is then evidence, not tautology.  The
 exceptions: ``density_split``, a two-term rearrangement of the density's
 closed form kept to compare the two conditional-variance conventions (its
-inputs come from ``brute_force_covariance``), and
+inputs come from ``brute_force_covariance``), ``density_mp``, the closed
+form itself in mpmath on the inputs of ``moments_mp`` (exact-integer direct
+sums), ``scale_model``, a model transform the invariance checks use, and
 ``bracket_names``/``bracket_value``, which expose the engine's brackets to
 be checked against the oracles here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -122,25 +126,126 @@ def quadratic_form(model: PolynomialModel, x: float) -> tuple[float, ...]:
     return inv[1, 1] / 2.0, inv[0, 0] / 2.0, inv[0, 1] / 2.0, det
 
 
-def log_sigma_u_mp(model: PolynomialModel, x: float, dps: int = 40):
-    """ln sigma_U at ``x`` in ``dps``-digit arithmetic, from the covariance
-    of (Q, Q') summed over the increments, with the basis sums a_k and b_k
-    accumulated from k = n down (O(n) terms, so n = 10^4 takes ~0.5 s)."""
-    n = model.degree
-    weights = [model.sigma0**2] + [s * s for s in model.sigma]
+class MomentsMp(NamedTuple):
+    """The density inputs at one point in mpmath numbers: sigma_W / B, rho,
+    1 - rho^2 and ln sigma_U."""
+
+    sigma_w_over_b: mpmath.mpf
+    rho: mpmath.mpf
+    one_minus_rho_sq: mpmath.mpf
+    log_sigma_u: mpmath.mpf
+
+
+def moments_mp(model: PolynomialModel, x: float, dps: int = 50) -> MomentsMp:
+    """The density inputs at ``x`` from the covariance of (Q, Q', Q'')
+    summed directly over the increments (see ``_conditioned_sums``), with
+    only the final ratios rounded, to ``dps`` digits."""
+    nu, nz, cr, det, sbb, log2_scale = _conditioned_sums(model, x)
     with mpmath.workdps(dps):
-        xx = mpmath.mpf(x)
-        a = b = saa = sab = sbb = mpmath.mpf(0)
-        for k in range(n, -1, -1):
-            a += xx**k
-            if k > 0:
-                b += k * xx ** (k - 1)
-            if weights[k]:
-                w = mpmath.mpf(weights[k])
-                saa += w * a * a
-                sab += w * a * b
-                sbb += w * b * b
-        return mpmath.log(saa - sab * sab / sbb) / 2
+        xx = abs(mpmath.mpf(x))
+        nu, nz = mpmath.mpf(nu), mpmath.mpf(nz)
+        swb = mpmath.sqrt(nz) / sbb / (xx if abs(x) > 1.0 else 1)
+        log_sigma_u = (mpmath.log(nu / sbb) - log2_scale * mpmath.log(2)) / 2
+        if abs(x) > 1.0:
+            log_sigma_u += model.degree * mpmath.log(xx)
+        return MomentsMp(swb, cr / mpmath.sqrt(nu * nz), det / (nu * nz), log_sigma_u)
+
+
+@functools.lru_cache(maxsize=None)
+def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
+    """Exact integers (nu, nz, cr, det, sbb, log2_scale) at ``x``: with
+    Gram sums s.. of the basis vectors a, b, d of (Q, Q', Q''), nu = saa sbb
+    - sab^2, nz = sdd sbb - sbd^2, cr = sad sbb - sab sbd (sbb times the
+    residual Gram entries after projecting out Q') and det = nu nz - cr^2;
+    nu / sbb is sigma_U^2 (over x^(2n) for |x| > 1) times 2^log2_scale.
+
+    The basis sums are accumulated from k = n down in binary fixed point,
+    for |x| > 1 as the exact quotients a_k / x^n, b_k / x^(n-1) and
+    d_k / x^(n-2), which are sums of powers of 1/x.  They carry enough bits
+    that rounding them cannot reach the outputs; weights, Gram sums and
+    determinants are then exact.  O(n) integer operations: n = 10^5 takes
+    ~0.5 s, so results are cached.
+    """
+    n = model.degree
+    variances = [model.sigma0**2] + [s * s for s in model.sigma]
+    ratios = [w.as_integer_ratio() for w in variances]
+    shift = max(den.bit_length() for _, den in ratios)
+    weights = [num << (shift - den.bit_length()) for num, den in ratios]
+    peeled = abs(x) > 1.0
+    num, den = x.as_integer_ratio()
+    if peeled:
+        num, den = den, num
+    # more bits the farther out: the determinants cancel ~ x^-6 of saa sbb^2 sdd
+    bits = 256 + 8 * max(0, math.frexp(x)[1])
+    base = (num << bits) // den
+    powers = [1 << bits]
+    for _ in range(n):
+        powers.append((powers[-1] * base) >> bits)
+    a = b = d = 0
+    saa = sab = sad = sbb = sbd = sdd = 0
+    for k in range(n, -1, -1):
+        if peeled:
+            power = powers[n - k]
+            a, b, d = a + power, b + k * power, d + k * (k - 1) * power
+        else:
+            a += powers[k]
+            b += k * powers[k - 1] if k >= 1 else 0
+            d += k * (k - 1) * powers[k - 2] if k >= 2 else 0
+        w = weights[k]
+        if w:
+            wa, wb = w * a, w * b
+            saa, sab, sad = saa + wa * a, sab + wa * b, sad + wa * d
+            sbb, sbd, sdd = sbb + wb * b, sbd + wb * d, sdd + w * d * d
+    nu = saa * sbb - sab * sab
+    nz = sdd * sbb - sbd * sbd
+    cr = sad * sbb - sab * sbd
+    return nu, nz, cr, nu * nz - cr * cr, sbb, 2 * bits + shift - 1
+
+
+def density_mp(model: PolynomialModel, x: float, u: float):
+    """The closed-form density at ``x`` in mpmath, from ``moments_mp``:
+    (sigma_W / B) / (4 pi) [erfc(-q g) + rho e^(-q^2/2) erfc(rho q g)] with
+    q = u / sigma_U and g = 1 / sqrt(2 (1 - rho^2)).  The two terms cancel
+    to ~1 - rho^2 as rho -> -1, so the working precision grows with it."""
+    dps = max(50, 30 + int(-mpmath.log10(moments_mp(model, x).one_minus_rho_sq)))
+    m = moments_mp(model, x, dps)
+    with mpmath.workdps(dps):
+        if u == math.inf:
+            return m.sigma_w_over_b / (2 * mpmath.pi)
+        q = u * mpmath.exp(-m.log_sigma_u)
+        g = 1 / mpmath.sqrt(2 * m.one_minus_rho_sq)
+        bracket = mpmath.erfc(-q * g) + m.rho * mpmath.exp(-q * q / 2) * mpmath.erfc(
+            m.rho * q * g
+        )
+        return m.sigma_w_over_b / (4 * mpmath.pi) * bracket
+
+
+def tail_count_mp(model: PolynomialModel, lo: float, u: float):
+    """Expected count on (lo, inf), lo > 1, as mpmath.quad of ``density_mp``
+    in s = 1/x over (0, 1/lo), where the integrand is smooth."""
+    with mpmath.workdps(20):
+        return mpmath.quad(
+            lambda s: density_mp(model, float(1 / s), u) / (s * s),
+            [0, 1 / mpmath.mpf(lo)],
+            method="gauss-legendre",
+        )
+
+
+def scale_model(model: PolynomialModel, c: float) -> PolynomialModel:
+    """Multiply every increment deviation by ``c > 0``.
+
+    The paths of the scaled model are exactly ``c`` times the originals, so
+    maxima locations are unchanged and levels scale linearly — the basis of
+    the scale-covariance checks.
+    """
+    c = float(c)
+    if not (c > 0) or not np.isfinite(c):
+        raise ValueError(f"scale factor must be positive and finite, got {c!r}")
+    return PolynomialModel(
+        degree=model.degree,
+        sigma=tuple(c * s for s in model.sigma),
+        sigma0=c * model.sigma0,
+    )
 
 
 def oracle_density(

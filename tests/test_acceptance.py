@@ -29,13 +29,12 @@ from rice_maxima import (
     estimate_many,
     maxima_density,
     moments,
-    scale_model,
     theorem_expansion,
 )
 from rice_maxima.counts import CountQuery, expected_count
 from rice_maxima.expansion import h_integral, kernel_pieces
 from rice_maxima.reference import INTEGRAL_REFERENCES
-from oracles import conditional_moments, oracle_density
+from oracles import conditional_moments, oracle_density, scale_model
 
 INF = math.inf
 

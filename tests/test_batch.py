@@ -16,7 +16,7 @@ from rice_maxima import (
 from rice_maxima.density import maxima_density_batch
 from rice_maxima.moments import _CHUNK_ELEMENTS
 from rice_maxima.quadrature import KRONROD_NODES
-from oracles import log_sigma_u_mp
+from oracles import moments_mp
 
 INF = math.inf
 DEGREES = (3, 10, 100, 1000, 10_000)
@@ -90,9 +90,9 @@ def test_batch_split_into_chunks(n):
 def test_moments_view_is_bit_equal_to_the_batch(n):
     model = PolynomialModel(n)
     xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0)])
-    rows = moments(model, xs, clamp_rho=True)
+    rows = moments(model, xs)
     for i, x in enumerate(xs.tolist()):
-        one = moments(model, x, clamp_rho=True)
+        one = moments(model, x)
         for name, column in one._asdict().items():
             assert column.tolist() == [getattr(rows, name)[i]], name
 
@@ -102,8 +102,8 @@ def test_level_ratio_matches_scaled_arithmetic(n, x):
     # At n = 10^4 and x = 1.3, sigma_U ~ 1e1139 overflows float64; the rows
     # carry it as ln(sigma_u_tilde) + n ln|x|, the oracle in mpmath.
     model = PolynomialModel(n)
-    rows = moments(model, x, clamp_rho=True)
-    log_sigma_u = log_sigma_u_mp(model, x)
+    rows = moments(model, x)
+    log_sigma_u = moments_mp(model, x).log_sigma_u
     got = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
     assert got == pytest.approx(float(log_sigma_u), rel=1e-14, abs=1e-12)
     for u in (-3.0, 0.5, 1e300):
@@ -114,21 +114,16 @@ def test_level_ratio_matches_scaled_arithmetic(n, x):
 
 class TestFailures:
     def test_failing_batch_names_a_failing_node(self):
-        # A model without constant term is degenerate at x = 0 only.
-        xs = np.array([0.3, -0.2, 0.0, 0.5, 2.0])
+        # A model without constant term is degenerate at x = 0 only: far
+        # points evaluate, and the error names the first x = 0 in batch order
+        # (-0.0 here, told apart from 0.0 by its sign).
+        xs = np.array([0.3, 3e12, -0.0, 0.5, 0.0, 1e300])
         with pytest.raises(DegenerateCovariance, match="deterministic") as info:
             maxima_density_batch(PolynomialModel(5), xs, 1.0)
         assert info.value.x == 0.0
-
-    def test_first_failing_node_in_batch_order(self):
-        # Far out in the tail the conditional variance collapses (the clamp
-        # does not cover it); 1e12 and 3e12 both fail, 2 and 5 do not.
-        xs = np.array([2.0, 3e12, 5.0, 1e12])
-        with pytest.raises(DegenerateCovariance, match="conditional variance") as info:
-            maxima_density_batch(PolynomialModel(3), xs, INF)
-        assert info.value.x == 3e12
-        with pytest.raises(DegenerateCovariance):
-            maxima_density(PolynomialModel(3), info.value.x, INF)
+        assert math.copysign(1.0, info.value.x) == -1.0
+        values = maxima_density_batch(PolynomialModel(5), xs[xs != 0.0], 1.0)
+        assert np.isfinite(values).all() and (values >= 0.0).all()
 
     def test_non_finite_node_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -7,18 +7,16 @@ import pytest
 
 from rice_maxima import (
     CountQuery,
-    DegenerateCovariance,
     DegenerateModel,
     PolynomialModel,
     ToleranceNotMet,
     counts,
     expected_count,
-    scale_model,
     split_points,
 )
 from rice_maxima.density import maxima_density_batch
 from rice_maxima.quadrature import integrate_adaptive
-from oracles import cubic_em_mc
+from oracles import cubic_em_mc, scale_model, tail_count_mp
 
 INF = math.inf
 
@@ -183,16 +181,33 @@ class TestKnownDefects:
         loose = expected_count(model, query, rel_tol=1e-8)
         assert tight.value == pytest.approx(loose.value, rel=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DegenerateCovariance,
-        reason="known defect: refinement of the tail reaches the covariance wall "
-        "near |x| ~ 1e12/n^1.5 (ROADMAP direction 3)",
-    )
     def test_tail_beyond_the_covariance_wall_converges(self):
-        # Measured: raises DegenerateCovariance at x = 2340651.69.
-        result = expected_count(PolynomialModel(10_000), CountQuery(1e4, INF, 1.0))
-        assert math.isfinite(result.value) and result.value >= 0.0
+        # Refinement reaches |x| ~ 2.3e6, past 1e12 / n^1.5, where a peeled
+        # basis with shared leading terms cancels; the count is ~5.3e-24.
+        model = PolynomialModel(10_000)
+        result = expected_count(model, CountQuery(1e4, INF, 1.0))
+        expected = float(tail_count_mp(model, 1e4, 1.0))
+        assert result.value == pytest.approx(expected, rel=1e-9)
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, INF])
+    def test_tail_matches_mpmath_quadrature(self, u):
+        # The compact coordinate s = 2 - 1/x resolves x near 1e6 only to
+        # ~1e-10 relative, which bounds the agreement.
+        model = PolynomialModel(10)
+        result = expected_count(model, CountQuery(1e6, INF, u))
+        expected = float(tail_count_mp(model, 1e6, u))
+        assert result.value == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n,lo", [(10, 1e6), (10_000, 1e4)])
+    def test_all_maxima_beyond_lo_follow_the_tail_law(self, n, lo):
+        # sigma_W / B -> c_n / x^2 with c_n = (n-1)^(3/2) / n^2 for the unit
+        # model, so the count of all maxima on (lo, inf) tends to
+        # c_n / (2 pi lo): 4.2972e-8 and 1.59131e-7 here.
+        result = expected_count(PolynomialModel(n), CountQuery(lo, INF, INF))
+        c_n = (n - 1) ** 1.5 / n**2
+        assert result.value == pytest.approx(c_n / (2.0 * math.pi * lo), rel=1e-6)
 
 
 class TestOneCallPerRound:

@@ -12,9 +12,8 @@ from rice_maxima import (
     PolynomialModel,
     maxima_density,
     moments,
-    scale_model,
 )
-from oracles import density_split, oracle_density
+from oracles import density_mp, density_split, oracle_density, scale_model
 
 nonzero_x = st.one_of(
     st.floats(min_value=0.05, max_value=3.0),
@@ -36,6 +35,19 @@ SPOT_CELLS = [
     (8, 0.3, 2.0),
 ]
 
+# Far-tail points, where rho is within 1e-14 to 1e-44 of -1 and the two terms
+# of the bracket cancel to ~1 - rho^2.
+FAR_TAIL = [
+    (3, 1e9),
+    (3, 1e12),
+    (10, 1e6),
+    (10, 1e13),
+    (10, -1e13),
+    (100, 1e20),
+    (1000, -1e7),
+    (10_000, 1e7),
+]
+
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("n,x,u", SPOT_CELLS)
@@ -50,7 +62,7 @@ class TestLimits:
     def test_level_infinity_counts_all_maxima(self, n, x):
         model = PolynomialModel(n)
         got = maxima_density(model, x, math.inf)
-        swb = moments(model, x, clamp_rho=True).sigma_w_over_b[0]
+        swb = moments(model, x).sigma_w_over_b[0]
         assert got == swb / (2.0 * math.pi)
         # A level far above every reachable value is the same thing.
         assert maxima_density(model, x, 40.0) == pytest.approx(got, rel=1e-12)
@@ -101,10 +113,26 @@ class TestInvariances:
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_far_tail_evaluates_continuously(self):
-        # clamp_rho engages here; the density still has its finite limit.
+        # 1 - rho^2 ~ 7.5e-19 here.
         value = maxima_density(PolynomialModel(3), 1e9, math.inf)
-        assert value >= 0.0
-        assert math.isfinite(value)
+        expected = float(density_mp(PolynomialModel(3), 1e9, math.inf))
+        assert value == pytest.approx(expected, rel=1e-13)
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("n,x", FAR_TAIL)
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, math.inf])
+    def test_matches_closed_form_in_mpmath(self, n, x, u):
+        expected = float(density_mp(PolynomialModel(n), x, u))
+        got = maxima_density(PolynomialModel(n), x, u)
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 1.7e308])
+    @pytest.mark.parametrize("u", [-1.0, 0.0, 1.0, math.inf])
+    def test_huge_points_are_finite(self, x, u):
+        # 1/x^2 underflows: sigma_W / B, 1 - rho^2 and the density (~1/x^2
+        # and smaller) are all 0 in float64.
+        assert maxima_density(PolynomialModel(10), x, u) == 0.0
 
 
 class TestSplitDiagnostic:
@@ -147,15 +175,10 @@ class TestDegeneracies:
         value = maxima_density(PolynomialModel(5, sigma0=1.0), 0.0, 1.0)
         assert value > 0.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=DegenerateCovariance,
-        reason="known defect: the moments degenerate near |x| ~ 1e12/n^1.5, where "
-        "the residual after projecting out Q' falls below its tolerance "
-        "(ROADMAP direction 4)",
-    )
     @pytest.mark.parametrize("n,x", [(10, 1e13), (10_000, 1e7), (100_000, 1e5)])
     def test_density_beyond_the_covariance_wall(self, n, x):
-        # Measured: each of these raises DegenerateCovariance.
+        # Past |x| ~ 1e12 / n^1.5 a peeled basis with shared leading terms
+        # cancels every digit of 1 - rho^2; the covariance itself is regular.
         value = maxima_density(PolynomialModel(n), x, 1.0)
-        assert math.isfinite(value) and value >= 0.0
+        expected = float(density_mp(PolynomialModel(n), x, 1.0))
+        assert value == pytest.approx(expected, rel=1e-12)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rice_maxima import DegenerateModel, PolynomialModel, scale_model
+from rice_maxima import DegenerateModel, PolynomialModel
+from oracles import scale_model
 
 
 class TestConstruction:

@@ -7,24 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rice_maxima import (
-    DegenerateCovariance,
-    DegenerateModel,
-    PolynomialModel,
-    moments,
-    scale_model,
-)
+from rice_maxima import DegenerateCovariance, DegenerateModel, PolynomialModel, moments
 from oracles import (
     brute_force_covariance,
     conditional_moments,
     conditional_pair_cov,
-    log_sigma_u_mp,
+    moments_mp,
     quadratic_form,
+    scale_model,
 )
 
 DEGREES = (3, 5, 8, 12)
 POINTS = (0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.1, -1.1, 2.0, -3.0)
 FIELDS = ("sigma_w_over_b", "rho", "one_minus_rho_sq", "sigma_u_tilde", "peel")
+
+# The peeled side from just past |x| = 1 out beyond |x| ~ 1e12 / n^1.5,
+# where a peeled basis with shared leading terms cancels, at three degrees
+# and both signs.
+DIRECT_SUM_POINTS = [
+    (n, sign * x)
+    for n in (10, 1000, 10_000)
+    for x in (1.0 + 1.0 / n, 1.01, 2.0, 50.0, 1e3, 1e7, 1e13)
+    for sign in (1.0, -1.0)
+] + [(100_000, 1e5), (3, 1e9), (3, 1e12)]
 
 nonzero_x = st.one_of(
     st.floats(min_value=0.05, max_value=3.0),
@@ -138,7 +143,35 @@ class TestInternalIdentities:
         for name in FIELDS:
             assert np.isfinite(getattr(rows, name)).all(), name
         log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
-        assert log_sigma_u == pytest.approx(float(log_sigma_u_mp(model, 3.0)), rel=1e-14)
+        expected = float(moments_mp(model, 3.0).log_sigma_u)
+        assert log_sigma_u == pytest.approx(expected, rel=1e-14)
+
+
+class TestAgainstDirectSums:
+    @pytest.mark.parametrize("n,x", DIRECT_SUM_POINTS)
+    def test_matches_to_1e12(self, n, x):
+        # The oracle conditions exact integer Gram sums; 1 - rho^2 falls to
+        # 4e-34 at (10^4, 1e13) and is still resolved to 1e-12.
+        model = PolynomialModel(n)
+        rows = moments(model, x)
+        ref = moments_mp(model, x)
+        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq"):
+            got = getattr(rows, name)[0]
+            assert got == pytest.approx(float(getattr(ref, name)), rel=1e-12), name
+        log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
+        assert log_sigma_u == pytest.approx(float(ref.log_sigma_u), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", (3, 10, 10_000))
+    def test_huge_points_evaluate(self, n):
+        # Past |x| ~ 1e154, y^2 = 1/x^2 underflows: rho = -1 and
+        # 1 - rho^2 = 0 in float64, and nothing raises.
+        xs = np.array([1e154, -1e200, 1e300, -1e300, 1.7e308])
+        rows = moments(PolynomialModel(n), xs)
+        for name in FIELDS:
+            assert np.isfinite(getattr(rows, name)).all(), name
+        assert (rows.sigma_u_tilde > 0.0).all()
+        assert (rows.one_minus_rho_sq[1:] == 0.0).all()
+        assert rows.rho[1:] == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestDegeneracies:
@@ -158,16 +191,3 @@ class TestDegeneracies:
             moments(PolynomialModel(5), math.inf)
         with pytest.raises(ValueError):
             moments(PolynomialModel(5), math.nan)
-
-    def test_clamp_rho_far_tail(self):
-        # Far out in the tail the conditional correlation reaches -1 within
-        # float64 resolution: the default raises, the clamp evaluates.
-        with pytest.raises(DegenerateCovariance, match="conditional correlation"):
-            moments(PolynomialModel(3), 1e9)
-        rows = moments(PolynomialModel(3), 1e9, clamp_rho=True)
-        assert abs(rows.rho[0]) < 1.0
-        assert 0.0 <= rows.one_minus_rho_sq[0] < 1e-20
-
-    def test_clamp_does_not_mask_rank_collapse(self):
-        with pytest.raises(DegenerateCovariance, match="conditional variance"):
-            moments(PolynomialModel(3), 1e12, clamp_rho=True)
