@@ -115,15 +115,24 @@ def test_level_ratio_matches_scaled_arithmetic(n, x):
 class TestFailures:
     def test_failing_batch_names_a_failing_node(self):
         # A model without constant term is degenerate at x = 0 only: far
-        # points evaluate, and the error names the first x = 0 in batch order
-        # (-0.0 here, told apart from 0.0 by its sign).
-        xs = np.array([0.3, 3e12, -0.0, 0.5, 0.0, 1e300])
+        # points evaluate, and the error names x = 0.
+        xs = np.array([0.3, 3e12, 0.0, 0.5, 1e300])
         with pytest.raises(DegenerateCovariance, match="deterministic") as info:
             maxima_density_batch(PolynomialModel(5), xs, 1.0)
         assert info.value.x == 0.0
-        assert math.copysign(1.0, info.value.x) == -1.0
         values = maxima_density_batch(PolynomialModel(5), xs[xs != 0.0], 1.0)
         assert np.isfinite(values).all() and (values >= 0.0).all()
+
+    def test_first_failing_node_in_batch_order(self):
+        # Both -0.0 and 0.0 fail; the error names the first in batch order,
+        # told apart by its sign, and the scalar path fails there too.
+        xs = np.array([2.0, 3e12, -0.0, 5.0, 0.0, 1e12])
+        with pytest.raises(DegenerateCovariance, match="deterministic") as info:
+            maxima_density_batch(PolynomialModel(3), xs, INF)
+        assert info.value.x == 0.0
+        assert math.copysign(1.0, info.value.x) == -1.0
+        with pytest.raises(DegenerateCovariance):
+            maxima_density(PolynomialModel(3), info.value.x, INF)
 
     def test_non_finite_node_rejected(self):
         with pytest.raises(ValueError, match="finite"):
