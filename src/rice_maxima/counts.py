@@ -34,6 +34,12 @@ of a bisection), which go to ``maxima_density_batch`` in one call, so the
 moments of a round come from one ``moments`` call (in row chunks that bound
 its memory).  A point's density does not depend on the other points of the
 call, so the grouping does not change the result.
+
+Counts on one model at several levels, or on nested intervals, share their
+initial panels and so their nodes: the edges depend only on n and the
+query ends, and the moments rows do not depend on u.  The model keeps the
+rows it has computed (``moments``, Reuse), so such counts compute each
+shared node once, with results bit-identical to counts on a fresh model.
 """
 
 from __future__ import annotations

@@ -95,3 +95,9 @@ class PolynomialModel:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def _moments_memo(self) -> dict:
+        """Rows of ``moments`` already computed on this model, keyed by the
+        float x (filled and bounded by ``moments``)."""
+        return {}
+

@@ -17,6 +17,19 @@ chunks of at most ``_CHUNK_ELEMENTS`` array elements, so the temporaries
 stay small at any degree (one row per chunk once n + 1 exceeds that
 budget).  A row's result does not depend on the other rows of its batch.
 
+Reuse.  The rows do not depend on the level u (it enters the density only
+through q = u / sigma_U), so counts on one model at several levels, or on
+nested intervals, evaluate the same points again.  Each model therefore
+keeps a memo of the rows it has computed, keyed by the float x (0.0 and
+-0.0 share a row, which is the same for both).  ``moments`` looks every
+point up first and computes only the misses, as one batch in batch order;
+because a row does not depend on its batch, a hit is bit-identical to
+recomputing.  A missed row is stored only after its batch has passed the
+rank check, so a failing batch stores nothing and fails again the same way
+on a repeat call.  The memo holds at most ``_MEMO_ROWS`` rows; past that,
+rows are computed and not stored.  Threads sharing a model may compute a
+row twice or pass the cap by a row each, but never store a wrong row.
+
 Scaling.  For |x| <= 1 every basis sum is bounded by a small polynomial in
 n, so the weighted basis vectors are formed directly.  For |x| > 1 the
 powers x**n, x**(n-1) and x**(n-2) are peeled off a_k, b_k and d_k
@@ -73,6 +86,8 @@ _RESIDUAL_RTOL = 1e-12
 _CHUNK_ELEMENTS = 1 << 14
 # log2 of the smallest normal float64: powers below it are taken as zero.
 _LOG2_TINY = -1022.0
+# Rows one model's memo keeps; past this, rows are computed and not stored.
+_MEMO_ROWS = 1 << 15
 
 
 class _Gram(NamedTuple):
@@ -260,6 +275,8 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
     at x = 0 for a model with no constant term, and there also at
     0 < |x| < ~1e-12, where the unpeeled basis cancels.  Every point with
     |x| > 1 evaluates, out to |x| ~ 1e308, where rho = -1 and 1 - rho^2 = 0.
+    Rows already computed on ``model`` are read from its memo (module
+    docstring, Reuse).
 
     ``clamp_rho`` is ignored: it is kept so that existing callers still
     work, but no correlation needs clamping.
@@ -270,6 +287,23 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
         raise ValueError(f"x must be a float or a 1-D array, got shape {xs.shape}")
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
+    memo = model._moments_memo
+    keys = xs.tolist()
+    rows = [memo.get(x) for x in keys]
+    missed = [i for i, row in enumerate(rows) if row is None]
+    if missed:
+        fresh = _fresh_rows(model, xs[missed])
+        for i, row in zip(missed, zip(*(column.tolist() for column in fresh))):
+            rows[i] = row
+            if len(memo) < _MEMO_ROWS:
+                memo[keys[i]] = row
+    table = np.array(rows, dtype=float).reshape(len(keys), 5)  # a row per point
+    return MomentRows(xs, *table.T.copy())
+
+
+def _fresh_rows(model: PolynomialModel, xs: np.ndarray) -> tuple:
+    """The five ``MomentRows`` columns after ``x``, computed at the finite
+    points ``xs`` and checked like ``moments``."""
     g = _gram(model, xs)
     _check(xs, g)
     swb = np.sqrt(g.nz2 / g.sb)
@@ -288,4 +322,4 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
         omr[outer] = y * y * g.rzz2[outer] / w2
         sigma_u[outer] = np.abs(y) * np.sqrt(nu2) / n
         peel[outer] = n * np.log(np.abs(xs[outer]))
-    return MomentRows(xs, swb, rho, omr, sigma_u, peel)
+    return swb, rho, omr, sigma_u, peel

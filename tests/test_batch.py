@@ -1,6 +1,7 @@
 """The batched moments/density kernel against its one-point views."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -61,7 +62,9 @@ def assert_matches_scalar(model, xs, u):
     batch = maxima_density_batch(model, xs, u)
     assert batch.shape == xs.shape
     for x, value in zip(xs.tolist(), batch.tolist()):
-        assert value == pytest.approx(maxima_density(model, x, u), rel=1e-15, abs=0.0)
+        # a fresh model, so the point is computed and not read from the memo
+        alone = maxima_density(replace(model), x, u)
+        assert value == pytest.approx(alone, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -92,7 +95,7 @@ def test_moments_view_is_bit_equal_to_the_batch(n):
     xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0)])
     rows = moments(model, xs)
     for i, x in enumerate(xs.tolist()):
-        one = moments(model, x)
+        one = moments(PolynomialModel(n), x)
         for name, column in one._asdict().items():
             assert column.tolist() == [getattr(rows, name)[i]], name
 
