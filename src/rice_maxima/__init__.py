@@ -8,8 +8,8 @@ Three mutually checking evaluation paths:
 - monte-carlo: direct simulation of sampled polynomials.
 
 The expansion tier (``expansion``, ``reference`` and, through them, the
-kernel tables of ``kernels``) is imported on first use of one of its names,
-so the exact and Monte Carlo paths do not pay for building its series.
+kernel tables of ``kernels``) and ``ScaledValue`` are imported on first use
+of one of their names, so the exact and Monte Carlo paths import neither.
 """
 
 import importlib
@@ -29,11 +29,9 @@ from .montecarlo import (
     MCConfig,
     MCEstimate,
     count_maxima_below,
-    estimate_em,
     estimate_many,
     sample_coefficients,
 )
-from .scaled import ScaledValue
 
 __version__ = "0.1.0"
 
@@ -43,10 +41,10 @@ _LAZY = {
     "FAMILY_INTERVALS": "expansion",
     "ExpansionResult": "expansion",
     "h_integral": "expansion",
-    "kernel_pieces": "expansion",
     "theorem_expansion": "expansion",
     "VerifyRow": "reference",
     "verify_constants": "reference",
+    "ScaledValue": "scaled",
 }
 
 
@@ -79,11 +77,9 @@ __all__ = [
     "VerifyRow",
     "__version__",
     "count_maxima_below",
-    "estimate_em",
     "estimate_many",
     "expected_count",
     "h_integral",
-    "kernel_pieces",
     "maxima_density",
     "moments",
     "sample_coefficients",

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .expansion import FAMILY_BOUNDS, FAMILY_INTERVALS, theorem_expansion
 from .model import PolynomialModel
-from .montecarlo import MCConfig, estimate_em, estimate_many
+from .montecarlo import MCConfig, estimate_many
 from .reference import verify_constants
 
 __all__ = ["build_parser", "main"]
@@ -242,27 +242,27 @@ def _cmd_asymptotic(args, model):
     if not _is_unit(model):
         raise DegenerateModel("the expansion covers only unit increment deviations")
     expansion = theorem_expansion(family, args.n, args.u)
-    value = expansion.assembled_value(args.n, args.u)
     if expansion.warned:
         print(
             f"warning: u={args.u:g} is outside the validity scale "
             f"({expansion.validity})",
             file=sys.stderr,
         )
-    log_term, constant, u_term = expansion.terms(args.n, args.u)
     text = (
-        f"{value:.17g}\n"
-        f"  log term : {log_term:.17g} (coefficient {expansion.log_coefficient:.12g})\n"
-        f"  constant : {constant:.17g}\n"
-        f"  u term   : {u_term:.17g} (coefficient {expansion.u_coefficient:.12g})\n"
+        f"{expansion.value:.17g}\n"
+        f"  log term : {expansion.log_term:.17g} "
+        f"(coefficient {expansion.log_coefficient:.12g})\n"
+        f"  constant : {expansion.constant:.17g}\n"
+        f"  u term   : {expansion.u_term:.17g} "
+        f"(coefficient {expansion.u_coefficient:.12g})\n"
         f"  {expansion.validity}"
     )
-    return _single_result(args, args.interval, "expansion", value), text, _OK
+    return _single_result(args, args.interval, "expansion", expansion.value), text, _OK
 
 
 def _cmd_montecarlo(args, model):
     config = MCConfig(args.trials, args.seed, args.points_per_unit, args.workers)
-    estimate = estimate_em(model, *args.interval, args.u, config)
+    (estimate,) = estimate_many(model, *args.interval, [args.u], config)
     body = _single_result(
         args, args.interval, "monte-carlo", float(estimate.mean),
         stderr=float(estimate.stderr),
@@ -313,7 +313,7 @@ def _cmd_compare(args, _model):
                 code = _TOLERANCE
             asymptotic = None
             if family is not None and _is_unit(model) and 0.0 < u < math.inf:
-                asymptotic = theorem_expansion(family, n, u).assembled_value(n, u)
+                asymptotic = theorem_expansion(family, n, u).value
             cells.append(
                 {
                     "n": n,
@@ -377,7 +377,7 @@ def _add_simulation(p, trials: int) -> None:
     p.add_argument(
         "--points-per-unit",
         type=_integer(1),
-        default=512,
+        default=MCConfig.points_per_unit,
         help="critical-point scan resolution",
     )
 

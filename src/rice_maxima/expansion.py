@@ -77,14 +77,15 @@ _ALLOWED_PAIRS = {(1,), (1, 2), (1, 3), (1, 3, 4)}
 
 _NOISE = 4.0 * np.finfo(float).eps
 
+# relative tolerance of every kernel-product integral
+_QUAD_REL_TOL = 1e-9
+
 # Initial panel edges in t, at s = 0, 1/4, 1/2, 3/4, 1, 3/2, 2 in the compact
 # coordinate of ``integrate_adaptive``; the tail subtraction starts at t = 1.
 _EDGES = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf)
 
 
-def _pair_integral(
-    product, family: int, pair: tuple[int, ...], rel_tol: float
-) -> QuadResult:
+def _pair_integral(product, family: int, pair: tuple[int, ...]) -> QuadResult:
     """Integral over (0, inf) of the array integrand ``product``, the
     kernel product of ``pair`` in ``family``.
 
@@ -104,13 +105,11 @@ def _pair_integral(
             residual = product(ts) - law
             return np.where(np.abs(residual) <= _NOISE * np.abs(law), 0.0, residual)
 
-    return integrate_adaptive(integrand, _EDGES, rel_tol=rel_tol, abs_tol=1e-14)
+    return integrate_adaptive(integrand, _EDGES, rel_tol=_QUAD_REL_TOL, abs_tol=1e-14)
 
 
 @lru_cache(maxsize=None)
-def _family_integrals(
-    family: int, rel_tol: float
-) -> dict[tuple[int, ...], QuadResult]:
+def _family_integrals(family: int) -> dict[tuple[int, ...], QuadResult]:
     """The integral of every allowed pair of ``family``.
 
     The four pairs start from the same initial panels and often bisect the
@@ -133,12 +132,12 @@ def _family_integrals(
         return value
 
     return {
-        pair: _pair_integral(partial(product, pair), family, pair, rel_tol)
+        pair: _pair_integral(partial(product, pair), family, pair)
         for pair in sorted(_ALLOWED_PAIRS)
     }
 
 
-def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
+def h_integral(family: int, pair) -> float:
     """Improper integral of a product of same-family kernels over (0, inf).
 
     ``pair`` selects the kernel indices: (1,), (1,2), (1,3) or (1,3,4).
@@ -146,17 +145,18 @@ def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
     subtraction (active for t >= 1) that makes the integral converge; the
     subtracted mass reappears in the closed-form log terms of the
     expansion.  Raises ToleranceNotMet, with the quadrature result
-    attached, when the integral does not reach ``rel_tol``.
+    attached, when the integral does not reach the relative tolerance
+    ``_QUAD_REL_TOL`` = 1e-9.
     """
     if family not in (1, 2, 3, 4):
         raise ValueError(f"family must be 1..4, got {family!r}")
     key = tuple(sorted(set(int(i) for i in pair)))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
-    result = _family_integrals(family, rel_tol)[key]
+    result = _family_integrals(family)[key]
     if not result.converged:
         raise ToleranceNotMet(
-            f"h_integral{(family, key)} did not reach rel_tol={rel_tol:g} "
+            f"h_integral{(family, key)} did not reach rel_tol={_QUAD_REL_TOL:g} "
             f"(value={result.value!r}, abs_error={result.abs_error!r})",
             result=result,
         )
@@ -165,19 +165,19 @@ def h_integral(family: int, pair, *, rel_tol: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """One family's expansion, evaluated at a degree and level.
+    """One family's expansion, evaluated at a degree n and level u.
 
-    ``terms(n, u)`` returns the three terms
+    The value is the sum of three terms,
 
-        (log_coefficient * ln(n^power / u), constant,
-         u_coefficient * u * scale(n))
+        log_term = log_coefficient * ln(n^power / u)
+        constant
+        u_term   = u_coefficient * u * scale(n)
 
     where scale(n) = 1/(2 (n pi)^{3/2}) for the families attached to +1
     (pos-tail, unit) and 1/(2 pi sqrt(n pi)) for those attached to -1, and
     power is 3/2 / 1/2 respectively; the log term is 0 for the tail
-    families, which have none.  ``assembled_value(n, u)`` is their sum.
-    ``warned`` records that the construction level exceeded the family's
-    validity scale.
+    families, which have none.  ``warned`` records that u exceeds the
+    family's validity scale.
     """
 
     interval: str
@@ -185,35 +185,20 @@ class ExpansionResult:
     log_coefficient: float
     constant: float
     u_coefficient: float
+    log_term: float
+    u_term: float
+    value: float
     validity: str
     warned: bool
 
-    def terms(self, n: int, u: float) -> tuple[float, float, float]:
-        if u <= 0.0:
-            raise ValueError("the expansion requires a level u > 0")
-        if self.family in (1, 3):
-            scale = 1.0 / (2.0 * (n * math.pi) ** 1.5)
-            power = 1.5
-        else:
-            scale = 1.0 / (2.0 * math.pi * math.sqrt(n * math.pi))
-            power = 0.5
-        log_term = 0.0
-        if self.log_coefficient != 0.0:
-            log_term = self.log_coefficient * math.log(n**power / u)
-        return log_term, self.constant, self.u_coefficient * u * scale
 
-    def assembled_value(self, n: int, u: float) -> float:
-        log_term, constant, u_term = self.terms(n, u)
-        return constant + u_term + log_term
-
-
-def kernel_pieces(family: int, *, rel_tol: float = 1e-9) -> tuple[float, float, float]:
+def kernel_pieces(family: int) -> tuple[float, float, float]:
     """(log_coefficient, constant, u_coefficient) assembled from the kernel
     tables — the reference-verification tier (see the module docstring)."""
-    base = h_integral(family, (1,), rel_tol=rel_tol)
-    damped = h_integral(family, (1, 3), rel_tol=rel_tol)
-    slope = h_integral(family, (1, 2), rel_tol=rel_tol)
-    slope_damped = h_integral(family, (1, 3, 4), rel_tol=rel_tol)
+    base = h_integral(family, (1,))
+    damped = h_integral(family, (1, 3))
+    slope = h_integral(family, (1, 2))
+    slope_damped = h_integral(family, (1, 3, 4))
     quarter = 0.25 / math.pi
     constant = quarter * (base - damped)
     u_coefficient = slope - slope_damped
@@ -264,18 +249,25 @@ def theorem_expansion(family: int, n: int, u: float) -> ExpansionResult:
     if not u > 0.0 or not math.isfinite(u):
         raise ValueError(f"the expansion requires a finite level u > 0, got {u!r}")
     log_coefficient, constant, u_coefficient = _ENGINE_CONSTANTS[family]
-    scale_power = 1.25 if family in (1, 3) else 0.25
-    warned = u > n**scale_power
-    validity = (
-        f"valid for u = O(n^({'5/4' if family in (1, 3) else '1/4'})); "
-        f"remainder O(n^(-1/2))"
-    )
+    if family in (1, 3):
+        scale = 1.0 / (2.0 * (n * math.pi) ** 1.5)
+        power, scale_power, order = 1.5, 1.25, "5/4"
+    else:
+        scale = 1.0 / (2.0 * math.pi * math.sqrt(n * math.pi))
+        power, scale_power, order = 0.5, 0.25, "1/4"
+    log_term = 0.0
+    if log_coefficient != 0.0:
+        log_term = log_coefficient * math.log(n**power / u)
+    u_term = u_coefficient * u * scale
     return ExpansionResult(
         interval=FAMILY_INTERVALS[family],
         family=family,
         log_coefficient=log_coefficient,
         constant=constant,
         u_coefficient=u_coefficient,
-        validity=validity,
-        warned=warned,
+        log_term=log_term,
+        u_term=u_term,
+        value=constant + u_term + log_term,
+        validity=f"valid for u = O(n^({order})); remainder O(n^(-1/2))",
+        warned=u > n**scale_power,
     )

@@ -73,7 +73,6 @@ __all__ = [
     "MCConfig",
     "MCEstimate",
     "count_maxima_below",
-    "estimate_em",
     "estimate_many",
     "sample_coefficients",
 ]
@@ -101,16 +100,15 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.points_per_unit, int) or self.points_per_unit < 8:
-            raise ValueError(
-                f"points_per_unit must be an integer >= 8, got {self.points_per_unit!r}"
-            )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
+        # integers as ``PolynomialModel.degree``: numpy ones are stored as
+        # int, bools are refused
+        minimums = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
+        for name, minimum in minimums.items():
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,7 @@ def count_maxima_below(
     hi: float,
     levels,
     *,
-    points_per_unit: int = 512,
+    points_per_unit: int = MCConfig.points_per_unit,
 ) -> np.ndarray:
     """Counts of local maxima with value <= level, per trial and level.
 
@@ -374,10 +372,3 @@ def estimate_many(
             stderr = math.inf
         out.append(MCEstimate(mean=mean, stderr=stderr, trials=n, seed=config.seed))
     return tuple(out)
-
-
-def estimate_em(
-    model: PolynomialModel, lo: float, hi: float, u: float, config: MCConfig
-) -> MCEstimate:
-    """Monte-Carlo estimate of the expected count on (lo, hi) below ``u``."""
-    return estimate_many(model, lo, hi, [u], config)[0]

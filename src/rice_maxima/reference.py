@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 _PAIRS = ((1,), (1, 3), (1, 2), (1, 3, 4))
-_QUAD_REL_TOL = 1e-9  # relative tolerance of every kernel-product integral
 
 # (family, pair) -> (reference value, absolute tolerance).  The tolerance is
 # 1e-6 where the reference is quoted to >= 10 significant digits, else 1e-5.
@@ -129,14 +128,12 @@ def verify_constants(rel_tol: float | None = None) -> tuple[VerifyRow, ...]:
         interval = FAMILY_INTERVALS[family]
         for pair in _PAIRS:
             reference, abs_tol = INTEGRAL_REFERENCES[(family, pair)]
-            computed = h_integral(family, pair, rel_tol=_QUAD_REL_TOL)
+            computed = h_integral(family, pair)
             label = "*".join(f"h{k}" for k in pair)
             rows.append(_row(f"{interval}/{label}", computed, reference, abs_tol, rel_tol))
     for family in (1, 2, 3, 4):
         interval = FAMILY_INTERVALS[family]
-        log_coefficient, constant, u_coefficient = kernel_pieces(
-            family, rel_tol=_QUAD_REL_TOL
-        )
+        log_coefficient, constant, u_coefficient = kernel_pieces(family)
         refs = THEOREM_REFERENCES[family]
         reference, abs_tol = refs["log"]
         rows.append(
@@ -145,9 +142,7 @@ def verify_constants(rel_tol: float | None = None) -> tuple[VerifyRow, ...]:
         reference, abs_tol = refs["constant"]
         if family in (1, 2):
             # the reference quotes the numerator over 4*pi
-            computed = h_integral(family, (1,), rel_tol=_QUAD_REL_TOL) - h_integral(
-                family, (1, 3), rel_tol=_QUAD_REL_TOL
-            )
+            computed = h_integral(family, (1,)) - h_integral(family, (1, 3))
             name = f"{interval}/constant*4pi"
         else:
             computed = constant

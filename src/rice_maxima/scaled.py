@@ -7,6 +7,10 @@ as ``mantissa * 2**exponent`` with the mantissa a float in ``[1, 2)`` (times a
 sign) and the exponent an arbitrary Python int, which keeps every intermediate
 exactly representable while staying cheap: all arithmetic is a handful of
 float operations plus integer exponent bookkeeping.
+
+No evaluation path uses it any more: ``moments`` peels the power n ln|x|
+instead.  The class is kept, with only the operations it needs, for the
+``layers.scaled`` probe of the benchmark, and goes when that probe does.
 """
 
 from __future__ import annotations
@@ -69,35 +73,9 @@ class ScaledValue:
             return 0.0
         return math.ldexp(self.mantissa, self.exponent)
 
-    def log2(self) -> float:
-        """Base-2 logarithm of the absolute value."""
-        if self.mantissa == 0.0:
-            raise ValueError("log of zero")
-        return math.log2(abs(self.mantissa)) + self.exponent
-
-    # ------------------------------------------------------------------
-    # predicates
-    # ------------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.mantissa == 0.0
-
-    def sign(self) -> int:
-        if self.mantissa > 0.0:
-            return 1
-        if self.mantissa < 0.0:
-            return -1
-        return 0
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.mantissa, self.exponent)
-
-    def __abs__(self) -> "ScaledValue":
-        return ScaledValue(abs(self.mantissa), self.exponent)
 
     def __mul__(self, other) -> "ScaledValue":
         other = _coerce(other)
@@ -106,8 +84,6 @@ class ScaledValue:
         return ScaledValue._build(
             self.mantissa * other.mantissa, self.exponent + other.exponent
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ScaledValue":
         other = _coerce(other)
@@ -118,9 +94,6 @@ class ScaledValue:
         return ScaledValue._build(
             self.mantissa / other.mantissa, self.exponent - other.exponent
         )
-
-    def __rtruediv__(self, other) -> "ScaledValue":
-        return _coerce(other) / self
 
     def __add__(self, other) -> "ScaledValue":
         other = _coerce(other)
@@ -134,23 +107,6 @@ class ScaledValue:
             return hi
         summed = hi.mantissa + math.ldexp(lo.mantissa, -gap)
         return ScaledValue._build(summed, hi.exponent)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ScaledValue":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "ScaledValue":
-        return _coerce(other) + (-self)
-
-    def sqrt(self) -> "ScaledValue":
-        if self.mantissa < 0.0:
-            raise ValueError("sqrt of negative ScaledValue")
-        if self.mantissa == 0.0:
-            return ScaledValue(0.0, 0)
-        e, odd = divmod(self.exponent, 2)
-        m = self.mantissa * 2.0 if odd else self.mantissa
-        return ScaledValue._build(math.sqrt(m), e)
 
     def powi(self, k: int) -> "ScaledValue":
         """Integer power by repeated squaring (k may be negative)."""
@@ -167,30 +123,6 @@ class ScaledValue:
             base = base * base
             k >>= 1
         return acc
-
-    # ------------------------------------------------------------------
-    # comparison
-    # ------------------------------------------------------------------
-
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        diff = self - other
-        return diff.sign()
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ScaledValue({self.mantissa!r} * 2**{self.exponent})"
 
 
 def _coerce(value) -> ScaledValue:

@@ -25,7 +25,6 @@ from rice_maxima import (
     DegenerateModel,
     MCConfig,
     PolynomialModel,
-    estimate_em,
     estimate_many,
     maxima_density,
     moments,
@@ -55,7 +54,7 @@ def test_acceptance_1_sixteen_frozen_integrals():
     start = time.perf_counter()
     failures = []
     for (family, pair), (reference, tol) in sorted(INTEGRAL_REFERENCES.items()):
-        value = h_integral(family, pair, rel_tol=1e-9)
+        value = h_integral(family, pair)
         if abs(value - reference) > tol:
             label = "*".join(f"h{k}" for k in pair)
             failures.append(f"family {family} {label}")
@@ -74,7 +73,7 @@ def test_acceptance_1_sixteen_frozen_integrals():
 @pytest.mark.xfail(strict=True, reason=XFAIL_REASON)
 def test_acceptance_2_assembled_expansion_coefficients():
     integral = {
-        (family, pair): h_integral(family, pair, rel_tol=1e-9)
+        (family, pair): h_integral(family, pair)
         for family in (1, 2, 3, 4)
         for pair in ((1,), (1, 3), (1, 2), (1, 3, 4))
     }
@@ -92,7 +91,7 @@ def test_acceptance_2_assembled_expansion_coefficients():
         ("neg-unit u-coefficient",
          integral[(4, (1, 2))] - integral[(4, (1, 3, 4))], -0.594923, 1e-5),
         ("neg-unit constant",
-         kernel_pieces(4, rel_tol=1e-9)[1], 0.081413, 1e-4),
+         kernel_pieces(4)[1], 0.081413, 1e-4),
     )
     failures = [
         f"{name} ({got:.9g} vs {want:.9g})"
@@ -102,7 +101,7 @@ def test_acceptance_2_assembled_expansion_coefficients():
     # The unit-interval constant is checked for gross disagreement only: a
     # discrepancy beyond 1e-4 must be flagged as an open question rather
     # than silently tolerated.
-    unit_constant = kernel_pieces(3, rel_tol=1e-9)[1]
+    unit_constant = kernel_pieces(3)[1]
     unit_gap = abs(unit_constant - (-0.001648))
     ok = not failures and unit_gap <= 1e-4
     report(
@@ -180,7 +179,7 @@ def test_acceptance_4_simulation_brackets_exact_counts():
 def test_acceptance_5_quadratic_edge_case():
     model = PolynomialModel(2)
     config = MCConfig(trials=1_000_000, seed=0, points_per_unit=64, workers=4)
-    estimate = estimate_em(model, -INF, INF, INF, config)
+    (estimate,) = estimate_many(model, -INF, INF, [INF], config)
     z = abs(estimate.mean - 0.5) / estimate.stderr
     refused = False
     try:
@@ -205,7 +204,7 @@ def test_acceptance_6_expansion_converges_to_exact_count():
         exact = expected_count(
             PolynomialModel(n), CountQuery(-INF, -1.0, 1.0), rel_tol=1e-9
         ).value
-        approx = theorem_expansion(2, n, 1.0).assembled_value(n, 1.0)
+        approx = theorem_expansion(2, n, 1.0).value
         gaps[n] = abs(exact - approx)
     decreasing = gaps[200] > gaps[500] > gaps[1000]
     ratio = gaps[1000] / gaps[200]
@@ -267,10 +266,10 @@ def test_acceptance_7_invariant_suites():
 
     # the simulation is deterministic and worker-schedule independent
     config = MCConfig(trials=2000, seed=11, points_per_unit=64, workers=1)
-    first = estimate_em(PolynomialModel(4), -1.0, 2.0, 0.8, config)
-    again = estimate_em(PolynomialModel(4), -1.0, 2.0, 0.8, config)
-    rearranged = estimate_em(
-        PolynomialModel(4), -1.0, 2.0, 0.8,
+    (first,) = estimate_many(PolynomialModel(4), -1.0, 2.0, [0.8], config)
+    (again,) = estimate_many(PolynomialModel(4), -1.0, 2.0, [0.8], config)
+    (rearranged,) = estimate_many(
+        PolynomialModel(4), -1.0, 2.0, [0.8],
         MCConfig(trials=2000, seed=11, points_per_unit=64, workers=4),
     )
     if (first.mean, first.stderr) != (again.mean, again.stderr):

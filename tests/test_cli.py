@@ -22,7 +22,7 @@ from rice_maxima import (
     ToleranceNotMet,
     cli,
     counts,
-    estimate_em,
+    estimate_many,
     maxima_density,
     theorem_expansion,
 )
@@ -226,7 +226,7 @@ class TestAsymptotic:
         )
         assert code == 0
         expansion = theorem_expansion(3, 100, 1.0)
-        assert float(out.splitlines()[0]) == expansion.assembled_value(100, 1.0)
+        assert float(out.splitlines()[0]) == expansion.value
         assert err == ""
 
     def test_text_lists_the_terms(self, capsys):
@@ -262,7 +262,7 @@ class TestAsymptotic:
         validate(record, "run_record.schema.json")
         (result,) = record["results"]
         assert result["method"] == "expansion"
-        assert result["value"] == theorem_expansion(4, 200, 0.5).assembled_value(200, 0.5)
+        assert result["value"] == theorem_expansion(4, 200, 0.5).value
 
     def test_non_canonical_interval_exits_1(self, capsys):
         code, out, err = run(
@@ -290,7 +290,7 @@ class TestAsymptotic:
         )
         assert code == 0
         expansion = theorem_expansion(3, 100, 1.0)
-        assert float(out.splitlines()[0]) == expansion.assembled_value(100, 1.0)
+        assert float(out.splitlines()[0]) == expansion.value
 
     def test_level_beyond_validity_scale_warns_but_succeeds(self, capsys):
         code, out, err = run(
@@ -316,7 +316,7 @@ class TestMonteCarlo:
         code, out, err = run(capsys, *self.ARGS)
         assert code == 0
         config = MCConfig(trials=400, seed=7, points_per_unit=32, workers=1)
-        estimate = estimate_em(PolynomialModel(3), -1.0, 1.0, 0.5, config)
+        (estimate,) = estimate_many(PolynomialModel(3), -1.0, 1.0, [0.5], config)
         mean, plus_minus, stderr, detail = out.split(maxsplit=3)
         assert float(mean) == estimate.mean
         assert float(stderr) == pytest.approx(estimate.stderr, rel=1e-2)
@@ -404,7 +404,7 @@ class TestCompare:
             else:
                 n = int(row[0])
                 expansion = theorem_expansion(3, n, 0.5)
-                assert float(row[4]) == expansion.assembled_value(n, 0.5)
+                assert float(row[4]) == expansion.value
             exact = expected_count(
                 PolynomialModel(int(row[0])),
                 CountQuery(0.0, 1.0, float(row[1])),

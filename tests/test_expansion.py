@@ -10,9 +10,9 @@ from rice_maxima import (
     CountQuery,
     PolynomialModel,
     expected_count,
-    kernel_pieces,
     theorem_expansion,
 )
+from rice_maxima.expansion import kernel_pieces
 
 # (log_coefficient, constant, u_coefficient) pins at 12 digits, captured
 # from a verified build of the kernel-table tier.
@@ -64,9 +64,9 @@ class TestTheoremExpansion:
         # logarithm of n^power / u.
         r1 = theorem_expansion(1, 64, 2.0)
         assert r1.log_coefficient == 0.0
-        assert r1.terms(64, 2.0)[:2] == (0.0, r1.constant)
+        assert r1.log_term == 0.0
         r3 = theorem_expansion(3, 64, 2.0)
-        assert r3.terms(64, 2.0)[0] == pytest.approx(
+        assert r3.log_term == pytest.approx(
             r3.log_coefficient * math.log(64.0**1.5 / 2.0), rel=1e-14
         )
 
@@ -74,19 +74,15 @@ class TestTheoremExpansion:
     @pytest.mark.parametrize("n,u", [(10, 0.5), (100, 1.0), (1000, 3.0), (64, 2.0)])
     def test_terms_sum_to_assembled_value(self, family, n, u):
         result = theorem_expansion(family, n, u)
-        log_term, constant, u_term = result.terms(n, u)
-        assert constant == result.constant
+        terms = (result.log_term, result.constant, result.u_term)
         # bit-identical when summed in the assembly order, and to rounding in any
-        assert constant + u_term + log_term == result.assembled_value(n, u)
-        assert sum(result.terms(n, u)) == pytest.approx(
-            result.assembled_value(n, u), rel=1e-15
-        )
+        assert result.constant + result.u_term + result.log_term == result.value
+        assert sum(terms) == pytest.approx(result.value, rel=1e-15)
 
     def test_terms_require_a_positive_level(self):
-        result = theorem_expansion(3, 100, 1.0)
         for bad_u in (0.0, -1.0):
             with pytest.raises(ValueError, match="level"):
-                result.terms(100, bad_u)
+                theorem_expansion(3, 100, bad_u)
 
     @pytest.mark.parametrize(
         "family,n,boundary", [(1, 16, 32.0), (3, 16, 32.0), (2, 16, 2.0), (4, 16, 2.0)]
@@ -106,7 +102,7 @@ class TestTheoremExpansion:
         expected = result.constant + result.u_coefficient * u * scale
         if result.log_coefficient:
             expected += result.log_coefficient * math.log(n**power / u)
-        assert result.assembled_value(n, u) == pytest.approx(expected, rel=1e-14)
+        assert result.value == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="family"):
@@ -116,8 +112,6 @@ class TestTheoremExpansion:
         for bad_u in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="level"):
                 theorem_expansion(1, 10, bad_u)
-        with pytest.raises(ValueError, match="level"):
-            theorem_expansion(1, 10, 1.0).assembled_value(10, -2.0)
 
 
 class TestConvergenceToExactCount:
@@ -129,7 +123,7 @@ class TestConvergenceToExactCount:
             exact = expected_count(
                 PolynomialModel(n), CountQuery(lo, hi, 1.0), rel_tol=1e-9
             ).value
-            approx = theorem_expansion(family, n, 1.0).assembled_value(n, 1.0)
+            approx = theorem_expansion(family, n, 1.0).value
             gaps.append(abs(exact - approx))
         assert gaps[1] < gaps[0]
         assert gaps[1] / gaps[0] < ratio_bound
@@ -147,7 +141,7 @@ class TestValidityFlag:
         expansion = theorem_expansion(3, n, u)
         lo, hi = FAMILY_BOUNDS[3]
         exact = expected_count(PolynomialModel(n), CountQuery(lo, hi, u)).value
-        assert expansion.warned or abs(expansion.assembled_value(n, u) - exact) <= 1e-2
+        assert expansion.warned or abs(expansion.value - exact) <= 1e-2
 
 
 class TestFamilyTables:

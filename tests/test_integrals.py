@@ -28,6 +28,18 @@ FROZEN = {
 }
 
 
+def integral_at(family: int, pair, rel_tol: float) -> float:
+    """``h_integral`` with the kernel products integrated to ``rel_tol``
+    instead of 1e-9; the cache of integrals is left empty."""
+    expansion._family_integrals.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expansion, "_QUAD_REL_TOL", rel_tol)
+            return h_integral(family, pair)
+    finally:
+        expansion._family_integrals.cache_clear()
+
+
 class TestFrozenValues:
     @pytest.mark.parametrize("family,pair", sorted(FROZEN), ids=str)
     def test_pinned_to_twelve_digits(self, family, pair):
@@ -40,14 +52,13 @@ class TestFrozenValues:
         # A much looser quadrature tolerance must land on the same value
         # well within its own (coarser) accuracy claim.
         for pair in ((1,), (1, 2), (1, 3), (1, 3, 4)):
-            coarse = h_integral(family, pair, rel_tol=1e-6)
-            fine = h_integral(family, pair, rel_tol=1e-9)
-            assert coarse == pytest.approx(fine, rel=1e-5)
+            coarse = integral_at(family, pair, 1e-6)
+            assert coarse == pytest.approx(h_integral(family, pair), rel=1e-5)
 
     @pytest.mark.parametrize("family,pair", sorted(FROZEN), ids=str)
     def test_converges_at_the_tightest_tolerance(self, family, pair):
         # h_integral raises ToleranceNotMet when its integral does not converge
-        tight = h_integral(family, pair, rel_tol=1e-12)
+        tight = integral_at(family, pair, 1e-12)
         assert tight == pytest.approx(h_integral(family, pair), rel=1e-9)
 
     def test_returns_a_plain_float(self):
@@ -71,13 +82,9 @@ def test_unconverged_integral_raises(monkeypatch):
     # Without the rounding-noise floor on the tail residual, the family-3
     # damped-slope integral refines towards t = inf and cannot converge.
     monkeypatch.setattr(expansion, "_NOISE", 0.0)
-    expansion._family_integrals.cache_clear()
-    try:
-        with pytest.raises(ToleranceNotMet, match="rel_tol=1e-12") as info:
-            h_integral(3, (1, 3, 4), rel_tol=1e-12)
-        assert not info.value.result.converged
-    finally:
-        expansion._family_integrals.cache_clear()
+    with pytest.raises(ToleranceNotMet, match="rel_tol=1e-12") as info:
+        integral_at(3, (1, 3, 4), 1e-12)
+    assert not info.value.result.converged
 
 
 class TestValidation:
@@ -109,7 +116,7 @@ class TestKernelCache:
         monkeypatch.setattr(expansion, "family_kernels", recorded)
         expansion._family_integrals.cache_clear()
         try:
-            results = expansion._family_integrals(family, 1e-9)
+            results = expansion._family_integrals(family)
         finally:
             expansion._family_integrals.cache_clear()
         nodes = np.concatenate(calls)

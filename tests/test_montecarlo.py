@@ -10,7 +10,6 @@ from rice_maxima import (
     MCConfig,
     PolynomialModel,
     count_maxima_below,
-    estimate_em,
     estimate_many,
     expected_count,
     CountQuery,
@@ -173,8 +172,8 @@ class TestGroundTruthParity:
 
     def test_quadratic_has_half_a_maximum_on_average(self):
         # Degree 2: one critical point, a maximum exactly when A_2 < 0.
-        est = estimate_em(
-            PolynomialModel(2), -INF, INF, INF, MCConfig(trials=20_000, seed=9)
+        (est,) = estimate_many(
+            PolynomialModel(2), -INF, INF, [INF], MCConfig(trials=20_000, seed=9)
         )
         assert abs(est.mean - 0.5) <= 4.0 * est.stderr
 
@@ -383,15 +382,15 @@ class TestExecutionInvariance:
             assert other == base
 
     def test_level_minus_infinity_counts_nothing(self):
-        est = estimate_em(
-            PolynomialModel(4), -INF, INF, -INF, MCConfig(trials=200, seed=1)
+        (est,) = estimate_many(
+            PolynomialModel(4), -INF, INF, [-INF], MCConfig(trials=200, seed=1)
         )
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
     def test_estimate_fields(self):
-        est = estimate_em(
-            PolynomialModel(3), -INF, INF, INF, MCConfig(trials=500, seed=42)
+        (est,) = estimate_many(
+            PolynomialModel(3), -INF, INF, [INF], MCConfig(trials=500, seed=42)
         )
         assert est.trials == 500
         assert est.seed == 42
@@ -415,6 +414,25 @@ class TestValidation:
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MCConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit", "workers"])
+    def test_config_rejects_bools(self, field):
+        # as PolynomialModel's degree: True is not the integer 1
+        kwargs = {"trials": 10, field: True}
+        with pytest.raises(ValueError, match=field):
+            MCConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit", "workers"])
+    def test_config_stores_numpy_integers_as_int(self, field):
+        config = MCConfig(**{"trials": 10, field: np.int64(16)})
+        assert type(getattr(config, field)) is int and getattr(config, field) == 16
+        assert config == MCConfig(**{"trials": 10, field: 16})
+
+    def test_estimate_reports_an_int_trial_count(self):
+        config = MCConfig(trials=np.int32(3), seed=np.uint8(4), points_per_unit=np.int64(16))
+        (est,) = estimate_many(PolynomialModel(3), -INF, INF, [INF], config)
+        assert (type(est.trials), type(est.seed)) == (int, int)
+        assert (est.trials, est.seed) == (3, 4)
 
     def test_estimate_many_rejects_bad_queries(self):
         model = PolynomialModel(3)
@@ -443,7 +461,7 @@ class TestValidation:
             count_maxima_below(model, coeff, lo, hi, levels)
 
     def test_single_trial_has_infinite_stderr(self):
-        est = estimate_em(
-            PolynomialModel(3), -INF, INF, INF, MCConfig(trials=1, seed=0)
+        (est,) = estimate_many(
+            PolynomialModel(3), -INF, INF, [INF], MCConfig(trials=1, seed=0)
         )
         assert est.stderr == INF

@@ -1,4 +1,5 @@
-"""Package surface: the expansion tier loads lazily."""
+"""Package surface: the exported names, and the expansion tier and
+``ScaledValue`` load lazily."""
 
 import os
 import subprocess
@@ -27,9 +28,42 @@ def test_exact_path_import_skips_the_expansion_tier():
         [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     loaded = out[0]
-    for module in ("kernels", "expansion", "reference"):
+    for module in ("kernels", "expansion", "reference", "scaled"):
         assert f"rice_maxima.{module}'" not in loaded
     assert out[1] == "True"  # first use of a lazy name imports its module
+
+
+def test_public_names_are_pinned():
+    assert rice_maxima.__all__ == [
+        "CountQuery",
+        "DegenerateCovariance",
+        "DegenerateModel",
+        "ExpansionResult",
+        "FAMILY_BOUNDS",
+        "FAMILY_INTERVALS",
+        "MCConfig",
+        "MCEstimate",
+        "NonFiniteResult",
+        "NumericResult",
+        "PolynomialModel",
+        "RiceMaximaError",
+        "ScaledValue",
+        "ToleranceNotMet",
+        "VerifyRow",
+        "__version__",
+        "count_maxima_below",
+        "estimate_many",
+        "expected_count",
+        "h_integral",
+        "maxima_density",
+        "moments",
+        "sample_coefficients",
+        "split_points",
+        "theorem_expansion",
+        "verify_constants",
+    ]
+    for name in rice_maxima.__all__:
+        assert getattr(rice_maxima, name) is not None
 
 
 def test_lazy_names_resolve_and_are_listed():
