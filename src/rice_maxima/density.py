@@ -19,9 +19,11 @@ standard deviation of the first derivative.  The two limits are
     u -> -inf : 0
 
 All inputs come from ``moments``: sigma_W / B, rho, 1 - rho^2 and sigma_U,
-the last with x^n peeled off for |x| > 1 and returned as n log|x| (entering
-only the level ratio u / sigma_U), so the evaluation stays finite for
-degrees and locations where raw covariance entries overflow float64.
+the last with a power of x peeled off and returned as its log (entering
+only the level ratio u / sigma_U): x^n beyond |x| = 1 and x^2 near the
+origin of a model without a constant term.  The evaluation so stays finite
+for degrees and locations where raw covariance entries overflow float64,
+and where sigma_U underflows next to x = 0.
 
 ``maxima_density_batch`` evaluates a whole array of points (a round of
 quadrature panels) with one ``moments`` call; ``maxima_density`` is its
@@ -52,7 +54,7 @@ _W0 = 0.568888888888888888888888888888889
 
 
 def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
-    """erfc(-q g) + rho exp(-q^2/2) erfc(rho q g), clipped at 0.
+    """erfc(-q g) + rho exp(-q^2/2) erfc(rho q g), clipped to [0, 2].
 
     For rho < 0 and a = q / s >= -1 (s^2 = 1 - rho^2, c = -rho) the terms
     cancel as rho -> -1, so there it is summed as 2 [Phi(a) - Phi(c a)]
@@ -82,8 +84,8 @@ def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
     else:
         g = 1.0 / math.sqrt(2.0 * one_minus_rho_sq)
         bracket = erfc(-q * g) + rho * exp(-0.5 * q * q) * erfc(rho * q * g)
-    # the bracket is a probability-like quantity; clip rounding noise
-    return 0.0 if bracket < 0.0 else bracket
+    # the bracket is twice a probability (2 at q = inf); clip rounding noise
+    return 0.0 if bracket < 0.0 else min(bracket, 2.0)
 
 
 def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:

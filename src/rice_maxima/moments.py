@@ -30,40 +30,49 @@ on a repeat call.  The memo holds at most ``_MEMO_ROWS`` rows; past that,
 rows are computed and not stored.  Threads sharing a model may compute a
 row twice or pass the cap by a row each, but never store a wrong row.
 
-Scaling.  For |x| <= 1 every basis sum is bounded by a small polynomial in
-n, so the weighted basis vectors are formed directly.  For |x| > 1 the
-powers x**n, x**(n-1) and x**(n-2) are peeled off a_k, b_k and d_k
-analytically.  What remains, sums over m <= n - k of y**m, (n-m) y**m and
-(n-m)(n-m-1) y**m with y = 1/x, shares its leading terms, so conditioning
-one sum on another would cancel every digit of 1 - rho^2 ~ y^2.  The rows
-used instead are triangular in powers of y:
+Row kinds.  Each point's weighted basis is stacked as three rows (G, v, H),
+v the row of Q', in one of three kinds, chosen so that no conditioning
+step cancels:
 
-    P' = sum m y**(m-1),    v = sum (n-m) y**m,    P'' = sum m(m-1) y**(m-2)
+- plain (|x| <= 1): (G, v, H) = (a, b, d), the rows of Q, Q' and Q'';
+- near the origin (no constant term and |x| < ``_ORIGIN_SWITCH``):
+  (G, H) = (E, F) with E_k = sum (j-1) x**(j-2) over j >= max(k, 2) and
+  F_k = sum (j-1)(j-2) x**(j-3) over j >= max(k, 3), the summands of b and
+  d one power down.  With A_0 = 0, a = x b - x**2 E and d = 2 E + x F, so Q
+  given Q' = 0 is x**2 times the E residual and 1 - rho^2 ~ x^2 comes out
+  of an explicit factor x instead of a difference of near-equal sums;
+- peeled (|x| > 1, y = 1/x): x**n, x**(n-1) and x**(n-2) come off a, b, d
+  analytically and (G, v, H) = (P', v, P'') with P' = sum m y**(m-1),
+  v = sum (n-m) y**m and P'' = sum m(m-1) y**(m-2) over m <= n - k, where
+  a = (v + y P') / n and d = (n-1)(v - y P') + y**2 P''.
 
-They span the same space (a = (v + y P') / n, d = (n-1)(v - y P') + y^2 P''),
-so with W2 = |(n-1) ru - y rz|^2 for the residuals ru, rz, rzz below,
+Powers below the smallest normal float64 are set to zero instead of
+computed: they cannot change any Gram sum, and subnormal arithmetic is an
+order of magnitude slower.
 
-    sigma_W / B = y^2 sqrt(W2 / |v|^2)      sigma_U = |y| |ru| / n * |x|**n
-    rho = (y ru.rz - (n-1) |ru|^2) / (|ru| sqrt(W2))
-    1 - rho^2 = y^2 |rzz|^2 / W2
+The frame and the read-out.  Each row is reduced, by progressive
+orthogonalization (every quantity a sum of squares), to an orthogonal
+frame: |v|^2; |g|^2 for g = G with v projected out; eta, the g-coordinate
+of H after v; and |h|^2 for h = H with v and g projected out.  With four
+per-kind coefficients (s, delta, eps, kappa) and W^2 = (delta + eps
+eta)^2 |g|^2 + eps^2 |h|^2,
 
-where every power of y is explicit.  Beyond |x| ~ 1e154, y^2 underflows
-to 0: sigma_W / B = 1 - rho^2 = 0 and rho = -1, the limit.  The peeled
-|x|**n of sigma_U is returned as n log|x| (the ``peel``, used by the level
-ratio u / sigma_U).  Powers below the smallest normal float64 are set to
-zero instead of computed: they cannot change any Gram sum, and subnormal
-arithmetic is an order of magnitude slower.
+    sigma_W / B = kappa W / |v|        rho = s (delta + eps eta) |g| / W
+    1 - rho^2 = eps^2 |h|^2 / W^2      sigma_U = |beta| |g|
 
-Conditioning.  Near |x| = 1 at large degree the three weighted basis
-vectors become nearly collinear (the covariance approaches rank one), and
-determinant-style differences such as A2*B2 - C^2 lose all significant
-digits.  All such differences are therefore computed by progressive
-orthogonalization: project out the Q' direction, then the conditioned Q
-direction, and read Gram determinants off as products of residual squared
-norms — sums of squares, which cancel nothing.  A point is refused only
-where the covariance has lost rank, as at x = 0 without a constant term.
-(Near that x = 0 the unpeeled basis still cancels: 1 - rho^2 ~ x^2 is
-computed with a relative error of ~1e-19 / x^2.)
+    kind       s   delta   eps   kappa   beta
+    plain      1   0       1     1       1
+    near      -1   2       x     1       x^2
+    peeled     1   1 - n   y     y^2     x^n y / n
+
+The power x^2 or x^n of beta is returned as its log (the ``peel``, used by
+the level ratio u / sigma_U), so sigma_U neither overflows far out nor
+underflows at the origin.  Beyond |x| ~ 1e154, y^2 underflows to 0:
+sigma_W / B = 1 - rho^2 = 0 and rho = -1, the limit; below |x| ~ 1e-154
+near the origin 1 - rho^2 = 0 and rho = -1 likewise.  A point is refused
+only where the covariance has lost rank: where Q' or Q is deterministic
+(|v| = 0, or x = 0 without a constant term, where sigma_U = 0), or where a
+residual g or h is shorter than ``_RESIDUAL_RTOL`` of its row.
 """
 
 from __future__ import annotations
@@ -88,25 +97,25 @@ _CHUNK_ELEMENTS = 1 << 14
 _LOG2_TINY = -1022.0
 # Rows one model's memo keeps; past this, rows are computed and not stored.
 _MEMO_ROWS = 1 << 15
+# Below this |x| a model without a constant term takes near-origin rows.
+# Plain rows lose ~1e-19 / x^2 of 1 - rho^2 there; counts on the canonical
+# intervals put no node nearer to 0 than 1.07e-3, so their rounds build
+# plain and peeled rows only.
+_ORIGIN_SWITCH = 2.0**-10
+# Row kinds (module docstring), in the order a chunk builds them.
+_PLAIN, _NEAR_ORIGIN, _PEELED = 0, 1, 2
 
 
 class _Gram(NamedTuple):
-    """Per-row Gram quantities of the weighted basis vectors u, v, z (for Q,
-    Q', Q''; for |x| > 1 the rows P', v, P'' of the peeled basis).
+    """The orthogonal frame of each row's stacked basis G, v, H (module
+    docstring): ``vv = |v|^2``, ``gg = |g|^2``, ``eta`` the g-coordinate of
+    H after v and ``hh = |h|^2``, with ``gg`` or ``hh`` zero where that
+    residual is below tolerance."""
 
-    ``sa, sb, sd`` are u.u, v.v, z.z; ``ru`` and ``rz`` are u and z with the
-    v direction projected out, ``rzz`` is rz with the ru direction projected
-    out: ``nu2 = |ru|^2``, ``nz2 = |rz|^2``, ``cr = ru.rz`` and
-    ``rzz2 = |rzz|^2``.
-    """
-
-    sa: np.ndarray
-    sb: np.ndarray
-    sd: np.ndarray
-    nu2: np.ndarray
-    nz2: np.ndarray
-    cr: np.ndarray
-    rzz2: np.ndarray
+    vv: np.ndarray
+    gg: np.ndarray
+    eta: np.ndarray
+    hh: np.ndarray
 
 
 class MomentRows(NamedTuple):
@@ -115,8 +124,8 @@ class MomentRows(NamedTuple):
     ``sigma_w_over_b`` is sigma_W / B, ``rho`` the conditional correlation
     and ``one_minus_rho_sq`` is 1 - rho^2 from residual norms.
     ``sigma_u_tilde`` is sigma_U with the peeled power removed and ``peel``
-    is n log|x| for |x| > 1 (0 otherwise), so that
-    sigma_U = sigma_u_tilde * exp(peel).
+    the log of that power: n log|x| for |x| > 1, 2 log|x| on near-origin
+    rows and 0 otherwise, so that sigma_U = sigma_u_tilde * exp(peel).
     """
 
     x: np.ndarray
@@ -130,11 +139,11 @@ class MomentRows(NamedTuple):
         """q = u / sigma_U for every row (a finite level ``u``)."""
         with np.errstate(divide="ignore", over="ignore"):
             q = u / self.sigma_u_tilde
-            outer = self.peel > 0.0
-            if outer.any():
+            peeled = self.peel != 0.0
+            if peeled.any():
                 log_u = math.log(abs(u)) if u != 0.0 else -math.inf
-                log_q = log_u - np.log(self.sigma_u_tilde[outer]) - self.peel[outer]
-                q[outer] = np.copysign(np.exp(log_q), u)
+                log_q = log_u - np.log(self.sigma_u_tilde[peeled]) - self.peel[peeled]
+                q[peeled] = np.copysign(np.exp(log_q), u)
         return q
 
 
@@ -173,10 +182,14 @@ def _terms(powers: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _inner_basis(x: np.ndarray, horizon: np.ndarray, root_w: np.ndarray, width: int):
+def _inner_basis(x, horizon, root_w, width: int, near: bool) -> np.ndarray:
     """Weighted basis rows for |x| <= 1, cut to ``width`` columns, stacked
-    as u, v, z along the first axis of a (3, rows, width) array."""
+    as G, v, H along the first axis of a (3, rows, width) array: a, b, d,
+    or near the origin E, b, F."""
     terms = _terms(_powers(x, horizon, width))
+    if near:  # the summands of b and d one power down give E and F
+        down = np.pad(terms[1:, :, :-1], ((0, 0), (0, 0), (1, 0)))
+        terms = np.stack((down[0], terms[1], down[1]))
     # reversed cumulative sums: entry k holds the sum over j >= k
     return root_w[:width] * np.cumsum(terms[..., ::-1], axis=2)[..., ::-1]
 
@@ -188,80 +201,72 @@ def _outer_basis(n: int, y: np.ndarray, horizon: np.ndarray, root_w: np.ndarray)
     terms = _terms(_powers(y, horizon, width))
     terms[[0, 1]] = terms[1], (n - np.arange(width, dtype=float)) * terms[0]
     np.cumsum(terms, axis=2, out=terms)
-    out = _by_increment(terms, n)
+    # truncation index i is increment index k = n - i; past the horizon the
+    # partial sums no longer change, so i is capped at the last column
+    out = np.empty((3, len(y), n + 1))
+    out[..., n + 1 - width :] = terms[..., ::-1]
+    out[..., : n + 1 - width] = terms[..., -1:]
     out *= root_w  # in place: one more (3, rows, n+1) array costs page faults
     return out
 
 
-def _by_increment(partial: np.ndarray, n: int) -> np.ndarray:
-    """Map truncation index i to increment index k = n - i along the last
-    axis.  Past the horizon the partial sums no longer change, so i is
-    capped at the last column."""
-    width = partial.shape[-1]
-    out = np.empty(partial.shape[:-1] + (n + 1,))
-    out[..., n + 1 - width :] = partial[..., ::-1]
-    out[..., : n + 1 - width] = partial[..., -1:]
-    return out
-
-
 def _gram_sums(basis: np.ndarray) -> _Gram:
-    """Dot products and progressive orthogonalisation, row by row, of the
-    stacked basis u, v, z."""
+    """The orthogonal frame, row by row, of the stacked basis G, v, H:
+    project v out of G and H, then g out of what is left of H."""
     dot = np.vecdot
     gram = dot(basis[:, None], basis[None, :])  # (3, 3, rows)
-    sb = gram[1, 1]
-    # Project out the Q' direction, then the conditioned-Q direction.
-    # Degenerate rows (checked by the caller) may produce inf/nan here.
+    vv = gram[1, 1]
+    # Degenerate rows (refused by _check) may produce inf/nan here.
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = basis[0::2] - (gram[0::2, 1] / sb)[..., None] * basis[1]
-        ru, rz = resid
-        # nu2 = (A2 B2 - C^2) / B2, nz2 = (B2 D2 - F^2) / B2 and
-        # cr = (B2 E - C F) / B2, all cancellation-free
-        (nu2, cr), (_, nz2) = dot(resid[:, None], resid[None, :])
-        rzz = rz - (cr / nu2)[:, None] * ru
-        rzz2 = dot(rzz, rzz)  # = nz2 (1 - rho^2)
-    return _Gram(gram[0, 0], sb, gram[2, 2], nu2, nz2, cr, rzz2)
+        resid = basis[0::2] - (gram[0::2, 1] / vv)[..., None] * basis[1]
+        gg, gh = dot(resid[0], resid)  # g = resid[0], H after v = resid[1]
+        eta = gh / gg
+        h = resid[1] - eta[:, None] * resid[0]
+        hh = dot(h, h)
+        gg = np.where(gg > _RESIDUAL_RTOL**2 * gram[0, 0], gg, 0.0)
+        hh = np.where(hh > _RESIDUAL_RTOL**2 * gram[2, 2], hh, 0.0)
+    return _Gram(vv, gg, eta, hh)
 
 
-def _gram(model: PolynomialModel, xs: np.ndarray) -> _Gram:
-    """The batched kernel: Gram quantities at every (finite) point of
-    ``xs``, chunk by chunk."""
+def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
+    """The batched kernel: the frame at every point, given as ``base`` = x,
+    or y = 1/x on peeled rows, and built as its row ``kind``, chunk by
+    chunk."""
     n = model.degree
     root_w = np.sqrt(model.variance_weights())
-    out = np.empty((len(_Gram._fields), len(xs)))
-    outer = np.abs(xs) > 1.0
-    base = xs.copy()  # x, or y = 1/x on the peeled side
-    base[outer] = 1.0 / xs[outer]
+    out = np.empty((len(_Gram._fields), len(base)))
+    outer = kind == _PEELED
     horizon = _horizon(base)
-    # Rows are grouped by basis shape: 0 marks the peeled side (n+1
-    # columns), otherwise the inner width, past which (the horizon plus the
-    # two derivative shifts) every entry vanishes.  A row's result then
-    # never depends on which other rows share its batch.
-    inner_width = np.minimum(n, horizon + 2.0) + 1.0
-    shape = np.where(outer, 0, inner_width).astype(int).tolist()
+    # Rows are grouped by kind and basis width: all n+1 columns on the
+    # peeled side, otherwise the columns up to the horizon plus the
+    # derivative shifts (one more near the origin), past which every entry
+    # vanishes.  A row's result then never depends on its batch.
+    width = np.where(outer, n, np.minimum(n, horizon + 2.0 + (kind == _NEAR_ORIGIN))) + 1.0
+    shape = list(zip(kind.tolist(), width.astype(int).tolist()))
     step = max(1, _CHUNK_ELEMENTS // (n + 1))
-    for start in range(0, len(xs), step):
+    for start in range(0, len(base), step):
         chunk = shape[start : start + step]
-        for width in sorted(set(chunk)):
-            rows = [start + i for i, w in enumerate(chunk) if w == width]
-            if width == 0:
+        for key in sorted(set(chunk)):
+            rows = [start + i for i, k in enumerate(chunk) if k == key]
+            if key[0] == _PEELED:
                 basis = _outer_basis(n, base[rows], horizon[rows], root_w)
             else:
-                basis = _inner_basis(base[rows], horizon[rows], root_w, width)
+                near = key[0] == _NEAR_ORIGIN
+                basis = _inner_basis(base[rows], horizon[rows], root_w, key[1], near)
             out[:, rows] = _gram_sums(basis)
     return _Gram(*out)
 
 
-def _check(xs: np.ndarray, g: _Gram) -> None:
-    """Raise DegenerateCovariance at the first row whose covariance is
-    singular within tolerance."""
-    tol2 = _RESIDUAL_RTOL**2
-    columns = (g.sa, g.sb, g.sd, g.nu2, g.nz2)
-    for x, sa, sb, sd, nu2, nz2 in zip(xs.tolist(), *(c.tolist() for c in columns)):
-        if sa <= 0.0 or sb <= 0.0 or sd <= 0.0:
-            raise DegenerateCovariance(x, "a component of (Q, Q', Q'') is deterministic")
-        if nu2 <= tol2 * sa or nz2 <= tol2 * sd:
-            raise DegenerateCovariance(x, "conditional variance below tolerance")
+def _check(xs: np.ndarray, g: _Gram, peel: np.ndarray) -> None:
+    """Raise DegenerateCovariance at the first row, in batch order, whose
+    covariance is singular within tolerance."""
+    deterministic = (g.vv <= 0.0) | (peel == -math.inf)  # sigma_U = 0 at x = 0
+    bad = deterministic | (g.gg <= 0.0) | (g.hh <= 0.0)
+    if bad.any():
+        i = int(bad.argmax())
+        if deterministic[i]:
+            raise DegenerateCovariance(float(xs[i]), "a component of (Q, Q', Q'') is deterministic")
+        raise DegenerateCovariance(float(xs[i]), "conditional variance below tolerance")
 
 
 def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRows:
@@ -271,12 +276,12 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
     Raises DegenerateModel when fewer than three increments carry noise (the
     covariance of (Q, Q', Q'') is then singular everywhere), ValueError for
     a non-finite point, and DegenerateCovariance, carrying the first failing
-    point, when the covariance at a point has lost rank within tolerance:
-    at x = 0 for a model with no constant term, and there also at
-    0 < |x| < ~1e-12, where the unpeeled basis cancels.  Every point with
-    |x| > 1 evaluates, out to |x| ~ 1e308, where rho = -1 and 1 - rho^2 = 0.
-    Rows already computed on ``model`` are read from its memo (module
-    docstring, Reuse).
+    point, when the covariance at a point has lost rank within tolerance,
+    as at x = 0 for a model with no constant term.  Every other finite
+    point evaluates: out to |x| ~ 1e308, where rho = -1 and 1 - rho^2 = 0,
+    and, without a constant term, in to |x| = 5e-324, where sigma_U ~ x^2
+    is carried in the ``peel``.  Rows already computed on ``model`` are
+    read from its memo (module docstring, Reuse).
 
     ``clamp_rho`` is ignored: it is kept so that existing callers still
     work, but no correlation needs clamping.
@@ -303,23 +308,24 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
 
 def _fresh_rows(model: PolynomialModel, xs: np.ndarray) -> tuple:
     """The five ``MomentRows`` columns after ``x``, computed at the finite
-    points ``xs`` and checked like ``moments``."""
-    g = _gram(model, xs)
-    _check(xs, g)
-    swb = np.sqrt(g.nz2 / g.sb)
-    rho = g.cr / np.sqrt(g.nu2 * g.nz2)
-    omr = g.rzz2 / g.nz2
-    sigma_u = np.sqrt(g.nu2)
-    peel = np.zeros_like(xs)
-    outer = np.abs(xs) > 1.0
-    if outer.any():
-        # the peeled read-out of the module docstring, W2 = |(n-1) ru - y rz|^2
-        n, y = model.degree, 1.0 / xs[outer]
-        nu2, nz2, cr = g.nu2[outer], g.nz2[outer], g.cr[outer]
-        w2 = (n - 1.0) ** 2 * nu2 - 2.0 * (n - 1.0) * y * cr + y * y * nz2
-        swb[outer] = y * y * np.sqrt(w2 / g.sb[outer])
-        rho[outer] = (y * cr - (n - 1.0) * nu2) / np.sqrt(nu2 * w2)
-        omr[outer] = y * y * g.rzz2[outer] / w2
-        sigma_u[outer] = np.abs(y) * np.sqrt(nu2) / n
-        peel[outer] = n * np.log(np.abs(xs[outer]))
-    return swb, rho, omr, sigma_u, peel
+    points ``xs`` and checked like ``moments``: the one read-out of the
+    module docstring, with the coefficients of each row's kind."""
+    n, ax = model.degree, np.abs(xs)
+    near = (ax < _ORIGIN_SWITCH) & (model.variance_weights()[0] == 0.0)
+    outer = ax > 1.0
+    kind = np.where(outer, _PEELED, np.where(near, _NEAR_ORIGIN, _PLAIN))
+    base = np.where(outer, 1.0 / np.where(outer, xs, 1.0), xs)  # x, or y = 1/x
+    g = _gram(model, base, kind)
+    # per kind: s, delta and the exponent of the peeled power of beta
+    s, delta, power = np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 2.0], [1.0, 1.0 - n, n]])[kind].T
+    with np.errstate(divide="ignore"):
+        peel = power * np.log(np.where(power > 0.0, ax, 1.0))
+    _check(xs, g, peel)
+    eps = np.where(kind == _PLAIN, 1.0, base)
+    norm_g = np.sqrt(g.gg)
+    mix = (delta + eps * g.eta) * norm_g  # (delta + eps eta) |g|
+    eh = eps * np.sqrt(g.hh)
+    w = np.hypot(mix, eh)
+    swb = np.where(outer, base * base, 1.0) * w / np.sqrt(g.vv)  # kappa W / |v|
+    sigma_u = np.where(outer, np.abs(base) / n, 1.0) * norm_g  # beta without its power
+    return swb, s * mix / w, (eh / w) ** 2, sigma_u, peel

@@ -175,8 +175,9 @@ def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
     num, den = x.as_integer_ratio()
     if peeled:
         num, den = den, num
-    # more bits the farther out: the determinants cancel ~ x^-6 of saa sbb^2 sdd
-    bits = 256 + 8 * max(0, math.frexp(x)[1])
+    # more bits the farther from |x| = 1, out or in: the determinants cancel
+    # ~ x^-6 of saa sbb^2 sdd far out and a power of x near the origin
+    bits = 256 + 8 * abs(math.frexp(x)[1])
     base = (num << bits) // den
     powers = [1 << bits]
     for _ in range(n):

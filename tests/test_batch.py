@@ -91,8 +91,10 @@ def test_batch_split_into_chunks(n):
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_moments_view_is_bit_equal_to_the_batch(n):
+    # plain, peeled and near-origin rows (|x| < 2^-10) in one batch
     model = PolynomialModel(n)
-    xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0)])
+    near_origin = [5e-4, -3e-7, 1e-300]
+    xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, -1.0), near_origin])
     rows = moments(model, xs)
     for i, x in enumerate(xs.tolist()):
         one = moments(PolynomialModel(n), x)

@@ -13,6 +13,7 @@ from rice_maxima import (
     DegenerateModel,
     PolynomialModel,
     expected_count,
+    maxima_density,
     moments,
 )
 from oracles import (
@@ -29,12 +30,14 @@ POINTS = (0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.1, -1.1, 2.0, -3.0)
 FIELDS = ("sigma_w_over_b", "rho", "one_minus_rho_sq", "sigma_u_tilde", "peel")
 
 # The peeled side from just past |x| = 1 out beyond |x| ~ 1e12 / n^1.5,
-# where a peeled basis with shared leading terms cancels, at three degrees
-# and both signs.
+# where a peeled basis with shared leading terms cancels, and the inner side
+# from just inside |x| = 1 in to |x| = 1e-13, where a basis with shared
+# leading terms cancels as 1 - rho^2 ~ x^2, at three degrees and both signs.
 DIRECT_SUM_POINTS = [
     (n, sign * x)
     for n in (10, 1000, 10_000)
     for x in (1.0 + 1.0 / n, 1.01, 2.0, 50.0, 1e3, 1e7, 1e13)
+    + (0.5, 1.0 - 1.0 / n, 1e-3, 1e-9, 1e-13)
     for sign in (1.0, -1.0)
 ] + [(100_000, 1e5), (3, 1e9), (3, 1e12)]
 
@@ -154,40 +157,56 @@ class TestInternalIdentities:
         assert log_sigma_u == pytest.approx(expected, rel=1e-14)
 
 
+def assert_matches_direct_sums(model, x, rho_abs=0.0):
+    rows = moments(model, x)
+    ref = moments_mp(model, x)
+    for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq"):
+        expected = float(getattr(ref, name))
+        abs_tol = rho_abs if name == "rho" else 0.0
+        assert getattr(rows, name)[0] == pytest.approx(expected, rel=1e-12, abs=abs_tol), name
+    log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
+    assert log_sigma_u == pytest.approx(float(ref.log_sigma_u), rel=1e-12, abs=1e-12)
+
+
 class TestAgainstDirectSums:
     @pytest.mark.parametrize("n,x", DIRECT_SUM_POINTS)
     def test_matches_to_1e12(self, n, x):
         # The oracle conditions exact integer Gram sums; 1 - rho^2 falls to
-        # 4e-34 at (10^4, 1e13) and is still resolved to 1e-12.
-        model = PolynomialModel(n)
-        rows = moments(model, x)
-        ref = moments_mp(model, x)
-        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq"):
-            expected = float(getattr(ref, name))
-            assert getattr(rows, name)[0] == pytest.approx(expected, rel=1e-12, abs=0.0), name
-        log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
-        assert log_sigma_u == pytest.approx(float(ref.log_sigma_u), rel=1e-12, abs=1e-12)
+        # 4e-34 at (10^4, 1e13) and to 1e-26 at 1e-13, and is still
+        # resolved to 1e-12.
+        assert_matches_direct_sums(PolynomialModel(n), x)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=(AssertionError, DegenerateCovariance),
-        reason="the inner rows cancel near x = 0: 1 - rho^2 ~ x^2 comes out with "
-        "a relative error ~1e-19/x^2, and 0 < |x| < ~1e-12 raises although the "
-        "covariance is regular (ROADMAP direction 3)",
-    )
+    @pytest.mark.parametrize("x", (1e-9, -1e-9, 0.0))
+    def test_constant_term_matches_to_1e12(self, x):
+        # With a constant term the origin is regular and takes plain rows;
+        # at x = 0 rho is 0 exactly, so it is held to an absolute 1e-15.
+        assert_matches_direct_sums(PolynomialModel(10, sigma0=1.0), x, rho_abs=1e-15)
+
     @pytest.mark.parametrize("x", (1e-9, 1e-13))
     def test_inner_rows_near_the_origin(self, x):
-        # Measured at n = 10: 1 - rho^2 = 4.19e-14 at x = 1e-9 against the
-        # exact 1.0e-18; at x = 1e-13 moments and a count from x raise
-        # DegenerateCovariance.
+        # Near-origin rows (basis triangular in x) resolve 1 - rho^2 ~ x^2,
+        # and a count from there evaluates.
         model = PolynomialModel(10)
         result = expected_count(model, CountQuery(x, 10.0 * x, 1.0))
         assert math.isfinite(result.value) and result.value >= 0.0
-        rows = moments(model, x)
-        ref = moments_mp(model, x)
-        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq"):
-            expected = float(getattr(ref, name))
-            assert getattr(rows, name)[0] == pytest.approx(expected, rel=1e-12, abs=0.0), name
+        assert_matches_direct_sums(model, x)
+
+    def test_tiny_points_evaluate(self):
+        # Down to the smallest subnormal: sigma_U ~ x^2 lives in the peel,
+        # and 1 - rho^2 ~ x^2 underflows to 0 with rho = -1, the limit.
+        xs = np.array([1e-200, -5e-324, 1e-300])
+        model = PolynomialModel(10)
+        rows = moments(model, xs)
+        for name in FIELDS:
+            assert np.isfinite(getattr(rows, name)).all(), name
+        assert ((rows.one_minus_rho_sq >= 0.0) & (rows.one_minus_rho_sq <= 1.0)).all()
+        assert rows.rho == pytest.approx(-1.0, abs=1e-15)
+        assert rows.peel == pytest.approx(2.0 * np.log(np.abs(xs)), rel=1e-15)
+        # sigma_U -> 0: every maximum lies below u > 0, none below u < 0,
+        # and sigma_W / B -> 2 (Q'' = 2 A_2 given A_1 = 0), so 1 / pi
+        for x in xs.tolist():
+            assert maxima_density(model, x, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+            assert maxima_density(model, x, -1.0) == 0.0
 
     @pytest.mark.parametrize("n", (3, 10, 10_000))
     def test_huge_points_evaluate(self, n):
@@ -210,9 +229,15 @@ class TestDegeneracies:
             moments(PolynomialModel(5, sigma=(1, 0, 0, 1, 0)), 0.7)
 
     def test_origin_without_constant_term(self):
-        # Every A_j has zero mean contribution at x = 0, so Q(0) = 0 a.s.
-        with pytest.raises(DegenerateCovariance):
-            moments(PolynomialModel(5), 0.0)
+        # Every A_j has zero mean contribution at x = 0, so Q(0) = 0 a.s.;
+        # with a constant term Q(0) = D_0 given Q'(0) = D_0 + D_1 = 0 has
+        # variance 1/2.
+        for x in (0.0, -0.0):
+            with pytest.raises(DegenerateCovariance, match="deterministic"):
+                moments(PolynomialModel(5), x)
+            rows = moments(PolynomialModel(5, sigma0=1.0), x)
+            assert rows.sigma_u_tilde[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+            assert rows.peel[0] == 0.0
 
     def test_non_finite_x(self):
         with pytest.raises(ValueError):
