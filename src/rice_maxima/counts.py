@@ -30,7 +30,7 @@ layer cut on either side of +-1.
 
 The integrand is an array function: the quadrature hands it the x-nodes of
 a whole round of Gauss-Kronrod panels (every initial panel, or both halves
-of a bisection), which go to ``maxima_density_batch`` in one call, so the
+of a bisection), which go to ``maxima_density`` in one call, so the
 moments of a round come from one ``moments`` call (in row chunks that bound
 its memory).  A point's density does not depend on the other points of the
 call, so the grouping does not change the result.
@@ -48,9 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
-from .density import maxima_density_batch
+from .density import maxima_density
 from .errors import ToleranceNotMet
 from .model import PolynomialModel
 from .quadrature import integrate_adaptive
@@ -136,12 +134,9 @@ def expected_count(
     if query.u == -math.inf:
         return NumericResult(0.0, 0.0, "exact", meta | {"evaluations": 0})
 
-    def density(x: np.ndarray) -> np.ndarray:
-        return maxima_density_batch(model, x, query.u)
-
     inside = [c for c in split_points(model.degree) if query.lo < c < query.hi]
     total = integrate_adaptive(
-        density,
+        lambda x: maxima_density(model, x, query.u),
         [query.lo, *inside, query.hi],
         rel_tol=rel_tol,
         abs_tol=_ABS_FLOOR,

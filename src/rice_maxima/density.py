@@ -18,16 +18,14 @@ standard deviation of the first derivative.  The two limits are
     u -> +inf : (sigma_W / B) / (2 pi)   (all local maxima counted)
     u -> -inf : 0
 
-All inputs come from ``moments``: sigma_W / B, rho, 1 - rho^2 and sigma_U,
-the last with a power of x peeled off and returned as its log (entering
-only the level ratio u / sigma_U): x^n beyond |x| = 1 and x^2 near the
-origin of a model without a constant term.  The evaluation so stays finite
-for degrees and locations where raw covariance entries overflow float64,
-and where sigma_U underflows next to x = 0.
+All inputs come from ``moments``: sigma_W / B, rho, 1 - rho^2 and ln sigma_U,
+which enters only the level ratio, q = sign(u) exp(ln|u| - ln sigma_U).  The
+evaluation so stays finite for degrees and locations where sigma_U (~ x^n far
+out) overflows float64, and where it underflows (~ x^2) next to x = 0.
 
-``maxima_density_batch`` evaluates a whole array of points (a round of
-quadrature panels) with one ``moments`` call; ``maxima_density`` is its
-one-point view.  Only the erfc bracket runs per point, with ``math.erfc``.
+``maxima_density`` takes a float or a 1-D array of points (a round of
+quadrature panels) and evaluates them with one ``moments`` call; a float
+gives a float.  Only the erfc bracket runs per point, with ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .errors import NonFiniteResult
 from .model import PolynomialModel
 from .moments import moments
 
-__all__ = ["maxima_density", "maxima_density_batch"]
+__all__ = ["maxima_density"]
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -88,41 +86,33 @@ def _bracket(q: float, rho: float, one_minus_rho_sq: float) -> float:
     return 0.0 if bracket < 0.0 else min(bracket, 2.0)
 
 
-def maxima_density_batch(model: PolynomialModel, xs, u: float) -> np.ndarray:
-    """``maxima_density`` at every point of the 1-D array ``xs`` in one
-    batched moments evaluation (one call per quadrature round).
+def maxima_density(model: PolynomialModel, x, u: float) -> float | np.ndarray:
+    """Density (per unit x) of local maxima with polynomial value below u,
+    at ``x``, a float or a 1-D array of points (a float gives a float).
 
-    Raises like ``maxima_density``; a DegenerateCovariance or
-    NonFiniteResult names a point of ``xs`` where the evaluation failed.
+    ``u`` may be ``inf`` (count every local maximum) or ``-inf`` (zero).
+    Raises DegenerateModel when fewer than three increments carry noise,
+    DegenerateCovariance when the value/slope/curvature covariance at a
+    point is singular, and NonFiniteResult if the evaluation produces a
+    non-finite number; either error names the first failing point of ``x``.
     """
     if math.isnan(u):
         raise ValueError("u must not be NaN")
-    rows = moments(model, xs)
+    rows = moments(model, x)
     swb = rows.sigma_w_over_b
     if u == math.inf:
         values = swb / _TWO_PI
     elif u == -math.inf:
         values = np.zeros_like(swb)
     else:
-        q, rho, omr = rows.level_ratio(u), rows.rho, rows.one_minus_rho_sq
+        log_u = math.log(abs(u)) if u != 0.0 else -math.inf
+        with np.errstate(over="ignore"):  # q = +-inf past the float range
+            q = np.copysign(np.exp(log_u - rows.log_sigma_u), u)
+        rho, omr = rows.rho, rows.one_minus_rho_sq
         brackets = list(map(_bracket, q.tolist(), rho.tolist(), omr.tolist()))
         values = swb / _FOUR_PI * np.array(brackets)
     finite = np.isfinite(values)
     if not finite.all():
-        x = float(rows.x[np.argmin(finite)])
-        raise NonFiniteResult(f"density evaluation at x={x!r}, u={u!r} is not finite")
-    return values
-
-
-def maxima_density(model: PolynomialModel, x: float, u: float) -> float:
-    """Density (per unit x) of local maxima with polynomial value below u.
-
-    ``u`` may be ``inf`` (count every local maximum) or ``-inf`` (zero).
-    Raises DegenerateModel when fewer than three increments carry noise,
-    DegenerateCovariance when the value/slope/curvature covariance at
-    ``x`` is singular, and NonFiniteResult if the evaluation produces a
-    non-finite number.  This is the one-point view of
-    ``maxima_density_batch``.
-    """
-    return float(maxima_density_batch(model, [float(x)], u)[0])
-
+        at = float(np.ravel(x)[np.argmin(finite)])
+        raise NonFiniteResult(f"density evaluation at x={at!r}, u={u!r} is not finite")
+    return float(values[0]) if np.ndim(x) == 0 else values

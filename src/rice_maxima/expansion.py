@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import ToleranceNotMet
 from .kernels import TAIL_LAWS, family_kernels
+from .model import require_integer
 from .quadrature import QuadResult, integrate_adaptive
 
 __all__ = [
@@ -244,8 +245,7 @@ def theorem_expansion(family: int, n: int, u: float) -> ExpansionResult:
     """
     if family not in (1, 2, 3, 4):
         raise ValueError(f"family must be 1..4, got {family!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = require_integer("n", n, 1)  # as PolynomialModel.degree
     if not u > 0.0 or not math.isfinite(u):
         raise ValueError(f"the expansion requires a finite level u > 0, got {u!r}")
     log_coefficient, constant, u_coefficient = _ENGINE_CONSTANTS[family]

@@ -27,6 +27,14 @@ from .errors import DegenerateModel
 __all__ = ["PolynomialModel"]
 
 
+def require_integer(name: str, value, minimum: int, error: type = ValueError) -> int:
+    """``value`` as an int, or ``error`` unless it is an integer of at least
+    ``minimum``: numpy integers are taken, bools and floats are not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PolynomialModel:
     """Degree and increment standard deviations of the random polynomial.
@@ -41,11 +49,7 @@ class PolynomialModel:
     sigma0: float = 0.0
 
     def __post_init__(self):
-        n = self.degree
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise DegenerateModel(f"degree must be an integer, got {n!r}")
-        if n < 1:
-            raise DegenerateModel(f"degree must be >= 1, got {n}")
+        n = require_integer("degree", self.degree, 1, DegenerateModel)
         sigma = self.sigma
         if sigma is None:
             sigma = tuple(1.0 for _ in range(n))
@@ -60,7 +64,7 @@ class PolynomialModel:
         s0 = float(self.sigma0)
         if not np.isfinite(s0) or s0 < 0:
             raise DegenerateModel("sigma0 must be finite and >= 0")
-        object.__setattr__(self, "degree", int(n))
+        object.__setattr__(self, "degree", n)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma0", s0)
 

@@ -58,17 +58,17 @@ per-kind coefficients (s, delta, eps, kappa) and W^2 = (delta + eps
 eta)^2 |g|^2 + eps^2 |h|^2,
 
     sigma_W / B = kappa W / |v|        rho = s (delta + eps eta) |g| / W
-    1 - rho^2 = eps^2 |h|^2 / W^2      sigma_U = |beta| |g|
+    1 - rho^2 = eps^2 |h|^2 / W^2      ln sigma_U = ln|beta| + ln|g|
 
     kind       s   delta   eps   kappa   beta
     plain      1   0       1     1       1
     near      -1   2       x     1       x^2
     peeled     1   1 - n   y     y^2     x^n y / n
 
-The power x^2 or x^n of beta is returned as its log (the ``peel``, used by
-the level ratio u / sigma_U), so sigma_U neither overflows far out nor
-underflows at the origin.  Beyond |x| ~ 1e154, y^2 underflows to 0:
-sigma_W / B = 1 - rho^2 = 0 and rho = -1, the limit; below |x| ~ 1e-154
+sigma_U is returned only as its log, with ln|beta| a sum of logs (2 ln|x|
+near the origin, n ln|x| + ln(|y| / n) peeled), so it neither overflows
+far out nor underflows at the origin.  Beyond |x| ~ 1e154, y^2 underflows
+to 0: sigma_W / B = 1 - rho^2 = 0 and rho = -1, the limit; below |x| ~ 1e-154
 near the origin 1 - rho^2 = 0 and rho = -1 likewise.  A point is refused
 only where the covariance has lost rank: where Q' or Q is deterministic
 (|v| = 0, or x = 0 without a constant term, where sigma_U = 0), or where a
@@ -77,7 +77,6 @@ residual g or h is shorter than ``_RESIDUAL_RTOL`` of its row.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -121,30 +120,15 @@ class _Gram(NamedTuple):
 class MomentRows(NamedTuple):
     """The density inputs at each point of a batch, one entry per row.
 
-    ``sigma_w_over_b`` is sigma_W / B, ``rho`` the conditional correlation
-    and ``one_minus_rho_sq`` is 1 - rho^2 from residual norms.
-    ``sigma_u_tilde`` is sigma_U with the peeled power removed and ``peel``
-    the log of that power: n log|x| for |x| > 1, 2 log|x| on near-origin
-    rows and 0 otherwise, so that sigma_U = sigma_u_tilde * exp(peel).
+    ``sigma_w_over_b`` is sigma_W / B, ``rho`` the conditional correlation,
+    ``one_minus_rho_sq`` is 1 - rho^2 from residual norms and
+    ``log_sigma_u`` is ln sigma_U, finite at every point that evaluates.
     """
 
-    x: np.ndarray
     sigma_w_over_b: np.ndarray
     rho: np.ndarray
     one_minus_rho_sq: np.ndarray
-    sigma_u_tilde: np.ndarray
-    peel: np.ndarray
-
-    def level_ratio(self, u: float) -> np.ndarray:
-        """q = u / sigma_U for every row (a finite level ``u``)."""
-        with np.errstate(divide="ignore", over="ignore"):
-            q = u / self.sigma_u_tilde
-            peeled = self.peel != 0.0
-            if peeled.any():
-                log_u = math.log(abs(u)) if u != 0.0 else -math.inf
-                log_q = log_u - np.log(self.sigma_u_tilde[peeled]) - self.peel[peeled]
-                q[peeled] = np.copysign(np.exp(log_q), u)
-        return q
+    log_sigma_u: np.ndarray
 
 
 def _horizon(base: np.ndarray) -> np.ndarray:
@@ -257,10 +241,11 @@ def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
     return _Gram(*out)
 
 
-def _check(xs: np.ndarray, g: _Gram, peel: np.ndarray) -> None:
+def _check(xs: np.ndarray, g: _Gram, kind: np.ndarray) -> None:
     """Raise DegenerateCovariance at the first row, in batch order, whose
     covariance is singular within tolerance."""
-    deterministic = (g.vv <= 0.0) | (peel == -math.inf)  # sigma_U = 0 at x = 0
+    # sigma_U = 0 at x = 0 without a constant term
+    deterministic = (g.vv <= 0.0) | ((kind == _NEAR_ORIGIN) & (xs == 0.0))
     bad = deterministic | (g.gg <= 0.0) | (g.hh <= 0.0)
     if bad.any():
         i = int(bad.argmax())
@@ -280,7 +265,7 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
     as at x = 0 for a model with no constant term.  Every other finite
     point evaluates: out to |x| ~ 1e308, where rho = -1 and 1 - rho^2 = 0,
     and, without a constant term, in to |x| = 5e-324, where sigma_U ~ x^2
-    is carried in the ``peel``.  Rows already computed on ``model`` are
+    is carried as its log.  Rows already computed on ``model`` are
     read from its memo (module docstring, Reuse).
 
     ``clamp_rho`` is ignored: it is kept so that existing callers still
@@ -302,30 +287,30 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
             rows[i] = row
             if len(memo) < _MEMO_ROWS:
                 memo[keys[i]] = row
-    table = np.array(rows, dtype=float).reshape(len(keys), 5)  # a row per point
-    return MomentRows(xs, *table.T.copy())
+    table = np.array(rows, dtype=float).reshape(len(keys), len(MomentRows._fields))
+    return MomentRows(*table.T.copy())
 
 
 def _fresh_rows(model: PolynomialModel, xs: np.ndarray) -> tuple:
-    """The five ``MomentRows`` columns after ``x``, computed at the finite
-    points ``xs`` and checked like ``moments``: the one read-out of the
-    module docstring, with the coefficients of each row's kind."""
+    """The ``MomentRows`` columns, computed at the finite points ``xs`` and
+    checked like ``moments``: the one read-out of the module docstring, with
+    the coefficients of each row's kind."""
     n, ax = model.degree, np.abs(xs)
     near = (ax < _ORIGIN_SWITCH) & (model.variance_weights()[0] == 0.0)
     outer = ax > 1.0
     kind = np.where(outer, _PEELED, np.where(near, _NEAR_ORIGIN, _PLAIN))
     base = np.where(outer, 1.0 / np.where(outer, xs, 1.0), xs)  # x, or y = 1/x
     g = _gram(model, base, kind)
-    # per kind: s, delta and the exponent of the peeled power of beta
+    _check(xs, g, kind)
+    # per kind: s, delta and the exponent of the power of x in beta
     s, delta, power = np.array([[1.0, 0.0, 0.0], [-1.0, 2.0, 2.0], [1.0, 1.0 - n, n]])[kind].T
-    with np.errstate(divide="ignore"):
-        peel = power * np.log(np.where(power > 0.0, ax, 1.0))
-    _check(xs, g, peel)
     eps = np.where(kind == _PLAIN, 1.0, base)
     norm_g = np.sqrt(g.gg)
     mix = (delta + eps * g.eta) * norm_g  # (delta + eps eta) |g|
     eh = eps * np.sqrt(g.hh)
     w = np.hypot(mix, eh)
     swb = np.where(outer, base * base, 1.0) * w / np.sqrt(g.vv)  # kappa W / |v|
-    sigma_u = np.where(outer, np.abs(base) / n, 1.0) * norm_g  # beta without its power
-    return swb, s * mix / w, (eh / w) ** 2, sigma_u, peel
+    # ln(|beta| |g|) as a sum of logs, each finite past the check
+    log_beta = np.log(np.where(outer, np.abs(base) / n, 1.0))
+    log_beta += power * np.log(np.where(power > 0.0, ax, 1.0))
+    return swb, s * mix / w, (eh / w) ** 2, np.log(norm_g) + log_beta

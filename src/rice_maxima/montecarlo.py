@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PolynomialModel
+from .model import PolynomialModel, require_integer
 
 __all__ = [
     "MCConfig",
@@ -81,6 +81,8 @@ _BLOCK = 256
 _REFINE_TOL = 2.0**-30
 _REFINE_STEPS = 64
 _GRID_CHUNK = 1 << 13
+# Smallest value of each integer setting, in ``MCConfig`` and the helpers.
+_MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -100,15 +102,9 @@ class MCConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # integers as ``PolynomialModel.degree``: numpy ones are stored as
-        # int, bools are refused
-        minimums = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
-        for name, minimum in minimums.items():
-            value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integer or value < minimum:
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, minimum in _MINIMUMS.items():
+            value = require_integer(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +134,10 @@ def _sample_block(model: PolynomialModel, seed: int, k: int, rows: int) -> np.nd
 
 def sample_coefficients(model: PolynomialModel, trials: int, seed: int) -> np.ndarray:
     """Coefficient matrix A of shape (trials, n+1), one row per trial, in
-    the order of the blocks (module docstring)."""
+    the order of the blocks (module docstring).  Raises ``ValueError``
+    unless ``trials`` >= 1 and ``seed`` >= 0 are integers."""
+    trials = require_integer("trials", trials, _MINIMUMS["trials"])
+    seed = require_integer("seed", seed, _MINIMUMS["seed"])
     blocks = _blocks(trials)
     return np.concatenate([_sample_block(model, seed, k, r) for k, r in blocks])
 
@@ -280,9 +279,13 @@ def count_maxima_below(
 
     ``coeff`` is a (trials, n+1) coefficient matrix (see
     ``sample_coefficients``); returns an integer array of shape
-    (trials, len(levels)).  Raises ``ValueError`` unless lo < hi and
-    every level is a number (+-inf allowed).
+    (trials, len(levels)).  Raises ``ValueError`` unless lo < hi, every
+    level is a number (+-inf allowed) and ``points_per_unit`` is an integer
+    >= 8, as in ``MCConfig``.
     """
+    points_per_unit = require_integer(
+        "points_per_unit", points_per_unit, _MINIMUMS["points_per_unit"]
+    )
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
     levels = np.atleast_1d(np.asarray(levels, dtype=float))

@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -14,10 +13,9 @@ from rice_maxima import (
     moments,
     split_points,
 )
-from rice_maxima.density import maxima_density_batch
 from rice_maxima.moments import _CHUNK_ELEMENTS
 from rice_maxima.quadrature import KRONROD_NODES
-from oracles import moments_mp
+from oracles import density_mp, moments_mp
 
 INF = math.inf
 DEGREES = (3, 10, 100, 1000, 10_000)
@@ -59,11 +57,12 @@ def test_layer_width_is_the_innermost_cut():
 
 
 def assert_matches_scalar(model, xs, u):
-    batch = maxima_density_batch(model, xs, u)
+    batch = maxima_density(model, xs, u)
     assert batch.shape == xs.shape
     for x, value in zip(xs.tolist(), batch.tolist()):
         # a fresh model, so the point is computed and not read from the memo
         alone = maxima_density(replace(model), x, u)
+        assert type(alone) is float
         assert value == pytest.approx(alone, rel=1e-15, abs=0.0)
 
 
@@ -105,16 +104,15 @@ def test_moments_view_is_bit_equal_to_the_batch(n):
 @pytest.mark.parametrize("n,x", [(10, 0.4), (100, -2.5), (1000, 1.02), (10_000, 1.3)])
 def test_level_ratio_matches_scaled_arithmetic(n, x):
     # At n = 10^4 and x = 1.3, sigma_U ~ 1e1139 overflows float64; the rows
-    # carry it as ln(sigma_u_tilde) + n ln|x|, the oracle in mpmath.
+    # carry ln sigma_U, and the density forms q = u / sigma_U from it, the
+    # oracles in mpmath.
     model = PolynomialModel(n)
     rows = moments(model, x)
     log_sigma_u = moments_mp(model, x).log_sigma_u
-    got = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
-    assert got == pytest.approx(float(log_sigma_u), rel=1e-14, abs=1e-12)
-    for u in (-3.0, 0.5, 1e300):
-        expected = float(u * mpmath.exp(-log_sigma_u))  # 0.0 past the float range
-        assert rows.level_ratio(u)[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
-    assert rows.level_ratio(0.0)[0] == 0.0
+    assert rows.log_sigma_u[0] == pytest.approx(float(log_sigma_u), rel=1e-14, abs=1e-12)
+    for u in (-3.0, 0.0, 0.5, 1e300):
+        expected = float(density_mp(model, x, u))
+        assert maxima_density(model, x, u) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestFailures:
@@ -123,9 +121,9 @@ class TestFailures:
         # points evaluate, and the error names x = 0.
         xs = np.array([0.3, 3e12, 0.0, 0.5, 1e300])
         with pytest.raises(DegenerateCovariance, match="deterministic") as info:
-            maxima_density_batch(PolynomialModel(5), xs, 1.0)
+            maxima_density(PolynomialModel(5), xs, 1.0)
         assert info.value.x == 0.0
-        values = maxima_density_batch(PolynomialModel(5), xs[xs != 0.0], 1.0)
+        values = maxima_density(PolynomialModel(5), xs[xs != 0.0], 1.0)
         assert np.isfinite(values).all() and (values >= 0.0).all()
 
     def test_first_failing_node_in_batch_order(self):
@@ -133,7 +131,7 @@ class TestFailures:
         # told apart by its sign, and the scalar path fails there too.
         xs = np.array([2.0, 3e12, -0.0, 5.0, 0.0, 1e12])
         with pytest.raises(DegenerateCovariance, match="deterministic") as info:
-            maxima_density_batch(PolynomialModel(3), xs, INF)
+            maxima_density(PolynomialModel(3), xs, INF)
         assert info.value.x == 0.0
         assert math.copysign(1.0, info.value.x) == -1.0
         with pytest.raises(DegenerateCovariance):
@@ -141,7 +139,7 @@ class TestFailures:
 
     def test_non_finite_node_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            maxima_density_batch(PolynomialModel(5), np.array([0.5, np.nan]), 1.0)
+            maxima_density(PolynomialModel(5), np.array([0.5, np.nan]), 1.0)
 
     def test_two_dimensional_batch_rejected(self):
         with pytest.raises(ValueError, match="1-D"):

@@ -14,9 +14,9 @@ from rice_maxima import (
     ToleranceNotMet,
     counts,
     expected_count,
+    maxima_density,
     split_points,
 )
-from rice_maxima.density import maxima_density_batch
 from rice_maxima.quadrature import integrate_adaptive
 from oracles import cubic_em_mc, scale_model, tail_count_mp
 
@@ -126,7 +126,7 @@ def five_cut_count(model, query, rel_tol):
     d = min(0.5, max(10.0 / model.degree, 1e-6))
     cuts = (-1.0 - d, -1.0 + d, 0.0, 1.0 - d, 1.0 + d)
     return integrate_adaptive(
-        lambda x: maxima_density_batch(model, x, query.u),
+        lambda x: maxima_density(model, x, query.u),
         [query.lo, *(c for c in cuts if query.lo < c < query.hi), query.hi],
         rel_tol=rel_tol,
         abs_tol=counts._ABS_FLOOR,
@@ -202,14 +202,30 @@ class TestFarTail:
         expected = float(tail_count_mp(model, 1e6, u))
         assert result.value == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("n,lo", [(10, 1e6), (10_000, 1e4)])
+    @pytest.mark.parametrize(
+        "n,lo",
+        [
+            (10, 1e6),
+            (10_000, 1e4),
+            pytest.param(
+                10,
+                1e16,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="both s-edges 2 - 1/lo and 2 round to 2, so the count is a "
+                    "converged 0.0 with no evaluations; the resolution of the compact "
+                    "coordinate near s = 2 is open (ROADMAP direction 3)",
+                ),
+            ),
+        ],
+    )
     def test_all_maxima_beyond_lo_follow_the_tail_law(self, n, lo):
         # sigma_W / B -> c_n / x^2 with c_n = (n-1)^(3/2) / n^2 for the unit
         # model, so the count of all maxima on (lo, inf) tends to
-        # c_n / (2 pi lo): 4.2972e-8 and 1.59131e-7 here.
+        # c_n / (2 pi lo): 4.2972e-8, 1.59131e-7 and 4.2972e-18 here.
         result = expected_count(PolynomialModel(n), CountQuery(lo, INF, INF))
         c_n = (n - 1) ** 1.5 / n**2
-        assert result.value == pytest.approx(c_n / (2.0 * math.pi * lo), rel=1e-6)
+        assert result.value == pytest.approx(c_n / (2.0 * math.pi * lo), rel=1e-6, abs=0.0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -241,12 +257,12 @@ class TestOneCallPerRound:
 
         def panel_by_panel(model, xs, u):
             parts = [
-                maxima_density_batch(model, xs[i : i + 15], u)
+                maxima_density(model, xs[i : i + 15], u)
                 for i in range(0, len(xs), 15)
             ]
             return np.concatenate(parts)
 
-        monkeypatch.setattr(counts, "maxima_density_batch", panel_by_panel)
+        monkeypatch.setattr(counts, "maxima_density", panel_by_panel)
         alone = expected_count(PolynomialModel(n), query)  # a cold memo
         assert batched.metadata["panels"] > batched.metadata["pieces"]
         assert batched.value == alone.value

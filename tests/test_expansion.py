@@ -84,6 +84,12 @@ class TestTheoremExpansion:
             with pytest.raises(ValueError, match="level"):
                 theorem_expansion(3, 100, bad_u)
 
+    @pytest.mark.parametrize("bad_n", [2.5, 3.0, True, 0, -4])
+    def test_degree_must_be_a_positive_integer(self, bad_n):
+        # as PolynomialModel's degree: no fractions, floats or bools
+        with pytest.raises(ValueError, match="n must be"):
+            theorem_expansion(1, bad_n, 1.0)
+
     @pytest.mark.parametrize(
         "family,n,boundary", [(1, 16, 32.0), (3, 16, 32.0), (2, 16, 2.0), (4, 16, 2.0)]
     )

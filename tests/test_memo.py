@@ -81,9 +81,8 @@ def test_signed_zeros_share_one_row():
     plus = moments(model, 0.0)
     minus = moments(model, -0.0)
     assert len(model._moments_memo) == 1
-    assert math.copysign(1.0, minus.x[0]) == -1.0
     fresh = moments(PolynomialModel(5, sigma0=1.0), -0.0)
-    for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq", "sigma_u_tilde", "peel"):
+    for name in plus._fields:
         column = getattr(plus, name).tolist()
         assert column == getattr(minus, name).tolist() == getattr(fresh, name).tolist()
         assert all(math.isfinite(v) for v in column)

@@ -27,7 +27,7 @@ from oracles import (
 
 DEGREES = (3, 5, 8, 12)
 POINTS = (0.5, -0.5, 0.9, -0.9, 1.0, -1.0, 1.1, -1.1, 2.0, -3.0)
-FIELDS = ("sigma_w_over_b", "rho", "one_minus_rho_sq", "sigma_u_tilde", "peel")
+FIELDS = ("sigma_w_over_b", "rho", "one_minus_rho_sq", "log_sigma_u")
 
 # The peeled side from just past |x| = 1 out beyond |x| ~ 1e12 / n^1.5,
 # where a peeled basis with shared leading terms cancels, and the inner side
@@ -51,7 +51,7 @@ def one_row(model, x, **kwargs):
     """(sigma_U, sigma_W / B, rho, 1 - rho^2) of ``moments`` at one point,
     with sigma_U formed in float64 (fine at these degrees)."""
     rows = moments(model, x, **kwargs)
-    sigma_u = rows.sigma_u_tilde[0] * math.exp(rows.peel[0])
+    sigma_u = math.exp(rows.log_sigma_u[0])
     return sigma_u, rows.sigma_w_over_b[0], rows.rho[0], rows.one_minus_rho_sq[0]
 
 
@@ -121,12 +121,13 @@ class TestInternalIdentities:
     @given(st.integers(min_value=3, max_value=12), nonzero_x)
     @settings(max_examples=120, deadline=None)
     def test_cauchy_schwarz_and_positivity(self, n, x):
-        rows = moments(PolynomialModel(n), x)
-        assert rows.sigma_u_tilde[0] > 0.0 and rows.sigma_w_over_b[0] > 0.0
+        model = PolynomialModel(n)
+        rows = moments(model, x)
+        assert math.isfinite(rows.log_sigma_u[0]) and rows.sigma_w_over_b[0] > 0.0
         assert 0.0 <= rows.one_minus_rho_sq[0] <= 1.0
         assert abs(rows.rho[0]) < 1.0
-        peel = n * math.log(abs(x)) if abs(x) > 1.0 else 0.0
-        assert rows.peel[0] == pytest.approx(peel, rel=1e-15, abs=0.0)
+        expected = float(moments_mp(model, x).log_sigma_u)
+        assert rows.log_sigma_u[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @given(
         st.integers(min_value=3, max_value=10),
@@ -138,23 +139,22 @@ class TestInternalIdentities:
         base = moments(PolynomialModel(n), x)
         scaled = moments(scale_model(PolynomialModel(n), factor), x)
         # sigma_U scales with the deviations; the ratios are invariant.
-        assert scaled.sigma_u_tilde[0] == pytest.approx(
-            factor * base.sigma_u_tilde[0], rel=1e-12
+        assert scaled.log_sigma_u[0] == pytest.approx(
+            math.log(factor) + base.log_sigma_u[0], abs=1e-12
         )
-        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq", "peel"):
+        for name in ("sigma_w_over_b", "rho", "one_minus_rho_sq"):
             got, ref = getattr(scaled, name)[0], getattr(base, name)[0]
             assert got == pytest.approx(ref, rel=1e-12), name
 
     def test_huge_degree_far_point_stays_finite(self):
         # The covariance entries (~x**(2n)) and det(Sigma) (~x**(6n)) would
-        # overflow float64; the rows carry sigma_U as ln + n ln|x|.
+        # overflow float64; the rows carry ln sigma_U.
         model = PolynomialModel(400)
         rows = moments(model, 3.0)
         for name in FIELDS:
             assert np.isfinite(getattr(rows, name)).all(), name
-        log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
         expected = float(moments_mp(model, 3.0).log_sigma_u)
-        assert log_sigma_u == pytest.approx(expected, rel=1e-14)
+        assert rows.log_sigma_u[0] == pytest.approx(expected, rel=1e-14)
 
 
 def assert_matches_direct_sums(model, x, rho_abs=0.0):
@@ -164,8 +164,8 @@ def assert_matches_direct_sums(model, x, rho_abs=0.0):
         expected = float(getattr(ref, name))
         abs_tol = rho_abs if name == "rho" else 0.0
         assert getattr(rows, name)[0] == pytest.approx(expected, rel=1e-12, abs=abs_tol), name
-    log_sigma_u = math.log(rows.sigma_u_tilde[0]) + rows.peel[0]
-    assert log_sigma_u == pytest.approx(float(ref.log_sigma_u), rel=1e-12, abs=1e-12)
+    expected = float(ref.log_sigma_u)
+    assert rows.log_sigma_u[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestAgainstDirectSums:
@@ -192,7 +192,7 @@ class TestAgainstDirectSums:
         assert_matches_direct_sums(model, x)
 
     def test_tiny_points_evaluate(self):
-        # Down to the smallest subnormal: sigma_U ~ x^2 lives in the peel,
+        # Down to the smallest subnormal: sigma_U ~ x^2 lives in its log,
         # and 1 - rho^2 ~ x^2 underflows to 0 with rho = -1, the limit.
         xs = np.array([1e-200, -5e-324, 1e-300])
         model = PolynomialModel(10)
@@ -201,7 +201,8 @@ class TestAgainstDirectSums:
             assert np.isfinite(getattr(rows, name)).all(), name
         assert ((rows.one_minus_rho_sq >= 0.0) & (rows.one_minus_rho_sq <= 1.0)).all()
         assert rows.rho == pytest.approx(-1.0, abs=1e-15)
-        assert rows.peel == pytest.approx(2.0 * np.log(np.abs(xs)), rel=1e-15)
+        expected = [float(moments_mp(model, x).log_sigma_u) for x in xs.tolist()]
+        assert rows.log_sigma_u == pytest.approx(expected, rel=1e-12)
         # sigma_U -> 0: every maximum lies below u > 0, none below u < 0,
         # and sigma_W / B -> 2 (Q'' = 2 A_2 given A_1 = 0), so 1 / pi
         for x in xs.tolist():
@@ -213,10 +214,12 @@ class TestAgainstDirectSums:
         # Past |x| ~ 1e154, y^2 = 1/x^2 underflows: rho = -1 and
         # 1 - rho^2 = 0 in float64, and nothing raises.
         xs = np.array([1e154, -1e200, 1e300, -1e300, 1.7e308])
-        rows = moments(PolynomialModel(n), xs)
+        model = PolynomialModel(n)
+        rows = moments(model, xs)
         for name in FIELDS:
             assert np.isfinite(getattr(rows, name)).all(), name
-        assert (rows.sigma_u_tilde > 0.0).all()
+        expected = [float(moments_mp(model, x).log_sigma_u) for x in xs.tolist()]
+        assert rows.log_sigma_u == pytest.approx(expected, rel=1e-12)
         assert (rows.one_minus_rho_sq[1:] == 0.0).all()
         assert rows.rho[1:] == pytest.approx(-1.0, abs=1e-15)
 
@@ -236,8 +239,7 @@ class TestDegeneracies:
             with pytest.raises(DegenerateCovariance, match="deterministic"):
                 moments(PolynomialModel(5), x)
             rows = moments(PolynomialModel(5, sigma0=1.0), x)
-            assert rows.sigma_u_tilde[0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-            assert rows.peel[0] == 0.0
+            assert rows.log_sigma_u[0] == pytest.approx(0.5 * math.log(0.5), rel=1e-15)
 
     def test_non_finite_x(self):
         with pytest.raises(ValueError):

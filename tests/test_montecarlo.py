@@ -460,6 +460,29 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             count_maxima_below(model, coeff, lo, hi, levels)
 
+    @pytest.mark.parametrize("points_per_unit", [0, 1, 7, 8.0, True])
+    def test_count_rejects_a_grid_the_config_rejects(self, points_per_unit):
+        model = PolynomialModel(8)
+        coeff = sample_coefficients(model, 4, seed=0)
+        with pytest.raises(ValueError, match="points_per_unit must be an integer >= 8"):
+            count_maxima_below(model, coeff, -INF, INF, [INF], points_per_unit=points_per_unit)
+
+    @pytest.mark.parametrize(
+        "trials, seed, field",
+        [
+            (0, 1, "trials"),
+            (-3, 1, "trials"),
+            (2.0, 1, "trials"),
+            (True, 1, "trials"),
+            (1, -1, "seed"),
+            (1, 0.5, "seed"),
+            (1, True, "seed"),
+        ],
+    )
+    def test_sampling_rejects_what_the_config_rejects(self, trials, seed, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+            sample_coefficients(PolynomialModel(8), trials, seed)
+
     def test_single_trial_has_infinite_stderr(self):
         (est,) = estimate_many(
             PolynomialModel(3), -INF, INF, [INF], MCConfig(trials=1, seed=0)
