@@ -11,11 +11,14 @@ from residual norms so it stays accurate as rho approaches +-1.
 
 Batching.  ``moments`` takes a float or a 1-D array of points (a round of
 quadrature panels); a float is a batch of one.  It builds the weighted basis
-vectors of every point as rows of (rows, n+1) arrays and reads all Gram
-quantities off them with row-wise dot products.  Rows are processed in
-chunks of at most ``_CHUNK_ELEMENTS`` array elements, so the temporaries
-stay small at any degree (one row per chunk once n + 1 exceeds that
-budget).  A row's result does not depend on the other rows of its batch.
+vectors of every point as rows of (rows, width) arrays and reads all Gram
+quantities off them with row-wise dot products.  A row stops at its
+horizon, the last power of x (or of 1/x) that is a normal float64: smaller
+powers cannot change any Gram sum, and subnormal arithmetic is an order of
+magnitude slower.  A row therefore costs O(min(n, horizon)) at any point.
+Rows are grouped by kind and width, in chunks of at most
+``_CHUNK_ELEMENTS`` / (n + 1) rows, so the temporaries stay small at any
+degree, and a row's result does not depend on the other rows of its batch.
 
 Reuse.  The rows do not depend on the level u (it enters the density only
 through q = u / sigma_U), so counts on one model at several levels, or on
@@ -44,11 +47,11 @@ step cancels:
 - peeled (|x| > 1, y = 1/x): x**n, x**(n-1) and x**(n-2) come off a, b, d
   analytically and (G, v, H) = (P', v, P'') with P' = sum m y**(m-1),
   v = sum (n-m) y**m and P'' = sum m(m-1) y**(m-2) over m <= n - k, where
-  a = (v + y P') / n and d = (n-1)(v - y P') + y**2 P''.
-
-Powers below the smallest normal float64 are set to zero instead of
-computed: they cannot change any Gram sum, and subnormal arithmetic is an
-order of magnitude slower.
+  a = (v + y P') / n and d = (n-1)(v - y P') + y**2 P''.  Past the
+  horizon the partial sums stop changing: in a row of ``width`` of them
+  the columns k <= n - width all hold the last, so one lumped column, that
+  sum times sqrt(W_(n+1-width)) with W_m the sum of w_k over k < m, stands
+  for them with every dot product unchanged.
 
 The frame and the read-out.  Each row is reduced, by progressive
 orthogonalization (every quantity a sum of squares), to an orthogonal
@@ -139,76 +142,93 @@ def _horizon(base: np.ndarray) -> np.ndarray:
         return np.where(log2 < 0.0, np.floor(_LOG2_TINY / log2), np.inf)
 
 
-def _powers(base: np.ndarray, horizon: np.ndarray, width: int) -> np.ndarray:
-    """base**j for j = 0..width-1 as a (rows, width) array, with every power
-    beyond the row's horizon set to zero instead of computed.
+def _powers(base: np.ndarray, horizon: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
+    """Write base**j for the exponents ``j`` into ``out`` (rows, len(j)),
+    with every power beyond the row's horizon set to zero.
 
     Powers are taken of |base| and the odd ones negated for a negative base:
     numpy's vectorised pow covers nonnegative bases only and falls back to a
-    scalar loop about 20 times slower otherwise.
+    scalar loop about 20 times slower otherwise.  Rows are grouped by width,
+    so at most a row's last three columns lie past its horizon.
     """
-    j = np.arange(width, dtype=float)
-    live = j <= horizon[:, None]
-    magnitude = np.power(np.abs(base)[:, None], np.where(live, j, 0.0))
-    powers = np.where(live, magnitude, 0.0)
-    powers[base < 0.0, 1::2] *= -1.0
-    return powers
+    np.power(np.abs(base)[:, None], j, out=out)
+    cut = int(min(horizon.min(), len(j) - 1.0)) + 1
+    if cut < len(j):
+        out[:, cut:][j[cut:] > horizon[:, None]] = 0.0
+    out[base < 0.0, 1::2] *= -1.0
 
 
-def _terms(powers: np.ndarray) -> np.ndarray:
-    """Summands p_j, j p_(j-1) and j(j-1) p_(j-2) of powers p_j (j along
-    the last axis), stacked as a (3, rows, width) array."""
-    j = np.arange(powers.shape[1], dtype=float)
-    terms = np.zeros((3,) + powers.shape)
-    terms[0] = powers
-    terms[1, :, 1:] = j[1:] * powers[:, :-1]
-    terms[2, :, 2:] = (j[2:] * (j[2:] - 1.0)) * powers[:, :-2]
-    return terms
+def _put(out: np.ndarray, coef: np.ndarray, powers: np.ndarray, lag: int) -> None:
+    """out[:, k] = coef[k - lag] * powers[:, k - lag], zero for k < lag."""
+    out[:, :lag] = 0.0
+    width = out.shape[1] - lag
+    np.multiply(coef[:width], powers[:, :width], out=out[:, lag:])
 
 
-def _inner_basis(x, horizon, root_w, width: int, near: bool) -> np.ndarray:
+class _Columns(NamedTuple):
+    """Vectors over the columns j = 0..n that one ``_gram`` call shares:
+    j, j(j-1), n - j, sqrt(w_j) and its reverse, and W_m, the sum of w_k
+    over k < m (m = 0..n+1)."""
+
+    j: np.ndarray
+    jj: np.ndarray
+    n_j: np.ndarray
+    root_w: np.ndarray
+    root_w_reversed: np.ndarray
+    prefix_w: np.ndarray
+
+
+def _inner_basis(x, horizon, cols: _Columns, width: int, near: bool) -> np.ndarray:
     """Weighted basis rows for |x| <= 1, cut to ``width`` columns, stacked
     as G, v, H along the first axis of a (3, rows, width) array: a, b, d,
-    or near the origin E, b, F."""
-    terms = _terms(_powers(x, horizon, width))
-    if near:  # the summands of b and d one power down give E and F
-        down = np.pad(terms[1:, :, :-1], ((0, 0), (0, 0), (1, 0)))
-        terms = np.stack((down[0], terms[1], down[1]))
+    or near the origin E, b, F (the summands of b and d one power down)."""
+    basis = np.empty((3, len(x), width))
+    powers = np.empty((len(x), width)) if near else basis[0]
+    _powers(x, horizon, cols.j[:width], powers)
+    if near:
+        _put(basis[0], cols.j[1:], powers, 2)
+    _put(basis[1], cols.j[1:], powers, 1)
+    _put(basis[2], cols.jj[2:], powers, 2 + near)
     # reversed cumulative sums: entry k holds the sum over j >= k
-    return root_w[:width] * np.cumsum(terms[..., ::-1], axis=2)[..., ::-1]
+    backward = basis[..., ::-1]
+    np.cumsum(backward, axis=2, out=backward)
+    basis *= cols.root_w[:width]
+    return basis
 
 
-def _outer_basis(n: int, y: np.ndarray, horizon: np.ndarray, root_w: np.ndarray):
-    """Weighted basis rows P', v, P'' for |x| > 1 from y = 1/x, stacked
-    like ``_inner_basis``."""
-    width = int(min(n, horizon.max() + 2.0)) + 1
-    terms = _terms(_powers(y, horizon, width))
-    terms[[0, 1]] = terms[1], (n - np.arange(width, dtype=float)) * terms[0]
-    np.cumsum(terms, axis=2, out=terms)
-    # truncation index i is increment index k = n - i; past the horizon the
-    # partial sums no longer change, so i is capped at the last column
-    out = np.empty((3, len(y), n + 1))
-    out[..., n + 1 - width :] = terms[..., ::-1]
-    out[..., : n + 1 - width] = terms[..., -1:]
-    out *= root_w  # in place: one more (3, rows, n+1) array costs page faults
-    return out
+def _outer_basis(n: int, y, horizon, cols: _Columns, width: int) -> np.ndarray:
+    """Weighted basis rows P', v, P'' for |x| > 1 from y = 1/x, stacked like
+    ``_inner_basis``: the partial sums over m <= i, i < ``width``, each the
+    column k = n - i, then the lumped column (module docstring)."""
+    basis = np.empty((3, len(y), width + 1))
+    sums = basis[..., :width]
+    _powers(y, horizon, cols.j[:width], sums[1])
+    _put(sums[0], cols.j[1:], sums[1], 1)
+    _put(sums[2], cols.jj[2:], sums[1], 2)
+    sums[1] *= cols.n_j[:width]
+    np.cumsum(sums, axis=2, out=sums)
+    np.multiply(sums[..., -1], np.sqrt(cols.prefix_w[n + 1 - width]), out=basis[..., -1])
+    sums *= cols.root_w_reversed[:width]
+    return basis
 
 
 def _gram_sums(basis: np.ndarray) -> _Gram:
     """The orthogonal frame, row by row, of the stacked basis G, v, H:
-    project v out of G and H, then g out of what is left of H."""
+    project v out of G and H, then g out of what is left of H, in place."""
     dot = np.vecdot
-    gram = dot(basis[:, None], basis[None, :])  # (3, 3, rows)
-    vv = gram[1, 1]
+    G, v, H = basis
+    (gv, vv, hv), (GG, HH) = dot(basis, v), dot(basis[0::2], basis[0::2])
     # Degenerate rows (refused by _check) may produce inf/nan here.
     with np.errstate(divide="ignore", invalid="ignore"):
-        resid = basis[0::2] - (gram[0::2, 1] / vv)[..., None] * basis[1]
-        gg, gh = dot(resid[0], resid)  # g = resid[0], H after v = resid[1]
+        scratch = (gv / vv)[:, None] * v
+        G -= scratch  # G is now g
+        H -= np.multiply((hv / vv)[:, None], v, out=scratch)  # H after v
+        gg, gh = dot(G, basis[0::2])
         eta = gh / gg
-        h = resid[1] - eta[:, None] * resid[0]
-        hh = dot(h, h)
-        gg = np.where(gg > _RESIDUAL_RTOL**2 * gram[0, 0], gg, 0.0)
-        hh = np.where(hh > _RESIDUAL_RTOL**2 * gram[2, 2], hh, 0.0)
+        H -= np.multiply(eta[:, None], G, out=scratch)  # H is now h
+        hh = dot(H, H)
+        gg = np.where(gg > _RESIDUAL_RTOL**2 * GG, gg, 0.0)
+        hh = np.where(hh > _RESIDUAL_RTOL**2 * HH, hh, 0.0)
     return _Gram(vv, gg, eta, hh)
 
 
@@ -217,15 +237,15 @@ def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
     or y = 1/x on peeled rows, and built as its row ``kind``, chunk by
     chunk."""
     n = model.degree
-    root_w = np.sqrt(model.variance_weights())
+    w, j = model.variance_weights(), np.arange(n + 1, dtype=float)
+    root_w, prefix_w = np.sqrt(w), np.concatenate(([0.0], w)).cumsum()
+    cols = _Columns(j, j * (j - 1.0), n - j, root_w, root_w[::-1].copy(), prefix_w)
     out = np.empty((len(_Gram._fields), len(base)))
-    outer = kind == _PEELED
     horizon = _horizon(base)
-    # Rows are grouped by kind and basis width: all n+1 columns on the
-    # peeled side, otherwise the columns up to the horizon plus the
-    # derivative shifts (one more near the origin), past which every entry
-    # vanishes.  A row's result then never depends on its batch.
-    width = np.where(outer, n, np.minimum(n, horizon + 2.0 + (kind == _NEAR_ORIGIN))) + 1.0
+    # Rows are grouped by kind and width: the columns up to the horizon plus
+    # the derivative shifts (one more near the origin), past which every
+    # summand vanishes.  A row's result then never depends on its batch.
+    width = np.minimum(n, horizon + 2.0 + (kind == _NEAR_ORIGIN)) + 1.0
     shape = list(zip(kind.tolist(), width.astype(int).tolist()))
     step = max(1, _CHUNK_ELEMENTS // (n + 1))
     for start in range(0, len(base), step):
@@ -233,10 +253,10 @@ def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
         for key in sorted(set(chunk)):
             rows = [start + i for i, k in enumerate(chunk) if k == key]
             if key[0] == _PEELED:
-                basis = _outer_basis(n, base[rows], horizon[rows], root_w)
+                basis = _outer_basis(n, base[rows], horizon[rows], cols, key[1])
             else:
                 near = key[0] == _NEAR_ORIGIN
-                basis = _inner_basis(base[rows], horizon[rows], root_w, key[1], near)
+                basis = _inner_basis(base[rows], horizon[rows], cols, key[1], near)
             out[:, rows] = _gram_sums(basis)
     return _Gram(*out)
 

@@ -189,7 +189,8 @@ class TestKnownDefects:
         model = PolynomialModel(10_000)
         result = expected_count(model, CountQuery(1e4, INF, 1.0))
         expected = float(tail_count_mp(model, 1e4, 1.0))
-        assert result.value == pytest.approx(expected, rel=1e-9)
+        # abs=0.0: the default absolute tolerance of 1e-12 would pass a 0.0
+        assert result.value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 class TestFarTail:
@@ -200,7 +201,8 @@ class TestFarTail:
         model = PolynomialModel(10)
         result = expected_count(model, CountQuery(1e6, INF, u))
         expected = float(tail_count_mp(model, 1e6, u))
-        assert result.value == pytest.approx(expected, rel=1e-9)
+        # abs=0.0: the counts are ~1.7e-22, far below the default 1e-12
+        assert result.value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize(
         "n,lo",

@@ -176,6 +176,25 @@ class TestAgainstDirectSums:
         # resolved to 1e-12.
         assert_matches_direct_sums(PolynomialModel(n), x)
 
+    @pytest.mark.parametrize("x", (1.5, -3.0, 40.0, -1e3))
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PolynomialModel(2000, sigma=tuple(1 + (k % 7) / 3 for k in range(2000)), sigma0=0.5),
+            PolynomialModel(10_000),
+        ],
+        ids=("n2000-uneven", "n10000"),
+    )
+    def test_peeled_rows_past_their_horizon(self, model, x):
+        # The horizon of y = 1/x is below n, so the lumped column carries
+        # the columns past it; uneven weights make an error in its weight,
+        # a prefix sum of the w_k, show.
+        rows = moments(model, x)
+        ref = moments_mp(model, x)
+        for name in FIELDS:
+            expected = float(getattr(ref, name))
+            assert getattr(rows, name)[0] == pytest.approx(expected, rel=1e-12, abs=0.0), name
+
     @pytest.mark.parametrize("x", (1e-9, -1e-9, 0.0))
     def test_constant_term_matches_to_1e12(self, x):
         # With a constant term the origin is regular and takes plain rows;
