@@ -27,7 +27,17 @@ test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
 polynomial in y = 1/x times the sign of x^d, so every power lies in
 [-1, 1] and nothing overflows.  The level test multiplies |x|^n back in;
 values past the float range become +-inf, which still compare correctly
-with every finite level.
+with every finite level.  On the sign grid all trials share the folded
+powers.  The sorted grid is three runs, x < -1, |x| <= 1 and x > 1, taken
+one at a time: the powers y^j = y^(j-1) y of a run fill the rows of one
+(d+1, points) table, whose zeroth row holds the sign of x^d on the run
+(exact, as it is +-1), and one product of the derivative rows (reversed on
+the outer runs) with that table gives Q' at every point of the run for
+every trial.  A down-crossing is read off these values directly: Q' > 0 at
+one point and Q' < 0 at the next.  The grid is taken in chunks that share
+their end points, of ``_GRID_CHUNK_ELEMENTS`` / max(d+1, trials) points,
+so neither the power table nor the values of a chunk pass 2^21 doubles
+(16 MiB) at any degree.
 
 Refinement.  Each crossing keeps a bracket (x_lo, x_hi) with Q' > 0 at
 x_lo and Q' < 0 at x_hi, starting from its grid cell, and steps from the
@@ -80,7 +90,8 @@ __all__ = [
 _BLOCK = 256
 _REFINE_TOL = 2.0**-30
 _REFINE_STEPS = 64
-_GRID_CHUNK = 1 << 13
+# Largest power table or value array of one sign-grid chunk, in doubles.
+_GRID_CHUNK_ELEMENTS = 1 << 21
 # Smallest value of each integer setting, in ``MCConfig`` and the helpers.
 _MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
 
@@ -181,16 +192,32 @@ def _scaled_value(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sign * np.vecdot(rows, np.vander(y, N=width, increasing=True))
 
 
-def _deriv_sign_matrix(dcoef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Signs of Q' at the shared grid points x (rows) for each trial
-    (columns)."""
-    width = dcoef.shape[1]
-    y, outer, sign = _fold(x, width - 1)
-    out = np.empty((x.size, dcoef.shape[0]))
-    for part, c in ((~outer, dcoef), (outer, dcoef[:, ::-1])):
-        out[part] = np.vander(y[part], N=width, increasing=True) @ c.T
-    out *= sign[:, None]
-    return np.sign(out, out=out)
+def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
+    """(cell, trial) of every down-crossing of Q' between neighbouring
+    points of the sorted grid x, cell k lying between x[k] and x[k+1], for
+    the derivative rows ``dcoef`` (module docstring)."""
+    trials, width = dcoef.shape
+    a = np.searchsorted(x, -1.0, side="left")
+    b = np.searchsorted(x, 1.0, side="right")
+    odd = width % 2 == 0  # deg = width - 1
+    # (start, stop, outer, sign of x^deg) for x < -1, |x| <= 1 and x > 1
+    runs = [(0, a, True, -1.0 if odd else 1.0), (a, b, False, 1.0), (b, x.size, True, 1.0)]
+    runs = [run for run in runs if run[0] < run[1]]
+    power = np.empty((width, max(stop - start for start, stop, _, _ in runs)))
+    value = np.empty((trials, x.size))
+    reversed_rows = np.ascontiguousarray(dcoef[:, ::-1])
+    for start, stop, outer, sign in runs:
+        y = 1.0 / x[start:stop] if outer else x[start:stop]
+        table = power[:, : y.size]
+        table[0] = sign
+        for j in range(1, width):
+            np.multiply(table[j - 1], y, out=table[j])
+        rows = reversed_rows if outer else dcoef
+        np.matmul(rows, table, out=value[:, start:stop])
+    hit = value[:, :-1] > 0.0
+    hit &= value[:, 1:] < 0.0
+    trial, cell = np.divmod(np.flatnonzero(hit), x.size - 1)
+    return cell, trial
 
 
 def _newton_terms(drows: np.ndarray, x: np.ndarray):
@@ -297,12 +324,12 @@ def count_maxima_below(
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
 
     # chunks share their end points, so every grid cell lies in one chunk
-    for start in range(0, x.size - 1, _GRID_CHUNK - 1):
-        s = _deriv_sign_matrix(dcoef, x[start : start + _GRID_CHUNK])
-        cols, rows = np.nonzero((s[:-1] > 0.0) & (s[1:] < 0.0))
+    chunk = max(2, _GRID_CHUNK_ELEMENTS // max(dcoef.shape))
+    for start in range(0, x.size - 1, chunk - 1):
+        cells, rows = _down_crossings(dcoef, x[start : start + chunk])
         if rows.size == 0:
             continue
-        k = start + cols  # crossing bracketed by grid points k, k+1
+        k = start + cells  # crossing bracketed by grid points k, k+1
         x_lo = x[k]
         x_hi = x[k + 1]
         # an infinite query end: pull the bracket end in to 2 max(1, |other

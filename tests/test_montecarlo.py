@@ -1,6 +1,7 @@
 """Monte-Carlo engine: reproducibility, invariances, ground-truth parity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,10 +326,63 @@ class TestRefine:
         assert montecarlo._root_bound(np.array([[3.0, -0.5]])).tolist() == [12.0]
 
 
+def grid_crossings(cells, trials, skip):
+    """The (cell, trial) pairs as a set, without the cells in ``skip``."""
+    return {(k, i) for k, i in zip(cells.tolist(), trials.tolist()) if not skip[i, k]}
+
+
+class TestSignGrid:
+    @pytest.mark.parametrize("n", [7, 8, 64])
+    @pytest.mark.parametrize("lo, hi", [(-INF, INF), (-1.5, 3.0), (-INF, -1.0), (-0.5, 0.75)])
+    def test_crossings_match_horner_on_the_unfolded_grid(self, n, lo, hi):
+        # signs of Q' by Horner's rule on x itself, with no reversed form
+        # and no power table; |x| <= 4 ppu keeps |x|^(n-1) in range
+        x = montecarlo._build_grid(n, lo, hi, 64)
+        x = x[np.isfinite(x)]
+        coeff = sample_coefficients(PolynomialModel(n), 200, seed=n)
+        dcoef = coeff[:, 1:] * np.arange(1, n + 1)
+        value = P.polyval(x, dcoef.T)
+        # a cell with |Q'| at an end within rounding of 0 may go either way
+        tiny = np.abs(value) <= 1e-12 * P.polyval(np.abs(x), np.abs(dcoef).T)
+        skip = tiny[:, :-1] | tiny[:, 1:]
+        want = np.nonzero(((value[:, :-1] > 0.0) & (value[:, 1:] < 0.0)).T)
+        got = montecarlo._down_crossings(dcoef, x)
+        assert len(grid_crossings(*want, skip)) >= 10
+        assert grid_crossings(*got, skip) == grid_crossings(*want, skip)
+
+    def test_one_trial_at_high_degree_stays_within_the_chunk_budget(self):
+        # the power table of a chunk holds at most _GRID_CHUNK_ELEMENTS
+        # doubles (16 MiB) at any degree
+        model = PolynomialModel(4096)
+        coeff = sample_coefficients(model, 1, seed=3)
+        tracemalloc.start()
+        try:
+            count_maxima_below(model, coeff, -INF, INF, [1.0, INF], points_per_unit=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_small_chunks_count_as_one(self, monkeypatch, n):
+        # chunks of a few points, sharing their end points: every cell
+        # still lies in one chunk, so no crossing is lost or counted twice
+        model = PolynomialModel(n)
+        coeff = sample_coefficients(model, 40, seed=19)
+        levels = [-1.0, 0.0, 1.0, INF]
+        want = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 300)
+        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+        assert np.array_equal(got, want)
+        assert want[:, -1].sum() >= 30
+
+
 class TestPinnedEstimates:
-    # (mean, stderr) per level of estimate_many on the whole line, seed
-    # 2026, recorded with the earlier refinement (50 bisection halvings per
-    # crossing): a change of refinement must move no count.
+    # (mean, stderr) per level of estimate_many, seed 2026, on the whole line
+    # unless an interval is given; the first three recorded with the earlier
+    # refinement (50 bisection halvings per crossing), the last two with the
+    # earlier sign grid (one power table per side of |x| = 1, 8192 points a
+    # chunk): a change of refinement or of the sign grid must move no count.
     LEVELS = (-1.0, 0.0, 1.0, INF)
     CASES = {
         (8, 64, 3000): [
@@ -349,13 +403,33 @@ class TestPinnedEstimates:
             (0.6666666666666666, 0.12983927582936036),
             (1.4333333333333333, 0.1491996528094735),
         ],
+        # 16 942 grid points: three grid chunks at n = 256
+        (256, 512, 12): [
+            (0.0, 0.0),
+            (0.16666666666666666, 0.11236664374387367),
+            (0.6666666666666666, 0.22473328748774735),
+            (1.4166666666666667, 0.2875795893348834),
+        ],
+        # both unit layers inside, both ends finite: every run of the grid
+        # (x < -1, |x| <= 1, x > 1) is cut short
+        (64, 64, 400, -1.5, 3.0): [
+            (0.0175, 0.006564457728034959),
+            (0.0925, 0.014504666088740709),
+            (0.7425, 0.033063838533152284),
+            (1.265, 0.03941219103278847),
+        ],
     }
 
-    @pytest.mark.parametrize("case", list(CASES), ids=lambda c: "n{}p{}-{}".format(*c))
+    @pytest.mark.parametrize(
+        "case",
+        list(CASES),
+        ids=lambda c: "n{}p{}-{}".format(*c) + ("-({},{})".format(*c[3:]) if c[3:] else ""),
+    )
     def test_estimates_are_unchanged(self, case):
-        n, ppu, trials = case
+        n, ppu, trials, *interval = case
+        lo, hi = interval or (-INF, INF)
         config = MCConfig(trials=trials, seed=2026, points_per_unit=ppu)
-        got = estimate_many(PolynomialModel(n), -INF, INF, self.LEVELS, config)
+        got = estimate_many(PolynomialModel(n), lo, hi, self.LEVELS, config)
         assert [(e.mean, e.stderr) for e in got] == self.CASES[case]
 
 
