@@ -27,17 +27,42 @@ test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
 polynomial in y = 1/x times the sign of x^d, so every power lies in
 [-1, 1] and nothing overflows.  The level test multiplies |x|^n back in;
 values past the float range become +-inf, which still compare correctly
-with every finite level.  On the sign grid all trials share the folded
-powers.  The sorted grid is three runs, x < -1, |x| <= 1 and x > 1, taken
-one at a time: the powers y^j = y^(j-1) y of a run fill the rows of one
-(d+1, points) table, whose zeroth row holds the sign of x^d on the run
-(exact, as it is +-1), and one product of the derivative rows (reversed on
-the outer runs) with that table gives Q' at every point of the run for
-every trial.  A down-crossing is read off these values directly: Q' > 0 at
-one point and Q' < 0 at the next.  The grid is taken in chunks that share
-their end points, of ``_GRID_CHUNK_ELEMENTS`` / max(d+1, trials) points,
-so neither the power table nor the values of a chunk pass 2^21 doubles
-(16 MiB) at any degree.
+with every finite level.
+
+Sign grid.  All trials, and both signs of x, share one power table.  The
+points strictly inside the query interval are +-p for one set of
+magnitudes p (the grid is mirrored), and 1/(-p) = -(1/p) exactly, so by
+the rule above Q'(+-p) / max(1, p)^d sums the powers of p (p <= 1) or of
+1/p (beyond, with the coefficients reversed), the power of x in each term
+times (+-1)^j.  Row j of the table holds p^j, or (1/p)^j, the product of
+the last row and p or 1/p.  The derivative rows, stacked over the same
+rows with the odd powers negated, times the table give Q' at +p and -p
+for every trial of a tile: one product over the magnitudes p <= 1, one of
+the reversed rows over the rest.  A down-crossing is read off these
+values: Q' < 0 at a point and not at the point before it, in the order of
+x, which descends with p on the negative side, and Q' > 0 read again at
+the few such first points.  The three cells that join an end point or
+the two signs (the first, the last and the one across 0) take Q' from a
+small table of their own points.  The magnitudes are taken in chunks of
+even size that share their end points, of at most
+``_GRID_CHUNK_ELEMENTS`` / max(d+1, 2 r) magnitudes, and a chunk ends
+where the shorter side ends, so a side's rows enter only the products of
+chunks it holds whole.  Only an interval with 0 inside has two sides, and
+only a mirrored one, (-a, a), has them equal: on (-7, 0.2), say, the
+magnitudes past 0.2 serve the negative side alone.  The trials go in
+tiles of r <= ``_TILE_ROWS`` rows with 2 r (d+1) <=
+``_GRID_CHUNK_ELEMENTS``.  Every crossing of the call is then refined and
+tested together, in batches of at most ``_ROW_ELEMENTS`` / (n+1)
+crossings.
+
+Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
+(16 MiB) in the power table of a grid chunk, and as many in the values of
+a tile, at any degree.  Every array with a row per trial or per crossing
+(the coefficients and derivative rows of the call, the rows and power
+tables of one refinement batch) is at most as large as the call's
+coefficient matrix or ``_ROW_ELEMENTS`` = 2^16 doubles (512 KiB).  A run
+counts its trials in groups that keep the coefficient matrix within that
+too, except where one block of 256 trials alone is larger (n >= 256).
 
 Refinement.  Each crossing keeps a bracket (x_lo, x_hi) with Q' > 0 at
 x_lo and Q' < 0 at x_hi, starting from its grid cell, and steps from the
@@ -64,9 +89,14 @@ Reproducibility.  Trials come in blocks of ``_BLOCK`` = 256: block k draws
 all its rows from one generator seeded by ``SeedSequence(seed,
 spawn_key=(k,))``, and trial i is row i mod 256 of block i // 256.  A short
 last block draws only its rows, which equal the first rows of a full
-block.  The block is also the work unit, so the estimate is a pure function
-of (model, interval, levels, trials, seed, points_per_unit), whatever the
-worker count.
+block.  The block is the generator unit; the work unit is a group of
+consecutive blocks, counted by one ``count_maxima_below`` call.  A run is
+one group, unless it would hold more than ``_ROW_ELEMENTS`` coefficients
+(then as few groups as fit, of one block at least) or
+``workers`` > 1 (then at least ``workers`` groups, which the threads
+share).  A trial's counts do not depend on the rows it is counted with, so
+the estimate is a pure function of (model, interval, levels, trials, seed,
+points_per_unit), whatever the worker count.
 """
 
 from __future__ import annotations
@@ -90,8 +120,16 @@ __all__ = [
 _BLOCK = 256
 _REFINE_TOL = 2.0**-30
 _REFINE_STEPS = 64
-# Largest power table or value array of one sign-grid chunk, in doubles.
+# Memory of one count, in doubles (module docstring).  The sign grid: the
+# largest power table, and the largest value array of one tile.
 _GRID_CHUNK_ELEMENTS = 1 << 21
+# Arrays with a row per trial or per crossing: the most coefficients one
+# group of blocks holds, and the most coefficient rows of one refinement
+# batch.
+_ROW_ELEMENTS = 1 << 16
+# Most trials whose values one sign-grid product gives.  Tuned on one
+# host: 128 rows keep an n = 8 value tile inside its 2 MiB L2 cache.
+_TILE_ROWS = 128
 # Smallest value of each integer setting, in ``MCConfig`` and the helpers.
 _MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
 
@@ -103,8 +141,9 @@ class MCConfig:
     ``trials`` and ``seed`` define the estimate; ``points_per_unit``
     controls the sign-grid resolution (points per unit of the grid
     coordinate sigma = asinh(n ln|x|), so per unit of t = n ln|x| near
-    |x| = 1); ``workers`` threads share the blocks of 256 trials (module
-    docstring) and only affect speed, never the result.
+    |x| = 1); with ``workers`` > 1 a run is counted in at least that many
+    groups of blocks of 256 trials, which as many threads share (module
+    docstring): this affects speed only, never the result.
     """
 
     trials: int
@@ -195,29 +234,83 @@ def _scaled_value(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
     """(cell, trial) of every down-crossing of Q' between neighbouring
     points of the sorted grid x, cell k lying between x[k] and x[k+1], for
-    the derivative rows ``dcoef`` (module docstring)."""
+    the derivative rows ``dcoef`` (module docstring).  The points strictly
+    inside x are mirrored, as ``_build_grid`` makes them: the magnitudes of
+    the shorter sign are the first magnitudes of the longer."""
     trials, width = dcoef.shape
-    a = np.searchsorted(x, -1.0, side="left")
-    b = np.searchsorted(x, 1.0, side="right")
-    odd = width % 2 == 0  # deg = width - 1
-    # (start, stop, outer, sign of x^deg) for x < -1, |x| <= 1 and x > 1
-    runs = [(0, a, True, -1.0 if odd else 1.0), (a, b, False, 1.0), (b, x.size, True, 1.0)]
-    runs = [run for run in runs if run[0] < run[1]]
-    power = np.empty((width, max(stop - start for start, stop, _, _ in runs)))
-    value = np.empty((trials, x.size))
-    reversed_rows = np.ascontiguousarray(dcoef[:, ::-1])
-    for start, stop, outer, sign in runs:
-        y = 1.0 / x[start:stop] if outer else x[start:stop]
-        table = power[:, : y.size]
-        table[0] = sign
+    a = int(np.searchsorted(x[1:-1], 0.0))  # x[1..a] < 0 < x[a+1..b+a]
+    b = x.size - 2 - a
+    mag = x[a + 1 : -1] if b >= a else -x[a:0:-1]
+
+    # cells 0, a and b + a join an end point or the two signs: Q' at their
+    # points by the reversed-form rule, from a table of their own
+    edge = np.unique([0, a, b + a])
+    y, outer, sign = _fold(x[np.concatenate([edge, edge + 1])], width - 1)
+    power = np.vander(y, N=width, increasing=True)
+    at = dcoef @ np.where(outer[:, None], sign[:, None] * power[:, ::-1], power).T
+    crossed = at[:, : edge.size] > 0.0
+    crossed &= at[:, edge.size :] < 0.0
+    trial, k = np.nonzero(crossed)
+    cells, rows = [edge[k]], [trial]
+
+    # every other cell joins two points of one sign, cell k, k+1 of mag on
+    # either side: one table of the chunk's magnitudes, and the rows of each
+    # side that holds the chunk times it (module docstring)
+    parity = np.where(np.arange(width) % 2 == 1, -1.0, 1.0)
+    tile = max(1, min(trials, _TILE_ROWS, _GRID_CHUNK_ELEMENTS // (2 * width)))
+    most = max(1, _GRID_CHUNK_ELEMENTS // max(width, 2 * tile) - 1)
+    # a side of count points has cells 0 .. count - 2, taken in chunks of
+    # cells that share their end points: as few as the budget allows, of
+    # even size, and one ends where the shorter side does, so that each
+    # side holds a chunk whole or not at all
+    cuts = [0]
+    for end in sorted({a - 1, b - 1}):
+        start = cuts[-1]
+        if end > start:
+            parts = math.ceil((end - start) / most)
+            cuts += [start + (end - start) * m // parts for m in range(1, parts + 1)]
+    step = int(max(np.diff(cuts), default=0))
+    # flat buffers, reused by every chunk and tile
+    table_buf = np.empty(width * (step + 1))
+    value_buf = np.empty(2 * tile * (step + 1))
+    below, hit = np.empty(value_buf.size, dtype=bool), np.empty(tile * step, dtype=bool)
+    for start, stop in zip(cuts, cuts[1:]):
+        p = mag[start : stop + 1]
+        sides = [negative for negative, count in ((False, b), (True, a)) if count > stop]
+        # row j holds p^j, or (1/p)^j past p = 1, each row the product of
+        # the last and that base (the product sequence of np.vander); the
+        # reversed rows take the columns past p = 1
+        i = int(np.searchsorted(p, 1.0, side="right"))
+        base = np.divide(1.0, p, out=p.copy(), where=p > 1.0)
+        table = table_buf[: width * p.size].reshape(width, p.size)
+        table[0] = 1.0
         for j in range(1, width):
-            np.multiply(table[j - 1], y, out=table[j])
-        rows = reversed_rows if outer else dcoef
-        np.matmul(rows, table, out=value[:, start:stop])
-    hit = value[:, :-1] > 0.0
-    hit &= value[:, 1:] < 0.0
-    trial, cell = np.divmod(np.flatnonzero(hit), x.size - 1)
-    return cell, trial
+            np.multiply(table[j - 1], base, out=table[j])
+        for first in range(0, trials, tile):
+            block = dcoef[first : first + tile]
+            r = block.shape[0]
+            stacked = np.concatenate([block * parity if negative else block for negative in sides])
+            shape = (stacked.shape[0], p.size)
+            value = value_buf[: math.prod(shape)].reshape(shape)
+            np.matmul(stacked, table[:, :i], out=value[:, :i])
+            np.matmul(np.ascontiguousarray(stacked[:, ::-1]), table[:, i:], out=value[:, i:])
+            neg = np.less(value, 0.0, out=below[: value.size].reshape(shape))
+            out = hit[: r * (p.size - 1)].reshape(r, p.size - 1)
+            for q, negative in enumerate(sides):
+                # in the order of x, which descends with p on the negative
+                # side: Q' >= 0 at a point and Q' < 0 at the next, then
+                # Q' > 0 read again at the few such first points
+                before, after = slice(0, -1), slice(1, None)
+                if negative:
+                    before, after = after, before
+                own = slice(q * r, (q + 1) * r)
+                h = np.greater(neg[own, after], neg[own, before], out=out)
+                trial, k = np.divmod(np.flatnonzero(h), p.size - 1)
+                sure = value[own][trial, k + negative] > 0.0
+                trial, k = trial[sure], k[sure] + start
+                cells.append(a - 1 - k if negative else a + 1 + k)
+                rows.append(first + trial)
+    return np.concatenate(cells), np.concatenate(rows)
 
 
 def _newton_terms(drows: np.ndarray, x: np.ndarray):
@@ -323,13 +416,13 @@ def count_maxima_below(
     dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
 
-    # chunks share their end points, so every grid cell lies in one chunk
-    chunk = max(2, _GRID_CHUNK_ELEMENTS // max(dcoef.shape))
-    for start in range(0, x.size - 1, chunk - 1):
-        cells, rows = _down_crossings(dcoef, x[start : start + chunk])
-        if rows.size == 0:
-            continue
-        k = start + cells  # crossing bracketed by grid points k, k+1
+    cells, rows = _down_crossings(dcoef, x)
+    # refined and tested together, in batches of at most _ROW_ELEMENTS
+    # coefficients
+    step = max(1, _ROW_ELEMENTS // (n + 1))
+    for start in range(0, rows.size, step):
+        k = cells[start : start + step]  # crossing bracketed by points k, k+1
+        trial = rows[start : start + step]
         x_lo = x[k]
         x_hi = x[k + 1]
         # an infinite query end: pull the bracket end in to 2 max(1, |other
@@ -338,17 +431,17 @@ def count_maxima_below(
         inf_lo, inf_hi = np.isinf(x_lo), np.isinf(x_hi)
         pull = 2.0 * np.maximum(np.abs(np.where(inf_lo, x_hi, x_lo)), 1.0)
         far = inf_lo | inf_hi
-        pull[far] = np.maximum(pull[far], _root_bound(dcoef[rows[far]]))
+        pull[far] = np.maximum(pull[far], _root_bound(dcoef[trial[far]]))
         x_lo = np.where(inf_lo, -pull, x_lo)
         x_hi = np.where(inf_hi, pull, x_hi)
-        root = _refine(dcoef[rows], x_lo, x_hi)
+        root = _refine(dcoef[trial], x_lo, x_hi)
         # undo the scaling: past the float range Q reads +-inf, so an
         # infinite level is decided by its sign alone
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.maximum(np.abs(root), 1.0) ** n
-            value = _scaled_value(coeff[rows], root) * scale
+            value = _scaled_value(coeff[trial], root) * scale
         below = np.where(np.isinf(levels), levels > 0.0, value[:, None] <= levels)
-        np.add.at(counts, rows, below.astype(np.int64))
+        np.add.at(counts, trial, below.astype(np.int64))
     return counts
 
 
@@ -356,22 +449,33 @@ def count_maxima_below(
 # estimation
 
 
-def _run_blocks(model, lo, hi, levels, config):
+def _groups(trials: int, n: int, workers: int) -> list[list[tuple[int, int]]]:
+    """The blocks of a run in groups of consecutive blocks, each counted by
+    one call: as few groups as hold at most ``_ROW_ELEMENTS`` coefficients
+    (one block at least), and at least ``workers``."""
+    blocks = _blocks(trials)
+    per_group = max(1, _ROW_ELEMENTS // (_BLOCK * (n + 1)))
+    count = min(len(blocks), max(workers, -(-len(blocks) // per_group)))
+    cut = [len(blocks) * i // count for i in range(count + 1)]
+    return [blocks[i:j] for i, j in zip(cut, cut[1:])]
+
+
+def _run_groups(model, lo, hi, levels, config):
     """Sums of the counts and of their squares per level, over all trials."""
 
-    def one(block):
-        coeff = _sample_block(model, config.seed, *block)
+    def one(group):
+        coeff = np.concatenate([_sample_block(model, config.seed, *b) for b in group])
         c = count_maxima_below(
             model, coeff, lo, hi, levels, points_per_unit=config.points_per_unit
         )
         return c.sum(axis=0), (c * c).sum(axis=0)
 
-    blocks = _blocks(config.trials)
+    groups = _groups(config.trials, model.degree, config.workers)
     if config.workers == 1:
-        parts = [one(b) for b in blocks]
+        parts = [one(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(one, blocks))
+            parts = list(pool.map(one, groups))
     return sum(c1 for c1, _ in parts), sum(c2 for _, c2 in parts)
 
 
@@ -391,7 +495,7 @@ def estimate_many(
     if not levels:
         raise ValueError("levels must be non-empty")
     n = config.trials
-    total, total_sq = _run_blocks(model, lo, hi, levels, config)
+    total, total_sq = _run_groups(model, lo, hi, levels, config)
     out = []
     for k in range(len(levels)):
         mean = float(total[k] / n)

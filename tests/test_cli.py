@@ -149,7 +149,7 @@ class TestExpect:
         value, plus_minus, abs_error = out.split()
         assert plus_minus == "+-"
         assert float(value) == want.value
-        assert float(abs_error) == pytest.approx(want.abs_error, rel=1e-2)
+        assert float(abs_error) == pytest.approx(want.abs_error, rel=1e-2, abs=0.0)
 
     def test_named_interval_matches_bounds(self, capsys):
         code_a, out_a, _ = run(

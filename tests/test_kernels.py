@@ -63,7 +63,7 @@ class TestBrackets:
             if m == 0.0:
                 assert abs(f) < 1e-20
             else:
-                assert f == pytest.approx(m, rel=1e-11), (name, t)
+                assert f == pytest.approx(m, rel=1e-11, abs=0.0), (name, t)
 
     @pytest.mark.parametrize("name", bracket_names())
     def test_double_double_rows_match_arbitrary_precision(self, name):
@@ -88,8 +88,8 @@ class TestBrackets:
         for switch in (_SERIES_CUTOFF, _FLOAT_CUTOFF[name]):
             ts = np.array([np.nextafter(switch, 0), switch, np.nextafter(switch, 9)])
             below, at, above = bracket_value(name, ts)
-            assert at == pytest.approx(below, rel=1e-12), (name, switch)
-            assert above == pytest.approx(at, rel=1e-12), (name, switch)
+            assert at == pytest.approx(below, rel=1e-12, abs=0.0), (name, switch)
+            assert above == pytest.approx(at, rel=1e-12, abs=0.0), (name, switch)
 
     @pytest.mark.parametrize("name", bracket_names())
     def test_series_coefficients_round_the_exact_fractions(self, name):

@@ -89,9 +89,9 @@ class TestAgainstBruteForce:
         sigma_u, swb, rho, omr = one_row(PolynomialModel(n), x)
         k, l, m, _ = quadratic_form(PolynomialModel(n), x)
         sigma_w = swb * math.sqrt(brute_force_covariance(PolynomialModel(n), x)[1, 1])
-        assert k == pytest.approx(1.0 / (2.0 * sigma_w**2 * omr), rel=1e-7)
-        assert l == pytest.approx(1.0 / (2.0 * sigma_u**2 * omr), rel=1e-7)
-        assert m == pytest.approx(-rho / (2.0 * sigma_u * sigma_w * omr), rel=1e-7)
+        assert k == pytest.approx(1.0 / (2.0 * sigma_w**2 * omr), rel=1e-7, abs=0.0)
+        assert l == pytest.approx(1.0 / (2.0 * sigma_u**2 * omr), rel=1e-7, abs=0.0)
+        assert m == pytest.approx(-rho / (2.0 * sigma_u * sigma_w * omr), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("n", DEGREES)
     @pytest.mark.parametrize("x", POINTS)
@@ -115,7 +115,7 @@ class TestInternalIdentities:
         _, swb, rho, omr = one_row(PolynomialModel(n), x)
         k, l, m, _ = quadratic_form(PolynomialModel(n), x)
         b2 = brute_force_covariance(PolynomialModel(n), x)[1, 1]
-        assert k - m**2 / l == pytest.approx(1.0 / (2.0 * swb**2 * b2), rel=1e-9)
+        assert k - m**2 / l == pytest.approx(1.0 / (2.0 * swb**2 * b2), rel=1e-9, abs=0.0)
         assert rho**2 + omr == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(min_value=3, max_value=12), nonzero_x)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,7 +334,10 @@ def grid_crossings(cells, trials, skip):
 
 class TestSignGrid:
     @pytest.mark.parametrize("n", [7, 8, 64])
-    @pytest.mark.parametrize("lo, hi", [(-INF, INF), (-1.5, 3.0), (-INF, -1.0), (-0.5, 0.75)])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-INF, INF), (-1.5, 3.0), (-INF, -1.0), (-0.5, 0.75), (-0.3, 5.0), (-7.0, 0.2)],
+    )
     def test_crossings_match_horner_on_the_unfolded_grid(self, n, lo, hi):
         # signs of Q' by Horner's rule on x itself, with no reversed form
         # and no power table; |x| <= 4 ppu keeps |x|^(n-1) in range
@@ -377,6 +381,55 @@ class TestSignGrid:
         assert want[:, -1].sum() >= 30
 
 
+class TestGroupsAndTiles:
+    LEVELS = [-1.0, 0.0, 1.0, INF]
+
+    def count(self, model, coeff):
+        return count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+
+    @pytest.mark.parametrize("n, trials", [(8, 3000), (64, 600)])
+    def test_one_call_counts_as_calls_of_256_rows(self, monkeypatch, n, trials):
+        # one call tiles the trials and refines every crossing at once; a
+        # trial's counts must not depend on the rows it is counted with,
+        # also where tiles of a few rows, grid chunks of a few points and
+        # refinement batches of a few crossings cut the call
+        model = PolynomialModel(n)
+        coeff = sample_coefficients(model, trials, seed=29)
+        want = np.concatenate(
+            [self.count(model, coeff[i : i + 256]) for i in range(0, trials, 256)]
+        )
+        assert np.array_equal(self.count(model, coeff), want)
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 3000)
+        monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 3000)
+        monkeypatch.setattr(montecarlo, "_TILE_ROWS", 37)
+        assert np.array_equal(self.count(model, coeff), want)
+        assert want[:, -1].sum() >= trials // 2
+
+    def test_a_run_in_many_groups_counts_as_one(self, monkeypatch):
+        model = PolynomialModel(8)
+        config = MCConfig(trials=3000, seed=29, points_per_unit=64)
+        assert len(montecarlo._groups(3000, 8, 1)) == 1
+        want = estimate_many(model, -INF, INF, self.LEVELS, config)
+        monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 3000)
+        assert len(montecarlo._groups(3000, 8, 1)) == 12
+        assert estimate_many(model, -INF, INF, self.LEVELS, config) == want
+
+    def test_many_trials_at_low_degree_stay_within_the_row_budget(self):
+        # 30 000 trials at n = 8, counted in groups of at most _ROW_ELEMENTS
+        # coefficients: the arrays with a row per trial or per crossing stay
+        # near that budget (512 KiB), whatever the length of the run
+        model = PolynomialModel(8)
+        config = MCConfig(trials=30_000, seed=31, points_per_unit=64)
+        assert len(montecarlo._groups(30_000, 8, 1)) == 5
+        tracemalloc.start()
+        try:
+            estimate_many(model, -INF, INF, self.LEVELS, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * montecarlo._ROW_ELEMENTS
+
+
 class TestPinnedEstimates:
     # (mean, stderr) per level of estimate_many, seed 2026, on the whole line
     # unless an interval is given; the first three recorded with the earlier
@@ -418,6 +471,21 @@ class TestPinnedEstimates:
             (0.7425, 0.033063838533152284),
             (1.265, 0.03941219103278847),
         ],
+        # recorded with one count call per block of 256 and one power table
+        # per sign of x: 0 inside, the two sides over different ranges of |x|
+        (256, 64, 30, -0.3, 5.0): [
+            (0.0, 0.0),
+            (0.03333333333333333, 0.03333333333333333),
+            (0.3, 0.08509629433967632),
+            (0.6666666666666666, 0.12066228480009847),
+        ],
+        # twelve blocks, and of the outer runs only x < -1
+        (8, 64, 3000, -7.0, 0.2): [
+            (0.0, 0.0),
+            (0.028, 0.003012478217072467),
+            (0.4876666666666667, 0.009797004136961949),
+            (0.571, 0.010050870940813519),
+        ],
     }
 
     @pytest.mark.parametrize(
@@ -454,6 +522,13 @@ class TestExecutionInvariance:
                 MCConfig(trials=400, seed=5, points_per_unit=64, workers=workers),
             )
             assert other == base
+        # 1000 trials, four blocks (the last of 232 trials): one group with
+        # one worker, three groups shared by three
+        assert [len(g) for g in montecarlo._groups(1000, 6, 3)] == [1, 1, 2]
+        config = MCConfig(trials=1000, seed=5, points_per_unit=64)
+        one = estimate_many(model, -INF, INF, [0.5, INF], config)
+        three = estimate_many(model, -INF, INF, [0.5, INF], replace(config, workers=3))
+        assert three == one
 
     def test_level_minus_infinity_counts_nothing(self):
         (est,) = estimate_many(
