@@ -16,9 +16,10 @@ There are two tiers of constants:
   what ``verify-constants`` checks.  Each integral over t in (0, inf) is
   one ``integrate_adaptive`` call, the same compact-coordinate integral
   the exact engine uses.  The four index sets of a family are integrated
-  together on the same initial panels, with one kernel pass per quadrature
-  round: ``family_kernels`` gives the four kernels at the round's nodes,
-  and each integrand multiplies rows of that array.
+  together on the same graded initial panels, fine enough that each
+  integral converges there at the default tolerance: one
+  ``family_kernels`` pass gives the four kernels at the nodes of that
+  round, and each integrand multiplies rows of that array.
 
 * ``theorem_expansion`` uses the frozen constants below, which are the ones
   the exact engine (:func:`rice_maxima.counts.expected_count`) actually
@@ -81,9 +82,22 @@ _NOISE = 4.0 * np.finfo(float).eps
 # relative tolerance of every kernel-product integral
 _QUAD_REL_TOL = 1e-9
 
-# Initial panel edges in t, at s = 0, 1/4, 1/2, 3/4, 1, 3/2, 2 in the compact
-# coordinate of ``integrate_adaptive``; the tail subtraction starts at t = 1.
-_EDGES = (0.0, 0.25, 0.5, 0.75, 1.0, 2.0, math.inf)
+# Initial panel edges in t, graded like ``counts.split_points`` grades the
+# count's: ratio 4 from 4^-9 up to 1/4, toward the t = 0 end where the
+# kernels are series in t; 2^k and 3 2^(k-1) from 1/2 to 8 (1/2, 3/4, 1,
+# 3/2, 2, 3, 4, 6, 8: ratio ~sqrt 2), where they leave that regime; ratio 2
+# from 8 to 256, toward the t = inf end; 24 panels.  At rel_tol 1e-9 every
+# integral of a family then converges on the initial round its four pairs
+# share, so a family costs one ``family_kernels`` pass (measured: 4 passes
+# for the 16 integrals, each within 3.1e-13 of its rel_tol 1e-12 value).
+# The tail subtraction starts at the t = 1 edge.
+_EDGES = (
+    0.0,
+    *(4.0**-k for k in range(9, 0, -1)),
+    *(m * 2.0**k for k in range(-1, 3) for m in (1.0, 1.5)),
+    *(2.0**k for k in range(3, 9)),
+    math.inf,
+)
 
 
 def _pair_integral(product, family: int, pair: tuple[int, ...]) -> QuadResult:
@@ -113,12 +127,14 @@ def _pair_integral(product, family: int, pair: tuple[int, ...]) -> QuadResult:
 def _family_integrals(family: int) -> dict[tuple[int, ...], QuadResult]:
     """The integral of every allowed pair of ``family``.
 
-    The four pairs start from the same initial panels and often bisect the
-    same ones, and each integrand call is one quadrature round: every
-    initial panel, or both halves of one bisection.  The kernels of a round
-    are evaluated once, as a (4, nodes) array keyed by the round's node
-    bytes until this function returns, so a round another pair already made
-    costs no kernel pass; a pair's integrand multiplies rows of it.
+    Each integrand call is one quadrature round: every initial panel, or
+    both halves of one bisection.  The kernels of a round are evaluated
+    once, as a (4, nodes) array keyed by the round's node bytes until this
+    function returns, so a round another pair already made costs no kernel
+    pass; a pair's integrand multiplies rows of it.  At the default
+    tolerance the four pairs share the initial round and make no
+    bisection, so a family costs one kernel pass; tighter tolerances
+    bisect, and pairs that bisect the same panel share that round too.
     """
     rounds: dict[bytes, np.ndarray] = {}
 

@@ -211,6 +211,16 @@ class TestFarTail:
             (10_000, 1e4),
             pytest.param(
                 10,
+                1e12,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the nodes near s = 2 resolve x only to ~1e-16 x, so the "
+                    "count is 8.9e-5 off with abs_error 0.0; the resolution of the "
+                    "compact coordinate near s = 2 is open (ROADMAP direction 3)",
+                ),
+            ),
+            pytest.param(
+                10,
                 1e16,
                 marks=pytest.mark.xfail(
                     strict=True,

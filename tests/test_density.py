@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from rice_maxima import (
     maxima_density,
     moments,
 )
+from rice_maxima.density import _bracket
 from oracles import density_mp, density_split, oracle_density, scale_model
 
 nonzero_x = st.one_of(
@@ -183,4 +185,27 @@ class TestDegeneracies:
         # cancels every digit of 1 - rho^2; the covariance itself is regular.
         value = maxima_density(PolynomialModel(n), x, 1.0)
         expected = float(density_mp(PolynomialModel(n), x, 1.0))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestBracket:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for q/s < -1 the bracket keeps erfc(-q g) + rho exp(-q^2/2) "
+        "erfc(rho q g), whose two terms cancel as rho -> -1: 5.5e-8 off at "
+        "q = -1 and 3.5e-9 at q = -0.5",
+    )
+    @pytest.mark.parametrize("q", [-1.0, -0.5])
+    def test_cancelling_terms_near_rho_minus_one(self, q):
+        rho = -0.9995
+        one_minus_rho_sq = (1.0 - rho) * (1.0 + rho)  # s = 0.0316, q/s < -1
+        with mpmath.workdps(80):
+            q_mp, rho_mp = mpmath.mpf(q), mpmath.mpf(rho)
+            g = 1 / mpmath.sqrt(2 * mpmath.mpf(one_minus_rho_sq))
+            expected = float(
+                mpmath.erfc(-q_mp * g)
+                + rho_mp * mpmath.exp(-q_mp * q_mp / 2) * mpmath.erfc(rho_mp * q_mp * g)
+            )
+        value = _bracket(q, rho, one_minus_rho_sq)
+        # abs=0.0: the values are 1.6e-225 and 9.9e-62
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from rice_maxima import ToleranceNotMet, expansion, h_integral
 from rice_maxima.kernels import family_kernels
+from rice_maxima.reference import verify_constants
 
 # 12-digit regression pins captured from a verified build (quadrature
 # rel_tol 1e-9; the pin tolerance leaves room for node-level jitter only).
@@ -57,9 +58,12 @@ class TestFrozenValues:
 
     @pytest.mark.parametrize("family,pair", sorted(FROZEN), ids=str)
     def test_converges_at_the_tightest_tolerance(self, family, pair):
-        # h_integral raises ToleranceNotMet when its integral does not converge
+        # h_integral raises ToleranceNotMet when its integral does not
+        # converge.  The graded initial panels resolve every kernel product
+        # well past the default rel_tol 1e-9: the worst gap to the rel_tol
+        # 1e-12 value is ~3e-13 (family 1, pair (1, 3)).
         tight = integral_at(family, pair, 1e-12)
-        assert tight == pytest.approx(h_integral(family, pair), rel=1e-9)
+        assert h_integral(family, pair) == pytest.approx(tight, rel=1e-12, abs=0.0)
 
     def test_returns_a_plain_float(self):
         assert type(h_integral(1, (1,))) is float
@@ -101,12 +105,11 @@ class TestValidation:
 
 
 class TestKernelCache:
-    # t-nodes a family's four integrals evaluate at rel_tol 1e-9: 90 for the
-    # six initial panels plus 30 per distinct bisection
-    NODES = {1: 270, 2: 240, 3: 240, 4: 570}
-
-    @pytest.mark.parametrize("family", sorted(NODES))
-    def test_every_node_evaluated_once_in_whole_rounds(self, family, monkeypatch):
+    @staticmethod
+    def kernel_calls(monkeypatch, compute, rel_tol=None):
+        """The t-node arrays ``family_kernels`` receives while ``compute()``
+        runs on an empty cache of integrals (at ``rel_tol``, if given),
+        and what ``compute()`` returned."""
         calls = []
 
         def recorded(family, ts):
@@ -114,17 +117,41 @@ class TestKernelCache:
             return family_kernels(family, ts)
 
         monkeypatch.setattr(expansion, "family_kernels", recorded)
+        if rel_tol is not None:
+            monkeypatch.setattr(expansion, "_QUAD_REL_TOL", rel_tol)
         expansion._family_integrals.cache_clear()
         try:
-            results = expansion._family_integrals(family)
+            return calls, compute()
         finally:
             expansion._family_integrals.cache_clear()
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    def test_one_kernel_pass_per_family_at_the_default_tolerance(self, family, monkeypatch):
+        # every pair converges on the graded initial panels, without bisection
+        calls, results = self.kernel_calls(
+            monkeypatch, lambda: expansion._family_integrals(family)
+        )
+        pieces = len(expansion._EDGES) - 1
+        assert [len(ts) for ts in calls] == [15 * pieces]
+        assert all(r.pieces == r.panels == pieces for r in results.values())
+
+    def test_verify_constants_makes_four_kernel_passes(self, monkeypatch):
+        calls, rows = self.kernel_calls(monkeypatch, verify_constants)
+        assert len(rows) == 28
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4])
+    def test_every_node_evaluated_once_in_whole_rounds(self, family, monkeypatch):
+        # at rel_tol 1e-12 the pairs bisect, some of them the same panels
+        calls, results = self.kernel_calls(
+            monkeypatch, lambda: expansion._family_integrals(family), rel_tol=1e-12
+        )
         nodes = np.concatenate(calls)
-        assert len(nodes) == self.NODES[family]
         assert len(np.unique(nodes)) == len(nodes)
         # one call for the initial round the four pairs share, then at most
         # one per bisection
         bisections = sum(r.panels - r.pieces for r in results.values())
+        assert bisections > 0
         assert len(calls[0]) == 15 * results[(1,)].pieces
         assert all(len(ts) == 30 for ts in calls[1:])
-        assert len(calls) <= 1 + bisections
+        assert 1 < len(calls) <= 1 + bisections
