@@ -382,64 +382,32 @@ def _add_simulation(p, trials: int) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="rice-maxima",
-        description=(
-            "Expected local maxima below a level for random polynomials "
-            "whose coefficients form a Gaussian random walk."
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(
-        subparsers,
-        "density",
-        _cmd_density,
-        "pointwise density of local maxima below a level",
-    )
+def _density_options(p) -> None:
     _add_query(p, interval_help=None)
     p.add_argument("--x", type=_finite, required=True, help="evaluation point")
 
-    p = _subcommand(
-        subparsers,
-        "expect",
-        _cmd_expect,
-        "expected count on an interval by adaptive quadrature",
-    )
+
+def _expect_options(p) -> None:
     _add_query(p)
     p.add_argument(
         "--rel-tol", type=_positive_float, default=1e-8, help="relative tolerance"
     )
 
-    p = _subcommand(
-        subparsers,
-        "asymptotic",
-        _cmd_asymptotic,
-        "large-degree expansion on a canonical interval",
-    )
+
+def _asymptotic_options(p) -> None:
     _add_query(
         p,
         "level (finite, > 0)",
         "pos-tail | neg-tail | unit | neg-unit (or the same bounds as 'lo,hi')",
     )
 
-    p = _subcommand(
-        subparsers, "montecarlo", _cmd_montecarlo, "simulation estimate on an interval"
-    )
+
+def _montecarlo_options(p) -> None:
     _add_query(p)
     _add_simulation(p, trials=10000)
 
-    p = _subcommand(
-        subparsers,
-        "verify-constants",
-        _cmd_verify_constants,
-        "recompute the frozen reference table and report pass/fail",
-        sigma=False,
-    )
+
+def _verify_constants_options(p) -> None:
     p.add_argument(
         "--rel-tol",
         type=_positive_float,
@@ -447,12 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replace the per-row absolute tolerances with rel-tol * |reference|",
     )
 
-    p = _subcommand(
-        subparsers,
-        "compare",
-        _cmd_compare,
-        "(n, u) matrix of exact vs asymptotic vs simulation (CSV by default)",
-    )
+
+def _compare_options(p) -> None:
     p.add_argument(
         "--n-list",
         type=_list_of(_integer(1)),
@@ -473,11 +437,77 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-8,
         help="relative tolerance for the exact column",
     )
+
+
+# name -> (handler, summary, options, whether it takes --sigma-file)
+_COMMANDS = {
+    "density": (
+        _cmd_density,
+        "pointwise density of local maxima below a level",
+        _density_options,
+        True,
+    ),
+    "expect": (
+        _cmd_expect,
+        "expected count on an interval by adaptive quadrature",
+        _expect_options,
+        True,
+    ),
+    "asymptotic": (
+        _cmd_asymptotic,
+        "large-degree expansion on a canonical interval",
+        _asymptotic_options,
+        True,
+    ),
+    "montecarlo": (
+        _cmd_montecarlo,
+        "simulation estimate on an interval",
+        _montecarlo_options,
+        True,
+    ),
+    "verify-constants": (
+        _cmd_verify_constants,
+        "recompute the frozen reference table and report pass/fail",
+        _verify_constants_options,
+        False,
+    ),
+    "compare": (
+        _cmd_compare,
+        "(n, u) matrix of exact vs asymptotic vs simulation (CSV by default)",
+        _compare_options,
+        True,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command`` alone; the
+    usage line names all of them either way."""
+    parser = _Parser(
+        prog="rice-maxima",
+        description=(
+            "Expected local maxima below a level for random polynomials "
+            "whose coefficients form a Gaussian random walk."
+        ),
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    everything = "{" + ",".join(_COMMANDS) + "}"
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, metavar=None if command is None else everything
+    )
+    for name in _COMMANDS if command is None else (command,):
+        func, summary, options, sigma = _COMMANDS[name]
+        options(_subcommand(subparsers, name, func, summary, sigma=sigma))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand that runs is the only one built; --help, --version and
+    # usage errors before a subcommand get the whole tree
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

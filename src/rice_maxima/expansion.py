@@ -15,11 +15,11 @@ There are two tiers of constants:
   reproduce the reference constants those tables are known by, and they are
   what ``verify-constants`` checks.  Each integral over t in (0, inf) is
   one ``integrate_adaptive`` call, the same compact-coordinate integral
-  the exact engine uses.  The four index sets of a family are integrated
-  together on the same graded initial panels, fine enough that each
-  integral converges there at the default tolerance: one
-  ``family_kernels`` pass gives the four kernels at the nodes of that
-  round, and each integrand multiplies rows of that array.
+  the exact engine uses.  The sixteen integrals (four index sets in each
+  family) start on the same graded initial panels, fine enough that each
+  converges there at the default tolerance: one ``all_kernels`` pass gives
+  the sixteen kernels at the nodes of that round, and each integrand
+  multiplies rows of that array.
 
 * ``theorem_expansion`` uses the frozen constants below, which are the ones
   the exact engine (:func:`rice_maxima.counts.expected_count`) actually
@@ -53,7 +53,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .kernels import TAIL_LAWS, family_kernels
+from .kernels import TAIL_LAWS, all_kernels
 from .model import require_integer
 from .quadrature import QuadResult, integrate_adaptive
 
@@ -86,10 +86,9 @@ _QUAD_REL_TOL = 1e-9
 # count's: ratio 4 from 4^-9 up to 1/4, toward the t = 0 end where the
 # kernels are series in t; 2^k and 3 2^(k-1) from 1/2 to 8 (1/2, 3/4, 1,
 # 3/2, 2, 3, 4, 6, 8: ratio ~sqrt 2), where they leave that regime; ratio 2
-# from 8 to 256, toward the t = inf end; 24 panels.  At rel_tol 1e-9 every
-# integral of a family then converges on the initial round its four pairs
-# share, so a family costs one ``family_kernels`` pass (measured: 4 passes
-# for the 16 integrals, each within 3.1e-13 of its rel_tol 1e-12 value).
+# from 8 to 256, toward the t = inf end; 24 panels.  At rel_tol 1e-9 all 16
+# integrals converge on the initial round and share its one ``all_kernels``
+# pass (each within 3.1e-13 of its rel_tol 1e-12 value).
 # The tail subtraction starts at the t = 1 edge.
 _EDGES = (
     0.0,
@@ -124,32 +123,33 @@ def _pair_integral(product, family: int, pair: tuple[int, ...]) -> QuadResult:
 
 
 @lru_cache(maxsize=None)
-def _family_integrals(family: int) -> dict[tuple[int, ...], QuadResult]:
-    """The integral of every allowed pair of ``family``.
+def _integrals() -> dict[tuple[int, tuple[int, ...]], QuadResult]:
+    """(family, pair) -> the integral of that kernel product, for all 16.
 
     Each integrand call is one quadrature round: every initial panel, or
-    both halves of one bisection.  The kernels of a round are evaluated
-    once, as a (4, nodes) array keyed by the round's node bytes until this
-    function returns, so a round another pair already made costs no kernel
-    pass; a pair's integrand multiplies rows of it.  At the default
-    tolerance the four pairs share the initial round and make no
-    bisection, so a family costs one kernel pass; tighter tolerances
-    bisect, and pairs that bisect the same panel share that round too.
+    both halves of one bisection.  The sixteen kernels of a round are
+    evaluated once, as a (4, 4, nodes) array keyed by the round's node
+    bytes until this function returns, so a round another integral already
+    made costs no kernel pass; an integrand multiplies rows of it.  At the
+    default tolerance all sixteen integrals share the initial round and
+    make no bisection, so they cost one kernel pass; tighter tolerances
+    bisect, and integrals that bisect the same panel share that round too.
     """
     rounds: dict[bytes, np.ndarray] = {}
 
-    def product(pair: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
+    def product(family: int, pair: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
         key = ts.tobytes()
-        rows = rounds.get(key)
-        if rows is None:
-            rows = rounds[key] = family_kernels(family, ts)
+        if key not in rounds:
+            rounds[key] = all_kernels(ts)
+        rows = rounds[key][family - 1]
         value = rows[pair[0] - 1]
         for index in pair[1:]:
             value = value * rows[index - 1]
         return value
 
     return {
-        pair: _pair_integral(partial(product, pair), family, pair)
+        (family, pair): _pair_integral(partial(product, family, pair), family, pair)
+        for family in (1, 2, 3, 4)
         for pair in sorted(_ALLOWED_PAIRS)
     }
 
@@ -170,7 +170,7 @@ def h_integral(family: int, pair) -> float:
     key = tuple(sorted(set(int(i) for i in pair)))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
-    result = _family_integrals(family)[key]
+    result = _integrals()[family, key]
     if not result.converged:
         raise ToleranceNotMet(
             f"h_integral{(family, key)} did not reach rel_tol={_QUAD_REL_TOL:g} "

@@ -45,11 +45,15 @@ one of three regimes, chosen per node:
 * float rows beyond: plain float64, where the decaying rows underflow
   harmlessly and the d = 0 row alone reproduces the tail law.
 
-Evaluation works on arrays of t: ``h_kernel`` evaluates one kernel at a
-float or an array, and ``family_kernels`` evaluates the four kernels of one
-family at an array while computing each shared bracket once.  All constant
-tables are built from exact fractions; no arbitrary-precision library is
-used.
+Evaluation works on arrays of t, in one pass for all twenty brackets over
+tables stacked at import, with a gather that sums each bracket's rows in
+order: the series on (brackets, nodes), the double-double rows on (rows,
+nodes) with one table of e^{-dt}, and the float rows each run once, and
+each bracket takes its regime by mask.  The zero padding of the tables is
+exact, so the value at a node does not depend on the other nodes.
+``h_kernel`` evaluates one kernel at a float or an array, ``all_kernels``
+the sixteen at an array.  All constant tables are built from exact
+fractions; no arbitrary-precision library is used.
 """
 
 from __future__ import annotations
@@ -57,13 +61,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping
 
 import numpy as np
 
 from .errors import NonFiniteResult
 
-__all__ = ["KernelId", "h_kernel", "family_kernels", "TAIL_LAWS"]
+__all__ = ["KernelId", "h_kernel", "all_kernels", "TAIL_LAWS"]
 
 # --------------------------------------------------------------------------
 # Exact bracket tables: name -> {decay d: coefficients of P_d, ascending in
@@ -443,118 +448,101 @@ def _taylor(rows) -> tuple[int, tuple[float, ...]]:
 
 
 class _Bracket:
-    """One decaying bracket with three evaluation regimes.
+    """One decaying bracket: its exact rational rows, the order ``lead`` of
+    its zero at t = 0 with the float Taylor coefficients ``series`` from
+    there on, and ``float_cutoff``.  ``_bracket_values`` evaluates every
+    bracket at once from the tables stacked from these."""
 
-    * ``t <= 0.45`` — Taylor series whose coefficients are derived exactly
-      from the rational tables, so the cancellation of the rows at small t
-      never happens in floating point.
-    * mid-range — the rows still cancel to more digits than float64 holds;
-      they are summed in double-double arithmetic and rounded once.
-    * large t — plain float64 Horner per row (the decaying rows underflow
-      harmlessly; the d = 0 row carries the tail).
-
-    The rows are kept as (rows, degree) coefficient arrays, zero-padded,
-    each exact coefficient split into ``hi + lo``.
-    """
-
-    __slots__ = ("name", "rows", "decays", "hi", "lo", "lead", "series", "float_cutoff")
+    __slots__ = ("name", "rows", "lead", "series", "float_cutoff")
 
     def __init__(self, name: str, rows: Mapping[int, tuple[Fraction, ...]]):
         self.name = name
         self.rows = sorted(rows.items())
-        width = max(len(poly) for _, poly in self.rows)
-        pairs = np.array(
-            [
-                [_split_rational(c) for c in poly] + [(0.0, 0.0)] * (width - len(poly))
-                for _, poly in self.rows
-            ]
-        )
-        self.hi, self.lo = pairs[..., 0], pairs[..., 1]
-        self.decays = np.array([d for d, _ in self.rows])
         self.float_cutoff = _FLOAT_CUTOFF[name]
         self.lead, self.series = _taylor(self.rows)
         if self.lead == 0:
             raise AssertionError(f"bracket {name!r} does not vanish at t=0")
 
-    def _series(self, t):
-        acc = np.zeros_like(t)
-        for c in reversed(self.series):
-            acc = acc * t + c
-        return acc * t**self.lead
-
-    def _double_double(self, t, powers):
-        t_split = _split(t)
-        shape = (len(self.decays), t.size)
-        hi = np.broadcast_to(self.hi[:, -1:], shape)
-        lo = np.broadcast_to(self.lo[:, -1:], shape)
-        for k in range(self.hi.shape[1] - 2, -1, -1):
-            hi, lo = _mul_float(hi, lo, t, t_split)
-            hi, lo = _add(hi, lo, self.hi[:, k : k + 1], self.lo[:, k : k + 1])
-        hi, lo = _mul(hi, lo, powers[0][self.decays], powers[1][self.decays])
-        acc_hi, acc_lo = hi[0], lo[0]
-        for row in range(1, len(self.decays)):
-            acc_hi, acc_lo = _add(acc_hi, acc_lo, hi[row], lo[row])
-        return acc_hi
-
-    def _float_rows(self, t):
-        p = np.zeros((len(self.decays), t.size))
-        for column in self.hi.T[::-1]:
-            p = p * t + column[:, None]
-        terms = p * np.exp(-self.decays[:, None] * t)
-        acc = terms[0]
-        for row in terms[1:]:
-            acc = acc + row
-        return acc
-
-    def value(self, nodes: _Nodes):
-        t = nodes.t
-        out = np.empty_like(t)
-        low = t <= _SERIES_CUTOFF
-        high = t >= self.float_cutoff
-        mid = ~(low | high)
-        if low.any():
-            out[low] = self._series(t[low])
-        if mid.any():
-            hi, lo = nodes.powers()
-            out[mid] = self._double_double(t[mid], (hi[:, mid], lo[:, mid]))
-        if high.any():
-            out[high] = self._float_rows(t[high])
-        return out
-
-
-class _Nodes:
-    """An array of t > 0 with the bracket values at it, each computed once."""
-
-    def __init__(self, t):
-        self.t = t
-        self._values: dict[str, np.ndarray] = {}
-        self._powers = None
-
-    def __call__(self, name: str):
-        value = self._values.get(name)
-        if value is None:
-            value = self._values[name] = _BRACKETS[name].value(self)
-        return value
-
-    def powers(self):
-        """e^{-dt} for d = 0.._MAX_DECAY as double-double (hi, lo) rows,
-        filled where t is in some bracket's double-double regime."""
-        if self._powers is None:
-            t = self.t
-            hi = np.zeros((_MAX_DECAY + 1, t.size))
-            lo = np.zeros_like(hi)
-            hi[0] = 1.0
-            window = (t > _SERIES_CUTOFF) & (t < _DD_LIMIT)
-            e_hi, e_lo = _exp_dd(t[window])
-            p_hi, p_lo = np.ones_like(e_hi), np.zeros_like(e_lo)
-            for d in range(1, _MAX_DECAY + 1):
-                p_hi, p_lo = _mul(p_hi, p_lo, e_hi, e_lo)
-                hi[d, window], lo[d, window] = p_hi, p_lo
-            self._powers = hi, lo
-        return self._powers
-
 
 _BRACKETS = {name: _Bracket(name, rows) for name, rows in _ROWS.items()}
+
+# The stacked tables, zero-padded at the high end (0 t + c = c, and a
+# double-double step on (0, 0) returns it): the series, one row per
+# bracket; every row of every bracket in bracket order, then one zero row,
+# its coefficients split into hi + lo; and the gather _GATHER[k, i], the
+# stacked index of row k of bracket i (-1, the zero row, past its last), so
+# that adding rows _GATHER[0], _GATHER[1], ... sums each bracket's in order.
+_SERIES = np.array(
+    list(zip_longest(*(b.series for b in _BRACKETS.values()), fillvalue=0.0))
+).T
+_LEADS = np.array([[b.lead] for b in _BRACKETS.values()])
+_CUTOFFS = np.array([[b.float_cutoff] for b in _BRACKETS.values()])
+_STACKED = [(d, poly) for b in _BRACKETS.values() for d, poly in b.rows] + [(0, ())]
+_ROW_HI, _ROW_LO = np.array(
+    list(zip_longest(*(map(_split_rational, p) for _, p in _STACKED), fillvalue=(0, 0)))
+).T
+_DECAYS = np.array([d for d, _ in _STACKED])
+_COUNTS = np.array([len(b.rows) for b in _BRACKETS.values()])
+_GATHER = np.arange(_COUNTS.max())[:, None]
+_GATHER = np.where(_GATHER < _COUNTS, _GATHER + _COUNTS.cumsum() - _COUNTS, -1)
+
+
+def _series(t):
+    acc = np.zeros((len(_SERIES), t.size))
+    for column in _SERIES.T[::-1, :, None]:
+        acc = acc * t + column
+    return acc * t**_LEADS
+
+
+def _double_double(t):
+    """The rows in double-double at 0.45 < t < _DD_LIMIT, each bracket's
+    summed and rounded once, with e^{-dt} from one table of its powers."""
+    e_hi, e_lo = _exp_dd(t)
+    powers = [(np.ones_like(t), np.zeros_like(t))]
+    for _ in range(_MAX_DECAY):
+        powers.append(_mul(*powers[-1], e_hi, e_lo))
+    powers = np.array(powers)[_DECAYS]
+    t_split = _split(t)
+    shape = (len(_DECAYS), t.size)
+    hi = np.broadcast_to(_ROW_HI[:, -1:], shape)
+    lo = np.broadcast_to(_ROW_LO[:, -1:], shape)
+    for k in range(_ROW_HI.shape[1] - 2, -1, -1):
+        hi, lo = _mul_float(hi, lo, t, t_split)
+        hi, lo = _add(hi, lo, _ROW_HI[:, k : k + 1], _ROW_LO[:, k : k + 1])
+    hi, lo = _mul(hi, lo, powers[:, 0], powers[:, 1])
+    acc_hi, acc_lo = hi[_GATHER[0]], lo[_GATHER[0]]
+    for row in _GATHER[1:]:
+        acc_hi, acc_lo = _add(acc_hi, acc_lo, hi[row], lo[row])
+    return acc_hi
+
+
+def _float_rows(t):
+    p = np.zeros((len(_DECAYS), t.size))
+    for column in _ROW_HI.T[::-1, :, None]:
+        p = p * t + column
+    terms = p * np.exp(-_DECAYS[:, None] * t)
+    acc = terms[_GATHER[0]]
+    for row in _GATHER[1:]:
+        acc = acc + terms[row]
+    return acc
+
+
+def _bracket_values(t):
+    """(brackets, len(t)) values of every bracket at the nodes ``t`` > 0:
+    each regime runs once, on the nodes where some bracket takes it, and
+    each bracket takes its regime by mask."""
+    out = np.empty((len(_BRACKETS), t.size))
+    low = t <= _SERIES_CUTOFF
+    if low.any():
+        out[:, low] = _series(t[low])
+    window = ~low & (t < _DD_LIMIT)
+    if window.any():
+        out[:, window] = _double_double(t[window])
+    high = t >= _CUTOFFS.min()
+    if high.any():
+        th = t[high]
+        out[:, high] = np.where(th >= _CUTOFFS, _float_rows(th), out[:, high])
+    return out
 
 
 def _positive(t) -> np.ndarray:
@@ -680,12 +668,11 @@ _KERNELS = {
 
 
 def _evaluate(kernel_ids, t: np.ndarray) -> np.ndarray:
-    """(len(kernel_ids), len(t)) kernel values; brackets are shared."""
-    nodes = _Nodes(t)
+    """(len(kernel_ids), len(t)) kernel values, from one pass over the
+    brackets."""
     with np.errstate(all="ignore"):
-        values = np.array(
-            [_KERNELS[(kid.family, kid.index)](nodes, t) for kid in kernel_ids]
-        )
+        b = dict(zip(_BRACKETS, _bracket_values(t))).__getitem__
+        values = np.array([_KERNELS[kid.family, kid.index](b, t) for kid in kernel_ids])
     bad = ~np.isfinite(values)
     if bad.any():
         row, column = np.argwhere(bad)[0]
@@ -704,11 +691,12 @@ def h_kernel(kernel_id: KernelId, t):
     return float(value[0]) if np.ndim(t) == 0 else value
 
 
-def family_kernels(family: int, t) -> np.ndarray:
-    """The four kernels H_{f,1..4} of ``family`` at an array of ``t > 0``,
-    as the rows of a (4, len(t)) array, from one evaluation of the brackets
-    they share."""
-    return _evaluate([KernelId(family, index) for index in (1, 2, 3, 4)], _positive(t))
+def all_kernels(t) -> np.ndarray:
+    """The sixteen kernels at an array of ``t > 0`` as a (4, 4, len(t))
+    array, H_{f,i} at [f - 1, i - 1], from one pass over the brackets."""
+    kernel_ids = [KernelId(f, i) for f in (1, 2, 3, 4) for i in (1, 2, 3, 4)]
+    t = _positive(t)
+    return _evaluate(kernel_ids, t).reshape(4, 4, t.size)
 
 
 # t -> infinity laws: (power, constant) meaning  H ~ constant * t**power.

@@ -29,7 +29,7 @@ from numpy.polynomial import polynomial as P
 from scipy import integrate
 
 from rice_maxima import PolynomialModel
-from rice_maxima.kernels import _BRACKETS, _Nodes
+from rice_maxima.kernels import _BRACKETS, _bracket_values
 
 
 def bracket_names() -> tuple[str, ...]:
@@ -41,7 +41,8 @@ def bracket_value(name: str, t):
     """The engine's value of one bracket at ``t`` (a float, or an array of
     floats)."""
     array = np.atleast_1d(np.asarray(t, dtype=float))
-    value = _BRACKETS[name].value(_Nodes(array))
+    with np.errstate(all="ignore"):
+        value = dict(zip(_BRACKETS, _bracket_values(array)))[name]
     return float(value[0]) if np.ndim(t) == 0 else value
 
 
@@ -163,8 +164,10 @@ def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
     for |x| > 1 as the exact quotients a_k / x^n, b_k / x^(n-1) and
     d_k / x^(n-2), which are sums of powers of 1/x.  They carry enough bits
     that rounding them cannot reach the outputs; weights, Gram sums and
-    determinants are then exact.  O(n) integer operations: n = 10^5 takes
-    ~0.5 s, so results are cached.
+    determinants are then exact.  The fixed-point powers reach 0 after a
+    horizon of ~bits / |log2 x| terms; from there on a, b and d stop
+    changing, and the remaining weights add their fixed products in one
+    step.  O(min(n, horizon)) integer operations, cached.
     """
     n = model.degree
     variances = [model.sigma0**2] + [s * s for s in model.sigma]
@@ -180,11 +183,16 @@ def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
     bits = 256 + 8 * abs(math.frexp(x)[1])
     base = (num << bits) // den
     powers = [1 << bits]
-    for _ in range(n):
+    while len(powers) <= n and powers[-1]:
         powers.append((powers[-1] * base) >> bits)
+    horizon = len(powers)  # the powers from here on are 0, or past n
+    powers += [0, 0]
+    # peeled, a, b and d are fixed below k = n - horizon + 1 (``bottom``);
+    # plain, they are 0 above k = horizon
+    top, bottom = (n, max(n - horizon + 1, 0)) if peeled else (min(n, horizon), 0)
     a = b = d = 0
     saa = sab = sad = sbb = sbd = sdd = 0
-    for k in range(n, -1, -1):
+    for k in range(top, bottom - 1, -1):
         if peeled:
             power = powers[n - k]
             a, b, d = a + power, b + k * power, d + k * (k - 1) * power
@@ -197,6 +205,9 @@ def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
             wa, wb = w * a, w * b
             saa, sab, sad = saa + wa * a, sab + wa * b, sad + wa * d
             sbb, sbd, sdd = sbb + wb * b, sbd + wb * d, sdd + w * d * d
+    w = sum(weights[:bottom])
+    saa, sab, sad = saa + w * a * a, sab + w * a * b, sad + w * a * d
+    sbb, sbd, sdd = sbb + w * b * b, sbd + w * b * d, sdd + w * d * d
     nu = saa * sbb - sab * sab
     nz = sdd * sbb - sbd * sbd
     cr = sad * sbb - sab * sbd

@@ -61,6 +61,25 @@ class TestTopLevel:
         code, out, err = run(capsys, "maximize")
         assert code == 1
 
+    def test_a_named_subcommand_is_built_alone(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(
+            cli, "build_parser", lambda name=None: built.append(name) or build(name)
+        )
+        query = ("asymptotic", "--n", "100", "--u", "1", "--interval", "unit")
+        assert run(capsys, *query)[0] == 0
+        assert run(capsys, "--help")[0] == 0
+        assert run(capsys, "maximize")[0] == 1
+        assert built == ["asymptotic", None, None]
+        # an error the top level reports after a subcommand shows the usage
+        # line of the whole tree
+        whole = run(capsys, "maximize")[2].splitlines()[:3]
+        code, out, err = run(capsys, *query, "extra")
+        assert code == 1
+        assert err.splitlines()[:3] == whole
+        assert "unrecognized arguments: extra" in err
+
     @pytest.mark.parametrize(
         "error,want",
         [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rice_maxima import ToleranceNotMet, expansion, h_integral
-from rice_maxima.kernels import family_kernels
+from rice_maxima.kernels import all_kernels
 from rice_maxima.reference import verify_constants
 
 # 12-digit regression pins captured from a verified build (quadrature
@@ -32,13 +32,13 @@ FROZEN = {
 def integral_at(family: int, pair, rel_tol: float) -> float:
     """``h_integral`` with the kernel products integrated to ``rel_tol``
     instead of 1e-9; the cache of integrals is left empty."""
-    expansion._family_integrals.cache_clear()
+    expansion._integrals.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(expansion, "_QUAD_REL_TOL", rel_tol)
             return h_integral(family, pair)
     finally:
-        expansion._family_integrals.cache_clear()
+        expansion._integrals.cache_clear()
 
 
 class TestFrozenValues:
@@ -107,51 +107,61 @@ class TestValidation:
 class TestKernelCache:
     @staticmethod
     def kernel_calls(monkeypatch, compute, rel_tol=None):
-        """The t-node arrays ``family_kernels`` receives while ``compute()``
+        """The t-node arrays ``all_kernels`` receives while ``compute()``
         runs on an empty cache of integrals (at ``rel_tol``, if given),
         and what ``compute()`` returned."""
         calls = []
 
-        def recorded(family, ts):
+        def recorded(ts):
             calls.append(ts.copy())
-            return family_kernels(family, ts)
+            return all_kernels(ts)
 
-        monkeypatch.setattr(expansion, "family_kernels", recorded)
+        monkeypatch.setattr(expansion, "all_kernels", recorded)
         if rel_tol is not None:
             monkeypatch.setattr(expansion, "_QUAD_REL_TOL", rel_tol)
-        expansion._family_integrals.cache_clear()
+        expansion._integrals.cache_clear()
         try:
             return calls, compute()
         finally:
-            expansion._family_integrals.cache_clear()
+            expansion._integrals.cache_clear()
 
     @pytest.mark.parametrize("family", [1, 2, 3, 4])
-    def test_one_kernel_pass_per_family_at_the_default_tolerance(self, family, monkeypatch):
-        # every pair converges on the graded initial panels, without bisection
-        calls, results = self.kernel_calls(
-            monkeypatch, lambda: expansion._family_integrals(family)
-        )
+    def test_one_kernel_pass_serves_every_family(self, family, monkeypatch):
+        # whichever family is asked for first, its integral makes the one
+        # pass of the initial round, on which all sixteen converge without
+        # bisection
+        def compute():
+            h_integral(family, (1,))
+            for other in (1, 2, 3, 4):
+                for pair in ((1,), (1, 2), (1, 3), (1, 3, 4)):
+                    h_integral(other, pair)
+            return expansion._integrals()
+
+        calls, results = self.kernel_calls(monkeypatch, compute)
         pieces = len(expansion._EDGES) - 1
         assert [len(ts) for ts in calls] == [15 * pieces]
+        assert len(results) == 16
         assert all(r.pieces == r.panels == pieces for r in results.values())
 
-    def test_verify_constants_makes_four_kernel_passes(self, monkeypatch):
+    def test_verify_constants_makes_one_kernel_pass(self, monkeypatch):
         calls, rows = self.kernel_calls(monkeypatch, verify_constants)
         assert len(rows) == 28
-        assert len(calls) == 4
+        assert [len(ts) for ts in calls] == [15 * (len(expansion._EDGES) - 1)]
 
     @pytest.mark.parametrize("family", [1, 2, 3, 4])
     def test_every_node_evaluated_once_in_whole_rounds(self, family, monkeypatch):
-        # at rel_tol 1e-12 the pairs bisect, some of them the same panels
+        # at rel_tol 1e-12 the integrals bisect, this family's among them,
+        # some of them the same panels
         calls, results = self.kernel_calls(
-            monkeypatch, lambda: expansion._family_integrals(family), rel_tol=1e-12
+            monkeypatch, expansion._integrals, rel_tol=1e-12
         )
         nodes = np.concatenate(calls)
         assert len(np.unique(nodes)) == len(nodes)
-        # one call for the initial round the four pairs share, then at most
+        # one call for the initial round all sixteen share, then at most
         # one per bisection
         bisections = sum(r.panels - r.pieces for r in results.values())
-        assert bisections > 0
-        assert len(calls[0]) == 15 * results[(1,)].pieces
+        own = [r for (f, _), r in results.items() if f == family]
+        assert sum(r.panels - r.pieces for r in own) > 0
+        assert len(calls[0]) == 15 * results[family, (1,)].pieces
         assert all(len(ts) == 30 for ts in calls[1:])
         assert 1 < len(calls) <= 1 + bisections

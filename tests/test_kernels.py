@@ -13,7 +13,7 @@ from rice_maxima.kernels import (
     _SERIES_TERMS,
     TAIL_LAWS,
     KernelId,
-    family_kernels,
+    all_kernels,
     h_kernel,
 )
 
@@ -99,6 +99,24 @@ class TestBrackets:
         assert exact[bracket.lead] != 0
         assert bracket.series == tuple(float(c) for c in exact[bracket.lead :])
 
+    @pytest.mark.parametrize("name", bracket_names())
+    def test_value_at_a_node_does_not_depend_on_the_others(self, name):
+        # One pass evaluates every bracket at every node of a round; a node
+        # alone, in a shuffled subset or among 360 nodes (as many as a
+        # kernel-tier round has) gets the same bits, in each regime.
+        ts = np.geomspace(4.0**-9, 256.0, 360)
+        regimes = (
+            ts <= _SERIES_CUTOFF,
+            (ts > _SERIES_CUTOFF) & (ts < _FLOAT_CUTOFF[name]),
+            ts >= _FLOAT_CUTOFF[name],
+        )
+        assert all(regime.any() for regime in regimes)
+        whole = bracket_value(name, ts)
+        alone = np.array([bracket_value(name, t) for t in ts])
+        subset = np.random.default_rng(7).permutation(ts.size)[: ts.size // 3]
+        np.testing.assert_array_equal(alone, whole)
+        np.testing.assert_array_equal(bracket_value(name, ts[subset]), whole[subset])
+
     def test_unknown_bracket_name(self):
         with pytest.raises(KeyError):
             bracket_value("not-a-bracket", 1.0)
@@ -141,7 +159,7 @@ class TestKernelEvaluation:
         with pytest.raises(ValueError, match="positive and finite"):
             h_kernel(KernelId(3, 1), ts)
         with pytest.raises(ValueError, match="positive and finite"):
-            family_kernels(3, ts)
+            all_kernels(ts)
 
     @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
     def test_array_matches_scalar_calls(self, kid):
@@ -151,9 +169,9 @@ class TestKernelEvaluation:
         assert got.shape == ts.shape
         want = np.array([h_kernel(kid, float(t)) for t in ts])
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-        family = family_kernels(kid.family, ts)
-        assert family.shape == (4, ts.size)
-        np.testing.assert_array_equal(family[kid.index - 1], got)
+        table = all_kernels(ts)
+        assert table.shape == (4, 4, ts.size)
+        np.testing.assert_array_equal(table[kid.family - 1, kid.index - 1], got)
 
     def test_float_in_gives_float_out(self):
         kid = KernelId(2, 3)
