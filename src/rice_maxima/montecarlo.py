@@ -29,38 +29,38 @@ polynomial in y = 1/x times the sign of x^d, so every power lies in
 values past the float range become +-inf, which still compare correctly
 with every finite level.
 
-Sign grid.  All trials, and both signs of x, share one power table.  The
-points strictly inside the query interval are +-p for one set of
-magnitudes p (the grid is mirrored), and 1/(-p) = -(1/p) exactly, so by
-the rule above Q'(+-p) / max(1, p)^d sums the powers of p (p <= 1) or of
-1/p (beyond, with the coefficients reversed), the power of x in each term
-times (+-1)^j.  Row j of the table holds p^j, or (1/p)^j, the product of
-the last row and p or 1/p.  The derivative rows, stacked over the same
-rows with the odd powers negated, times the table give Q' at +p and -p
-for every trial of a tile: one product over the magnitudes p <= 1, one of
-the reversed rows over the rest.  A down-crossing is read off these
-values: Q' < 0 at a point and not at the point before it, in the order of
-x, which descends with p on the negative side, and Q' > 0 read again at
-the few such first points.  The three cells that join an end point or
-the two signs (the first, the last and the one across 0) take Q' from a
-small table of their own points.  The magnitudes are taken in chunks of
-even size that share their end points, of at most
-``_GRID_CHUNK_ELEMENTS`` / max(d+1, 2 r) magnitudes, and a chunk ends
-where the shorter side ends, so a side's rows enter only the products of
-chunks it holds whole.  Only an interval with 0 inside has two sides, and
-only a mirrored one, (-a, a), has them equal: on (-7, 0.2), say, the
-magnitudes past 0.2 serve the negative side alone.  The trials go in
-tiles of r <= ``_TILE_ROWS`` rows with 2 r (d+1) <=
-``_GRID_CHUNK_ELEMENTS``.  Every crossing of the call is then refined and
-tested together, in batches of at most ``_ROW_ELEMENTS`` / (n+1)
-crossings.
+Sign grid. Inside the query interval the grid is +-p for one set of
+magnitudes p; in z = p (p <= 1, the inner run) or 1/p (the outer run),
+Q'(+-p) / max(1, p)^d = E(z) +- O(z), the even and odd j of sum e_j z^j,
+e_j = c_j inner and c_(d-j) outer. The cells at an end point, across 0 and
+across |x| = 1 take Q' from a table of their own points; each other cell
+lies in one coarse cell of K cells of one run, cut also where the shorter
+side ends: K = ppu/8, 1/8 of a unit of sigma, so the share of coarse cells
+holding a root does not change with ppu (ppu/4 below ``_SMALL_WIDTH``
+coefficients, where the cells' work outweighs the products). On a coarse
+cell of midpoint m, half-width w and largest z r, Taylor's theorem gives
+|f(z) - sum_(k<4) T_k u^k| <= R for f = E +- O, u = (z - m)/w, T_k =
+f^(k)(m) w^k / k! and R = w^4/24 sum_j j(j-1)(j-2)(j-3) |e_j| (r +
+w)^(j-4), so Q' has no root there if |T_0| > |T_1| + |T_2| + |T_3| + R +
+M. Per tile of trials, one product each of the even and odd coefficients
+with a table of C(j, k) m^(j-k) w^k gives E_k and O_k (below
+``_SMALL_WIDTH``, one product of the whole rows with the odd weights
+negated for x < 0 gives both), and one of |e_j| gives R + M. The margin M:
+the binomial terms of S = sum_j |e_j| (r + w)^j bound those weights, and
+each T_k and R err by at most (2d + 6) u times their terms (u = 2^-53),
+rounding m moves f by d u S, the test's sums and a fine point's cubic by
+32 u S and the fine grid's sum by (2d + 1) u S, all below M = 2^-48 (d +
+2) S; 2^-1000 sum |e_j| in M covers underflow for rows not all below
+2^-900. A failing (trial, sign, coarse cell) reaches the fine grid: at its
+K + 1 points Q' takes the sign of sum T_k u^k where that exceeds R + M,
+else its value by the rule above. A down-crossing is Q' > 0 at a point and
+Q' < 0 at the next in the order of x.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
-(16 MiB) in the power table of a grid chunk, and as many in the values of
-a tile, at any degree.  Every array with a row per trial or per crossing
-(the coefficients and derivative rows of the call, the rows and power
-tables of one refinement batch) is at most as large as the call's
-coefficient matrix or ``_ROW_ELEMENTS`` = 2^16 doubles (512 KiB).  A run
+(16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
+as many in the values of a tile (16 a cell and trial).  Every array with
+a row per trial, crossing or fine point is at most as large as the call's
+coefficient matrix or ``_ROW_ELEMENTS`` = 2^16 doubles (512 KiB); a run
 counts its trials in groups that keep the coefficient matrix within that
 too, except where one block of 256 trials alone is larger (n >= 256).
 
@@ -102,7 +102,6 @@ points_per_unit), whatever the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +126,10 @@ _GRID_CHUNK_ELEMENTS = 1 << 21
 # group of blocks holds, and the most coefficient rows of one refinement
 # batch.
 _ROW_ELEMENTS = 1 << 16
-# Most trials whose values one sign-grid product gives.  Tuned on one
-# host: 128 rows keep an n = 8 value tile inside its 2 MiB L2 cache.
+# Most trials whose coarse-cell values one sign-grid product gives.
 _TILE_ROWS = 128
+# Certificate margin per (d + 2) S, and the fewest coefficients for K = ppu/8 (module docstring)
+_MARGIN, _SMALL_WIDTH = 2.0**-48, 32
 # Smallest value of each integer setting, in ``MCConfig`` and the helpers.
 _MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
 
@@ -138,12 +138,13 @@ _MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
 class MCConfig:
     """Trial budget and execution knob for a Monte-Carlo run.
 
-    ``trials`` and ``seed`` define the estimate; ``points_per_unit``
-    controls the sign-grid resolution (points per unit of the grid
-    coordinate sigma = asinh(n ln|x|), so per unit of t = n ln|x| near
-    |x| = 1); with ``workers`` > 1 a run is counted in at least that many
-    groups of blocks of 256 trials, which as many threads share (module
-    docstring): this affects speed only, never the result.
+    ``trials`` and ``seed`` define the estimate; ``points_per_unit`` sets
+    the sign grid that defines the count (points per unit of sigma =
+    asinh(n ln|x|), so per unit of t = n ln|x| near |x| = 1), while its
+    cost follows the coarse cells the certificate leaves uncertain; with
+    ``workers`` > 1 a run is counted in at least that many groups of
+    256-trial blocks, which as many threads share (module docstring): this
+    affects speed only, never the result.
     """
 
     trials: int
@@ -231,85 +232,122 @@ def _scaled_value(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return sign * np.vecdot(rows, np.vander(y, N=width, increasing=True))
 
 
+def _powers(z: np.ndarray, width: int) -> np.ndarray:
+    """(width, z.size) table of z^j, row s + i the product of rows s and i."""
+    table, s = np.ones((width, z.size)), 1
+    while s < width:
+        np.multiply(table[s - 1], z, out=table[s])
+        np.multiply(table[1 : min(s, width - s)], table[s], out=table[s + 1 : 2 * s])
+        s *= 2
+    return table
+
+
+def _coarse_cells(size: int, inner: int, short: int, step: int):
+    """(first, last) magnitude of each coarse cell (module docstring)."""
+    first, last = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for start, end in ((0, inner - 1), (inner, size - 1)):
+        if end > start:
+            cut = np.arange(start, end, step)
+            cut = np.union1d(cut, short - 1) if start < short - 1 < end else cut
+            first, last = first + [cut], last + [np.append(cut[1:], end)]
+    return np.concatenate(first), np.concatenate(last)
+
+
+def _uncertain_cells(dcoef, mid, h, split, hold):
+    """(side, trial, cell, T_0 .. T_3, R + M) of each failing certificate (module
+    docstring) on a side that holds the cell, side 0 for x > 0; inner cells first."""
+    trials, width = dcoef.shape
+    j = np.arange(width, dtype=float)
+    binom = np.cumprod([np.ones(width), j, j - 1.0, j - 2.0, j - 3.0], axis=0)
+    binom /= [[1.0], [1.0], [2.0], [6.0], [24.0]]  # C(j, k)
+    found = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty((0, 4)), np.empty(0))]
+    cols = max(1, _GRID_CHUNK_ELEMENTS // (16 * width))
+    for start in range(0, mid.size, cols):
+        cut = slice(start, start + cols)
+        c, w, inside = mid[cut].size, 0.5 * h[cut], max(0, split - start)
+        # the weights of e_j in T_k, column (k, cell), then of |e_j| in R + M
+        table = _powers(mid[cut], width)[:, None] * (w / mid[cut]) ** np.arange(4)[:, None]
+        table *= binom[:4].T[:, :, None]  # C(j, k) m^(j-k) w^k
+        table[..., inside:] = table[::-1, :, inside:]
+        power = _powers(mid[cut] + h[cut], width)  # (r + w)^j
+        size = _MARGIN * (width + 1) * power + 2.0**-1000
+        size[4:] += binom[4, 4:, None] * power[:-4] * w**4
+        size[:, inside:] = size[::-1, inside:]
+        if width < _SMALL_WIDTH:  # one product for both signs: odd weights negated for x < 0
+            table = np.stack([table, table * np.where(j % 2, -1.0, 1.0)[:, None, None]], 2)
+        tile = max(1, min(trials, _TILE_ROWS, _GRID_CHUNK_ELEMENTS // (16 * c)))
+        value_buf, abs_buf = np.empty(8 * c * tile), np.empty(8 * c * tile)
+        for t in range(0, trials, tile):
+            block = dcoef[t : t + tile]
+            r = block.shape[0]
+            value = value_buf[: 8 * c * r].reshape(4, 2, c, r)
+            if width < _SMALL_WIDTH:
+                np.matmul(table.reshape(width, -1).T, block.T, out=value.reshape(8 * c, r))
+            else:
+                e, o = abs_buf[: 8 * c * r].reshape(2, 4, c, r)
+                np.matmul(table[0::2].reshape(-1, 4 * c).T, block[:, 0::2].T, out=e.reshape(-1, r))
+                np.matmul(table[1::2].reshape(-1, 4 * c).T, block[:, 1::2].T, out=o.reshape(-1, r))
+                np.add(e, o, out=value[:, 0])
+                np.subtract(e, o, out=value[:, 1])
+            bound = size.T @ np.abs(block).T
+            a = np.abs(value, out=abs_buf[: 8 * c * r].reshape(4, 2, c, r))
+            a[1] += np.add(a[2], a[3], out=a[2])
+            a[1] += bound
+            at = np.flatnonzero((a[0] <= a[1]) & hold[:, cut, None])
+            side, cell = np.divmod(at // r, c)
+            taylor = value.reshape(4, -1)[:, at].T
+            found.append((side, at % r + t, cell + start, taylor, bound.ravel()[at % (c * r)]))
+    return [np.concatenate(v) for v in zip(*found)]
+
+
 def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
     """(cell, trial) of every down-crossing of Q' between neighbouring
     points of the sorted grid x, cell k lying between x[k] and x[k+1], for
     the derivative rows ``dcoef`` (module docstring).  The points strictly
-    inside x are mirrored, as ``_build_grid`` makes them: the magnitudes of
-    the shorter sign are the first magnitudes of the longer."""
-    trials, width = dcoef.shape
+    inside x are mirrored, as ``_build_grid`` makes them."""
+    width = dcoef.shape[1]
     a = int(np.searchsorted(x[1:-1], 0.0))  # x[1..a] < 0 < x[a+1..b+a]
     b = x.size - 2 - a
     mag = x[a + 1 : -1] if b >= a else -x[a:0:-1]
+    inner = int(np.searchsorted(mag, 1.0, side="right"))  # mag[:inner] <= 1
+    z = np.divide(1.0, mag, out=mag.copy(), where=mag > 1.0)
 
-    # cells 0, a and b + a join an end point or the two signs: Q' at their
-    # points by the reversed-form rule, from a table of their own
-    edge = np.unique([0, a, b + a])
+    # cells 0, a and b + a join an end point or the two signs, a -+ inner the
+    # two runs: Q' at their points by the reversed-form rule, in one table
+    edge = np.unique([0, a, b + a] + [a + s * inner for s, n in ((1, b), (-1, a)) if 0 < inner < n])
     y, outer, sign = _fold(x[np.concatenate([edge, edge + 1])], width - 1)
     power = np.vander(y, N=width, increasing=True)
     at = dcoef @ np.where(outer[:, None], sign[:, None] * power[:, ::-1], power).T
-    crossed = at[:, : edge.size] > 0.0
-    crossed &= at[:, edge.size :] < 0.0
-    trial, k = np.nonzero(crossed)
+    trial, k = np.nonzero((at[:, : edge.size] > 0.0) & (at[:, edge.size :] < 0.0))
     cells, rows = [edge[k]], [trial]
 
-    # every other cell joins two points of one sign, cell k, k+1 of mag on
-    # either side: one table of the chunk's magnitudes, and the rows of each
-    # side that holds the chunk times it (module docstring)
-    parity = np.where(np.arange(width) % 2 == 1, -1.0, 1.0)
-    tile = max(1, min(trials, _TILE_ROWS, _GRID_CHUNK_ELEMENTS // (2 * width)))
-    most = max(1, _GRID_CHUNK_ELEMENTS // max(width, 2 * tile) - 1)
-    # a side of count points has cells 0 .. count - 2, taken in chunks of
-    # cells that share their end points: as few as the budget allows, of
-    # even size, and one ends where the shorter side does, so that each
-    # side holds a chunk whole or not at all
-    cuts = [0]
-    for end in sorted({a - 1, b - 1}):
-        start = cuts[-1]
-        if end > start:
-            parts = math.ceil((end - start) / most)
-            cuts += [start + (end - start) * m // parts for m in range(1, parts + 1)]
-    step = int(max(np.diff(cuts), default=0))
-    # flat buffers, reused by every chunk and tile
-    table_buf = np.empty(width * (step + 1))
-    value_buf = np.empty(2 * tile * (step + 1))
-    below, hit = np.empty(value_buf.size, dtype=bool), np.empty(tile * step, dtype=bool)
-    for start, stop in zip(cuts, cuts[1:]):
-        p = mag[start : stop + 1]
-        sides = [negative for negative, count in ((False, b), (True, a)) if count > stop]
-        # row j holds p^j, or (1/p)^j past p = 1, each row the product of
-        # the last and that base (the product sequence of np.vander); the
-        # reversed rows take the columns past p = 1
-        i = int(np.searchsorted(p, 1.0, side="right"))
-        base = np.divide(1.0, p, out=p.copy(), where=p > 1.0)
-        table = table_buf[: width * p.size].reshape(width, p.size)
-        table[0] = 1.0
-        for j in range(1, width):
-            np.multiply(table[j - 1], base, out=table[j])
-        for first in range(0, trials, tile):
-            block = dcoef[first : first + tile]
-            r = block.shape[0]
-            stacked = np.concatenate([block * parity if negative else block for negative in sides])
-            shape = (stacked.shape[0], p.size)
-            value = value_buf[: math.prod(shape)].reshape(shape)
-            np.matmul(stacked, table[:, :i], out=value[:, :i])
-            np.matmul(np.ascontiguousarray(stacked[:, ::-1]), table[:, i:], out=value[:, i:])
-            neg = np.less(value, 0.0, out=below[: value.size].reshape(shape))
-            out = hit[: r * (p.size - 1)].reshape(r, p.size - 1)
-            for q, negative in enumerate(sides):
-                # in the order of x, which descends with p on the negative
-                # side: Q' >= 0 at a point and Q' < 0 at the next, then
-                # Q' > 0 read again at the few such first points
-                before, after = slice(0, -1), slice(1, None)
-                if negative:
-                    before, after = after, before
-                own = slice(q * r, (q + 1) * r)
-                h = np.greater(neg[own, after], neg[own, before], out=out)
-                trial, k = np.divmod(np.flatnonzero(h), p.size - 1)
-                sure = value[own][trial, k + negative] > 0.0
-                trial, k = trial[sure], k[sure] + start
-                cells.append(a - 1 - k if negative else a + 1 + k)
-                rows.append(first + trial)
+    # every other cell lies in one coarse cell of K (module docstring)
+    ppu = round(1.0 / np.diff(np.arcsinh(width * np.log(mag[:2])))[0]) if mag.size > 1 else 1
+    step = max(1, ppu // (4 if width < _SMALL_WIDTH else 8))
+    first, last = _coarse_cells(mag.size, inner, min(a, b), step)
+    h, mid = np.abs(z[last] - z[first]), 0.5 * (z[first] + z[last])
+    hold = last < np.array([[b], [a]])  # x > 0, x < 0
+    split = int(np.count_nonzero(first < inner))
+    side, trial, cell, taylor, bound = _uncertain_cells(dcoef, mid, h, split, hold)
+
+    # their fine points in the order of p, at u = (z - m) / (h/2): the sign
+    # of Q' (negated for x < 0, where x descends with p) by the cubic or Q'
+    point = np.minimum(first[:, None] + np.arange(step + 1), last[:, None])
+    u = (z[point] - mid[:, None]) / (0.5 * h[:, None])
+    batch, chunk = max(1, _ROW_ELEMENTS // (8 * (step + 1))), max(1, _ROW_ELEMENTS // width)
+    for start in range(0, cell.size, batch):
+        part = slice(start, start + batch)
+        c, t, sign = cell[part], trial[part], np.where(side[part] == 1, -1.0, 1.0)
+        coef, uc = taylor[part] * sign[:, None], u[c]
+        value = coef[:, :1] + uc * (coef[:, 1:2] + uc * (coef[:, 2:3] + uc * coef[:, 3:]))
+        p, q = np.divmod(np.flatnonzero(np.abs(value) <= bound[part, None]), step + 1)
+        for s in range(0, p.size, chunk):
+            pp, qq = p[s : s + chunk], q[s : s + chunk]
+            value[pp, qq] = sign[pp] * _scaled_value(dcoef[t[pp]], sign[pp] * mag[point[c[pp], qq]])
+        p, q = np.divmod(np.flatnonzero((value[:, :-1] > 0.0) & (value[:, 1:] < 0.0)), step)
+        k = point[c[p], q]
+        cells.append(np.where(sign[p] < 0.0, a - 1 - k, a + 1 + k))
+        rows.append(t[p])
     return np.concatenate(cells), np.concatenate(rows)
 
 
@@ -474,6 +512,7 @@ def _run_groups(model, lo, hi, levels, config):
     if config.workers == 1:
         parts = [one(g) for g in groups]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(one, groups))
     return sum(c1 for c1, _ in parts), sum(c2 for _, c2 in parts)

@@ -332,27 +332,111 @@ def grid_crossings(cells, trials, skip):
     return {(k, i) for k, i in zip(cells.tolist(), trials.tolist()) if not skip[i, k]}
 
 
+def horner_signs(dcoef, x):
+    """Q' by Horner's rule on x itself, in long double (|x|^255 at x = 256
+    overflows a double), and whether it lies within rounding of 0 there."""
+    x, rows = np.asarray(x, dtype=np.longdouble), dcoef.T.astype(np.longdouble)
+    value = P.polyval(x, rows)
+    return value, np.abs(value) <= 1e-12 * P.polyval(np.abs(x), np.abs(rows))
+
+
+def certified_sign_changes(monkeypatch, dcoef, x):
+    """(fine sign changes inside coarse cells the certificate passed, fine
+    sign changes inside any coarse cell) on the grid x, for the derivative
+    rows dcoef, by Horner's rule on the unfolded grid."""
+    seen = {}
+    for name in ("_coarse_cells", "_uncertain_cells"):
+        real = getattr(montecarlo, name)
+        monkeypatch.setattr(
+            montecarlo, name, lambda *a, real=real, name=name: seen.setdefault(name, real(*a))
+        )
+    montecarlo._down_crossings(dcoef, x)
+    first, last = seen["_coarse_cells"]
+    uncertain = set(zip(*(v.tolist() for v in seen["_uncertain_cells"][:3])))
+    a = int(np.searchsorted(x[1:-1], 0.0))
+    bad, inside = 0, 0
+    for side, points in enumerate((x[a + 1 : -1], x[a:0:-1])):
+        value, tiny = horner_signs(dcoef, points)
+        change = ((value[:, :-1] > 0) != (value[:, 1:] > 0)) & ~tiny[:, :-1] & ~tiny[:, 1:]
+        for trial, k in zip(*np.nonzero(change)):
+            cell = int(np.searchsorted(first, k, side="right")) - 1
+            if cell >= 0 and k < last[cell]:
+                inside += 1
+                bad += (side, int(trial), cell) not in uncertain
+    return bad, inside
+
+
 class TestSignGrid:
-    @pytest.mark.parametrize("n", [7, 8, 64])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param((7, 64, 200), id="7"),
+            pytest.param((8, 64, 200), id="8"),
+            pytest.param((64, 64, 200), id="64"),
+            pytest.param((256, 64, 80), id="256"),
+            pytest.param((8, 512, 200), id="8-ppu512"),
+            pytest.param((64, 512, 120), id="64-ppu512"),
+        ],
+    )
     @pytest.mark.parametrize(
         "lo, hi",
         [(-INF, INF), (-1.5, 3.0), (-INF, -1.0), (-0.5, 0.75), (-0.3, 5.0), (-7.0, 0.2)],
     )
-    def test_crossings_match_horner_on_the_unfolded_grid(self, n, lo, hi):
+    def test_crossings_match_horner_on_the_unfolded_grid(self, case, lo, hi):
         # signs of Q' by Horner's rule on x itself, with no reversed form
-        # and no power table; |x| <= 4 ppu keeps |x|^(n-1) in range
-        x = montecarlo._build_grid(n, lo, hi, 64)
+        # and no power table; a cell with |Q'| at an end within rounding of
+        # 0 may go either way
+        n, ppu, trials = case
+        x = montecarlo._build_grid(n, lo, hi, ppu)
         x = x[np.isfinite(x)]
-        coeff = sample_coefficients(PolynomialModel(n), 200, seed=n)
+        coeff = sample_coefficients(PolynomialModel(n), trials, seed=n)
         dcoef = coeff[:, 1:] * np.arange(1, n + 1)
-        value = P.polyval(x, dcoef.T)
-        # a cell with |Q'| at an end within rounding of 0 may go either way
-        tiny = np.abs(value) <= 1e-12 * P.polyval(np.abs(x), np.abs(dcoef).T)
+        value, tiny = horner_signs(dcoef, x)
         skip = tiny[:, :-1] | tiny[:, 1:]
         want = np.nonzero(((value[:, :-1] > 0.0) & (value[:, 1:] < 0.0)).T)
         got = montecarlo._down_crossings(dcoef, x)
         assert len(grid_crossings(*want, skip)) >= 10
         assert grid_crossings(*got, skip) == grid_crossings(*want, skip)
+
+    @pytest.mark.parametrize(
+        "n, ppu, trials", [(3, 64, 400), (8, 64, 400), (64, 64, 200), (256, 64, 40), (64, 512, 40)]
+    )
+    def test_certified_cells_hold_no_sign_change(self, monkeypatch, n, ppu, trials):
+        # a coarse cell that passes the certificate is never evaluated on
+        # the fine grid, so no fine sign change may lie inside one
+        x = montecarlo._build_grid(n, -INF, INF, ppu)[1:-1]
+        coeff = sample_coefficients(PolynomialModel(n), trials, seed=41)
+        bad, inside = certified_sign_changes(monkeypatch, coeff[:, 1:] * np.arange(1, n + 1), x)
+        assert bad == 0 and inside >= 50
+
+    def test_certified_cells_hold_no_sign_change_next_to_a_double_root(self, monkeypatch):
+        # Q' = (x - r1)(x - r2) R(x) with r1, r2 a near-double root across or
+        # beside a grid point g, for g on either sign and either side of
+        # |x| = 1: the certificate must leave every such cell to the fine grid
+        x = montecarlo._build_grid(8, -INF, INF, 64)
+        rest = sample_coefficients(PolynomialModel(5), 8, seed=43)[:, 1:]
+        rows = []
+        for k in np.searchsorted(x, [-3.0, -0.5, 0.5, 3.0]):
+            g = x[k]
+            for lo, hi in [(-1e-9, 1e-9), (1e-9, 3e-9), (-1e-5, 1e-5), (1e-6, 2e-6)]:
+                for r in rest:
+                    rows.append(P.polymul(P.polyfromroots([g * (1 + lo), g * (1 + hi)]), r))
+        bad, inside = certified_sign_changes(monkeypatch, np.array(rows), x[1:-1])
+        assert bad == 0 and inside >= 100
+
+    @pytest.mark.parametrize("n, trials", [(8, 3000), (64, 400)])
+    def test_certificate_leaves_few_cells_to_the_fine_grid(self, monkeypatch, n, trials):
+        # the point of the coarse scan: at most 10% of the (trial, side,
+        # coarse cell) triples are evaluated on the fine grid
+        seen = {}
+        real = montecarlo._uncertain_cells
+        monkeypatch.setattr(
+            montecarlo, "_uncertain_cells", lambda *a: seen.setdefault("out", (a, real(*a)))[1]
+        )
+        coeff = sample_coefficients(PolynomialModel(n), trials, seed=47)
+        count_maxima_below(PolynomialModel(n), coeff, -INF, INF, [INF], points_per_unit=64)
+        args, (side, *_) = seen["out"]
+        assert side.size <= 0.1 * trials * args[-1].sum()
 
     def test_one_trial_at_high_degree_stays_within_the_chunk_budget(self):
         # the power table of a chunk holds at most _GRID_CHUNK_ELEMENTS
@@ -485,6 +569,14 @@ class TestPinnedEstimates:
             (0.028, 0.003012478217072467),
             (0.4876666666666667, 0.009797004136961949),
             (0.571, 0.010050870940813519),
+        ],
+        # recorded with the full fine power table: both signs and both runs
+        # of |x| on the default grid, 797 points for x > 0 and 9165 for x < 0
+        (1000, 512, 8, -7.0, 0.2): [
+            (0.0, 0.0),
+            (0.25, 0.16366341767699427),
+            (0.625, 0.26305214040457564),
+            (1.125, 0.22658174179374144),
         ],
     }
 
