@@ -29,32 +29,31 @@ polynomial in y = 1/x times the sign of x^d, so every power lies in
 values past the float range become +-inf, which still compare correctly
 with every finite level.
 
-Sign grid. Inside the query interval the grid is +-p for one set of
-magnitudes p; in z = p (p <= 1, the inner run) or 1/p (the outer run),
-Q'(+-p) / max(1, p)^d = E(z) +- O(z), the even and odd j of sum e_j z^j,
-e_j = c_j inner and c_(d-j) outer. The cells at an end point, across 0 and
-across |x| = 1 take Q' from a table of their own points; each other cell
-lies in one coarse cell of K cells of one run, cut also where the shorter
-side ends: K = ppu/8, 1/8 of a unit of sigma, so the share of coarse cells
-holding a root does not change with ppu (ppu/4 below ``_SMALL_WIDTH``
-coefficients, where the cells' work outweighs the products). On a coarse
-cell of midpoint m, half-width w and largest z r, Taylor's theorem gives
-|f(z) - sum_(k<4) T_k u^k| <= R for f = E +- O, u = (z - m)/w, T_k =
-f^(k)(m) w^k / k! and R = w^4/24 sum_j j(j-1)(j-2)(j-3) |e_j| (r +
-w)^(j-4), so Q' has no root there if |T_0| > |T_1| + |T_2| + |T_3| + R +
-M. Per tile of trials, one product each of the even and odd coefficients
-with a table of C(j, k) m^(j-k) w^k gives E_k and O_k (below
-``_SMALL_WIDTH``, one product of the whole rows with the odd weights
-negated for x < 0 gives both), and one of |e_j| gives R + M. The margin M:
-the binomial terms of S = sum_j |e_j| (r + w)^j bound those weights, and
-each T_k and R err by at most (2d + 6) u times their terms (u = 2^-53),
-rounding m moves f by d u S, the test's sums and a fine point's cubic by
-32 u S and the fine grid's sum by (2d + 1) u S, all below M = 2^-48 (d +
-2) S; 2^-1000 sum |e_j| in M covers underflow for rows not all below
-2^-900. A failing (trial, sign, coarse cell) reaches the fine grid: at its
-K + 1 points Q' takes the sign of sum T_k u^k where that exceeds R + M,
-else its value by the rule above. A down-crossing is Q' > 0 at a point and
-Q' < 0 at the next in the order of x.
+Sign grid. Inside the query interval the grid is +-p for one set of magnitudes
+p; in z = p (p <= 1, the inner run) or 1/p (the outer run), Q'(+-p) / max(1,
+p)^d = E(z) +- O(z), the even and odd j of sum e_j z^j, e_j = c_j inner and
+c_(d-j) outer. The cells at an end point, across 0 and across |x| = 1 take Q'
+from a table of their own points; each other cell lies in one coarse cell of K
+cells of one run, cut also where the shorter side ends: K = ppu/8, 1/8 of a
+unit of sigma, so the share of coarse cells holding a root does not change
+with ppu (ppu/4 below ``_SMALL_WIDTH`` coefficients, where the cells' work
+outweighs the products). On a coarse cell of midpoint m, half-width w and
+largest z r, Taylor's theorem gives |f(z) - sum_(k<4) T_k u^k| <= R for f = E
++- O, u = (z - m)/w, T_k = f^(k)(m) w^k / k! and R = w^4/24 sum_j
+j(j-1)(j-2)(j-3) |e_j| (r + w)^(j-4), so Q' has no root there if |T_0| > |T_1|
++ |T_2| + |T_3| + R + M. Per tile of trials, one product each of the even and
+odd coefficients with a table of C(j, k) m^(j-k) w^k gives E_k and O_k (below
+``_SMALL_WIDTH``, one product of the whole rows with the odd weights negated
+for x < 0 gives both), and one of |e_j| gives R + M. The margin M: the
+binomial terms of S = sum_j |e_j| (r + w)^j bound those weights, and each T_k
+and R err by at most (2d + 6) u times their terms (u = 2^-53), rounding m
+moves f by d u S, the test's sums and a fine point's cubic by 32 u S and the
+fine grid's sum by (2d + 1) u S, all below M = 2^-48 (d + 2) S; 2^-1000 sum
+|e_j| in M covers underflow for rows not all below 2^-900. A failing (trial,
+sign, coarse cell) reaches the fine grid: at its K + 1 points Q' takes the
+sign of sum T_k u^k where that exceeds R + M, else its value by the rule
+above. A down-crossing is Q' > 0 at a point and Q' < 0 at the next in the
+order of x.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
 (16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
@@ -128,7 +127,8 @@ _GRID_CHUNK_ELEMENTS = 1 << 21
 _ROW_ELEMENTS = 1 << 16
 # Most trials whose coarse-cell values one sign-grid product gives.
 _TILE_ROWS = 128
-# Certificate margin per (d + 2) S, and the fewest coefficients for K = ppu/8 (module docstring)
+# Certificate margin per (d + 2) S; below _SMALL_WIDTH coefficients K = ppu/4 and one
+# whole-row product, each faster there in timings of the scan (module docstring)
 _MARGIN, _SMALL_WIDTH = 2.0**-48, 32
 # Smallest value of each integer setting, in ``MCConfig`` and the helpers.
 _MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
@@ -303,8 +303,9 @@ def _uncertain_cells(dcoef, mid, h, split, hold):
 def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
     """(cell, trial) of every down-crossing of Q' between neighbouring
     points of the sorted grid x, cell k lying between x[k] and x[k+1], for
-    the derivative rows ``dcoef`` (module docstring).  The points strictly
-    inside x are mirrored, as ``_build_grid`` makes them."""
+    the derivative rows ``dcoef`` (module docstring).  The points strictly inside
+    x are ``_build_grid``'s for degree n = the width of ``dcoef``: they are
+    mirrored, and K reads ppu back from the first two, 1/ppu apart in asinh(n ln p)."""
     width = dcoef.shape[1]
     a = int(np.searchsorted(x[1:-1], 0.0))  # x[1..a] < 0 < x[a+1..b+a]
     b = x.size - 2 - a

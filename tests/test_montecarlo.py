@@ -412,9 +412,10 @@ class TestSignGrid:
     def test_certified_cells_hold_no_sign_change_next_to_a_double_root(self, monkeypatch):
         # Q' = (x - r1)(x - r2) R(x) with r1, r2 a near-double root across or
         # beside a grid point g, for g on either sign and either side of
-        # |x| = 1: the certificate must leave every such cell to the fine grid
+        # |x| = 1: the certificate must leave every such cell to the fine
+        # grid; rows of width 8, as Q' has on the n = 8 grid
         x = montecarlo._build_grid(8, -INF, INF, 64)
-        rest = sample_coefficients(PolynomialModel(5), 8, seed=43)[:, 1:]
+        rest = sample_coefficients(PolynomialModel(6), 8, seed=43)[:, 1:]
         rows = []
         for k in np.searchsorted(x, [-3.0, -0.5, 0.5, 3.0]):
             g = x[k]
@@ -453,15 +454,18 @@ class TestSignGrid:
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_small_chunks_count_as_one(self, monkeypatch, n):
-        # chunks of a few points, sharing their end points: every cell
-        # still lies in one chunk, so no crossing is lost or counted twice
+        # _uncertain_cells in chunks of 1, 2 or 4 coarse cells, each with its
+        # own tables and tiles: no crossing is lost or counted twice, also
+        # where one chunk holds both inner and outer coarse cells (the first
+        # 18 of 36 are inner at n = 8, 53 of 106 at n = 64)
         model = PolynomialModel(n)
         coeff = sample_coefficients(model, 40, seed=19)
         levels = [-1.0, 0.0, 1.0, INF]
         want = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
-        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 300)
-        got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
-        assert np.array_equal(got, want)
+        for cols in (1, 2, 4):
+            monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 16 * n * cols)
+            got = count_maxima_below(model, coeff, -INF, INF, levels, points_per_unit=64)
+            assert np.array_equal(got, want)
         assert want[:, -1].sum() >= 30
 
 
