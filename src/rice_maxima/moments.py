@@ -13,10 +13,24 @@ Batching.  ``moments`` takes a float or a 1-D array of points (a round of
 quadrature panels); a float is a batch of one.  It builds the weighted basis
 vectors of every point as rows of (rows, width) arrays and reads all Gram
 quantities off them with row-wise dot products.  A row stops at its
-horizon, the last power of x (or of 1/x) that is a normal float64: smaller
-powers cannot change any Gram sum, and subnormal arithmetic is an order of
-magnitude slower.  A row therefore costs O(min(n, horizon)) at any point.
-Rows are grouped by kind and width, in chunks of at most
+precision horizon, the power of x (or of 1/x) past which the dropped
+columns change no frame quantity by more than rounding, even where a
+residual has cancelled to ``_RESIDUAL_RTOL`` of its row (the tail bound of a
+truncated sum, Higham 2002, ch. 4).  That is B bits below x**k0, the row's
+first weighted power, with
+
+    B = 53 + log2(1 / _RESIDUAL_RTOL) + 2 log2(n + 1) + log2(w_max / w_min) / 2
+
+plus a margin, the weights' ratio taken over the positive w_k and the
+2 log2(n + 1) for the j and j(j-1) factors of b and d.  k0 is the first k
+with w_k > 0 on plain and near-origin rows, and n minus the last such k on
+peeled rows, whose columns run from k = n down.  So a row keeps the powers
+j <= k0 + B / |log2|x||, never past n or past the last power that is a
+normal float64 (subnormal arithmetic is an order of magnitude slower), and
+costs O(min(n, k0 + B / |log2|x||)) at any point.  Widths are rounded up to
+a multiple of ``_WIDTH_STEP`` columns, and to n + 1 where that would cut
+fewer than ``_WIDTH_STEP``, so every row of degree n < 2 ``_WIDTH_STEP``
+is whole.  Rows are grouped by kind and width, in chunks of at most
 ``_CHUNK_ELEMENTS`` / (n + 1) rows, so the temporaries stay small at any
 degree, and a row's result does not depend on the other rows of its batch.
 
@@ -48,10 +62,10 @@ step cancels:
   analytically and (G, v, H) = (P', v, P'') with P' = sum m y**(m-1),
   v = sum (n-m) y**m and P'' = sum m(m-1) y**(m-2) over m <= n - k, where
   a = (v + y P') / n and d = (n-1)(v - y P') + y**2 P''.  Past the
-  horizon the partial sums stop changing: in a row of ``width`` of them
-  the columns k <= n - width all hold the last, so one lumped column, that
-  sum times sqrt(W_(n+1-width)) with W_m the sum of w_k over k < m, stands
-  for them with every dot product unchanged.
+  horizon the powers are dropped and the partial sums stay fixed: in a row
+  of ``width`` of them the columns k <= n - width all hold the last, so one
+  lumped column, that sum times sqrt(W_(n+1-width)) with W_m the sum of w_k
+  over k < m, stands for them with every dot product unchanged.
 
 The frame and the read-out.  Each row is reduced, by progressive
 orthogonalization (every quantity a sum of squares), to an orthogonal
@@ -80,6 +94,7 @@ residual g or h is shorter than ``_RESIDUAL_RTOL`` of its row.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +112,16 @@ _RESIDUAL_RTOL = 1e-12
 _CHUNK_ELEMENTS = 1 << 14
 # log2 of the smallest normal float64: powers below it are taken as zero.
 _LOG2_TINY = -1022.0
+# Bits a row keeps below its first weighted power (module docstring,
+# Batching): float64's 53, the cancellation ``_RESIDUAL_RTOL`` lets a
+# residual reach and a margin of 4; ``_gram`` adds the degree's and the
+# weights' bits.
+_PRECISION_BITS = 53.0 + math.log2(1.0 / _RESIDUAL_RTOL) + 4.0
+# Row widths are rounded up to a multiple of this many columns, so that
+# rows of nearby points share a (kind, width) group; a row is cut only where
+# that saves at least this many, since each group costs ~0.15 ms of numpy
+# calls (at n = 100 two groups a kind made a round of rows 50% slower).
+_WIDTH_STEP = 64
 # Rows one model's memo keeps; past this, rows are computed and not stored.
 _MEMO_ROWS = 1 << 15
 # Below this |x| a model without a constant term takes near-origin rows.
@@ -134,12 +159,14 @@ class MomentRows(NamedTuple):
     log_sigma_u: np.ndarray
 
 
-def _horizon(base: np.ndarray) -> np.ndarray:
-    """Largest j with |base|**j a normal float64, per row, for |base| <= 1
-    (inf for |base| = 1)."""
+def _horizon(base: np.ndarray, first: np.ndarray, bits: float) -> np.ndarray:
+    """Last power j of base, |base| <= 1, that each row keeps (inf for
+    |base| = 1): ``bits`` below base**first, its first weighted power, and
+    never past the last power that is a normal float64."""
     with np.errstate(divide="ignore"):
         log2 = np.log2(np.abs(base))
-        return np.where(log2 < 0.0, np.floor(_LOG2_TINY / log2), np.inf)
+        last = np.minimum(first - bits / log2, _LOG2_TINY / log2)
+        return np.where(log2 < 0.0, np.floor(last), np.inf)
 
 
 def _powers(base: np.ndarray, horizon: np.ndarray, j: np.ndarray, out: np.ndarray) -> None:
@@ -148,8 +175,9 @@ def _powers(base: np.ndarray, horizon: np.ndarray, j: np.ndarray, out: np.ndarra
 
     Powers are taken of |base| and the odd ones negated for a negative base:
     numpy's vectorised pow covers nonnegative bases only and falls back to a
-    scalar loop about 20 times slower otherwise.  Rows are grouped by width,
-    so at most a row's last three columns lie past its horizon.
+    scalar loop about 20 times slower otherwise.  Widths are rounded up
+    (``_WIDTH_STEP``), so up to about 2 ``_WIDTH_STEP`` of a row's last
+    columns lie past its horizon.
     """
     np.power(np.abs(base)[:, None], j, out=out)
     cut = int(min(horizon.min(), len(j) - 1.0)) + 1
@@ -241,11 +269,18 @@ def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
     root_w, prefix_w = np.sqrt(w), np.concatenate(([0.0], w)).cumsum()
     cols = _Columns(j, j * (j - 1.0), n - j, root_w, root_w[::-1].copy(), prefix_w)
     out = np.empty((len(_Gram._fields), len(base)))
-    horizon = _horizon(base)
+    # the first weighted column: k for plain and near-origin rows, n - k
+    # peeled; and the bits lost to the j(j-1) factors and the weights' spread
+    first = np.where(kind == _PEELED, (w[::-1] > 0.0).argmax(), (w > 0.0).argmax())
+    spread = w.max() / w.min(where=w > 0.0, initial=np.inf)
+    bits = _PRECISION_BITS + 2.0 * math.log2(n + 1.0) + 0.5 * math.log2(spread)
+    horizon = _horizon(base, first, bits)
     # Rows are grouped by kind and width: the columns up to the horizon plus
     # the derivative shifts (one more near the origin), past which every
-    # summand vanishes.  A row's result then never depends on its batch.
-    width = np.minimum(n, horizon + 2.0 + (kind == _NEAR_ORIGIN)) + 1.0
+    # summand is zero, rounded up (``_WIDTH_STEP``).  A row's result then
+    # never depends on its batch.
+    width = np.ceil((horizon + 3.0 + (kind == _NEAR_ORIGIN)) / _WIDTH_STEP) * _WIDTH_STEP
+    width = np.where(width + _WIDTH_STEP > n + 1.0, n + 1.0, width)
     shape = list(zip(kind.tolist(), width.astype(int).tolist()))
     step = max(1, _CHUNK_ELEMENTS // (n + 1))
     for start in range(0, len(base), step):

@@ -127,10 +127,9 @@ def _panels(
     values = np.reshape(f(nodes.ravel()), nodes.shape)
     # one 15-vector product per panel, as for a lone panel: a (k, 15)
     # matrix product may sum in another order
-    return [
-        (h * float(KRONROD_WEIGHTS @ v), h * float(GAUSS_WEIGHTS @ v[1::2]))
-        for h, v in zip(half.tolist(), values)
-    ]
+    kronrod = half * np.vecdot(values, KRONROD_WEIGHTS)
+    gauss = half * np.vecdot(values[:, 1::2], GAUSS_WEIGHTS)
+    return list(zip(kronrod.tolist(), gauss.tolist()))
 
 
 def _open(a: float, b: float) -> bool:

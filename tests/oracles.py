@@ -179,8 +179,14 @@ def _conditioned_sums(model: PolynomialModel, x: float) -> tuple[int, ...]:
     if peeled:
         num, den = den, num
     # more bits the farther from |x| = 1, out or in: the determinants cancel
-    # ~ x^-6 of saa sbb^2 sdd far out and a power of x near the origin
+    # ~ x^-6 of saa sbb^2 sdd far out and a power of x near the origin; and
+    # first |log2 x| more, so that the sums keep those bits below the power
+    # of the first weighted column (k from 0, or n - k peeled)
+    weighted = [k for k, w in enumerate(variances) if w]
+    first = n - weighted[-1] if peeled else weighted[0]
     bits = 256 + 8 * abs(math.frexp(x)[1])
+    if x:
+        bits += first * math.ceil(abs(math.log2(abs(x))))
     base = (num << bits) // den
     powers = [1 << bits]
     while len(powers) <= n and powers[-1]:
