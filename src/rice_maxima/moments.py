@@ -30,9 +30,11 @@ normal float64 (subnormal arithmetic is an order of magnitude slower), and
 costs O(min(n, k0 + B / |log2|x||)) at any point.  Widths are rounded up to
 a multiple of ``_WIDTH_STEP`` columns, and to n + 1 where that would cut
 fewer than ``_WIDTH_STEP``, so every row of degree n < 2 ``_WIDTH_STEP``
-is whole.  Rows are grouped by kind and width, in chunks of at most
-``_CHUNK_ELEMENTS`` / (n + 1) rows, so the temporaries stay small at any
-degree, and a row's result does not depend on the other rows of its batch.
+is whole.  The rows of a batch are grouped by kind and width, and each
+group is cut into chunks by its own width, max(1, ``_CHUNK_ELEMENTS`` //
+width) rows each.  So the temporaries stay small at any degree, narrow rows
+(far tails, near the origin) share a chunk even where whole rows take one
+each, and a row's result does not depend on the other rows of its batch.
 
 Reuse.  The rows do not depend on the level u (it enters the density only
 through q = u / sigma_U), so counts on one model at several levels, or on
@@ -108,7 +110,8 @@ __all__ = ["MomentRows", "moments"]
 # treated as numerically zero: the covariance is rank-deficient within
 # working precision and the Rice density would divide noise by noise.
 _RESIDUAL_RTOL = 1e-12
-# Largest (rows, n+1) temporary the batched kernel builds at once.
+# Largest (rows, width) temporary of more than one row that the batched
+# kernel builds at once.
 _CHUNK_ELEMENTS = 1 << 14
 # log2 of the smallest normal float64: powers below it are taken as zero.
 _LOG2_TINY = -1022.0
@@ -121,6 +124,7 @@ _PRECISION_BITS = 53.0 + math.log2(1.0 / _RESIDUAL_RTOL) + 4.0
 # rows of nearby points share a (kind, width) group; a row is cut only where
 # that saves at least this many, since each group costs ~0.15 ms of numpy
 # calls (at n = 100 two groups a kind made a round of rows 50% slower).
+# It is also the block of ``_powers``' table, which needs it even.
 _WIDTH_STEP = 64
 # Rows one model's memo keeps; past this, rows are computed and not stored.
 _MEMO_ROWS = 1 << 15
@@ -173,17 +177,37 @@ def _powers(base: np.ndarray, horizon: np.ndarray, j: np.ndarray, out: np.ndarra
     """Write base**j for the exponents ``j`` into ``out`` (rows, len(j)),
     with every power beyond the row's horizon set to zero.
 
-    Powers are taken of |base| and the odd ones negated for a negative base:
-    numpy's vectorised pow covers nonnegative bases only and falls back to a
-    scalar loop about 20 times slower otherwise.  Widths are rounded up
+    The powers come from a two-level table in blocks of b = ``_WIDTH_STEP``
+    columns, base**(b q + r) = |base|**(b q) base**r: one pow gives the first
+    block, base**r for r < b, in place, one more the ceil(len(j) / b) - 1
+    block powers, and one product each fills the other columns.  Each pow is
+    within about u = 2^-53 relative and the product adds at most u, so a
+    power is ~3u, ~1.5 ulp, off (Higham 2002, ch. 3); exp(j ln|x|) would be
+    ~j |ln x| u off.  The pows are taken of |base|, since numpy's vectorised
+    pow covers nonnegative bases only and falls back to a scalar loop about
+    20 times slower otherwise; b is even, so the sign of a negative base
+    goes on the odd powers of the first block alone.  The block products are
+    a matmul over an inner dimension of one, each entry a product rounded
+    once: a broadcast multiply gives the same values but allocates numpy's
+    iterator buffers, up to 128 KB a call.  Widths are rounded up
     (``_WIDTH_STEP``), so up to about 2 ``_WIDTH_STEP`` of a row's last
     columns lie past its horizon.
     """
-    np.power(np.abs(base)[:, None], j, out=out)
-    cut = int(min(horizon.min(), len(j) - 1.0)) + 1
-    if cut < len(j):
+    rows, width, block = len(base), len(j), _WIDTH_STEP
+    magnitude = np.abs(base)[:, None]
+    low = out[:, :block]  # base**r for r < b, the first block
+    np.power(magnitude, j[:block], out=low)
+    low[:, 1::2] *= np.where(base < 0.0, -1.0, 1.0)[:, None]
+    high = np.power(magnitude, j[block::block])  # |base|**(b q), q >= 1
+    whole = width // block
+    if whole > 1:
+        tiles = out[:, block : whole * block].reshape(rows, whole - 1, block, copy=False)
+        np.matmul(high[:, : whole - 1, None], low[:, None, :], out=tiles)
+    if block < width and width % block:
+        np.multiply(high[:, -1:], low[:, : width % block], out=out[:, whole * block :])
+    cut = int(min(horizon.min(), width - 1.0)) + 1
+    if cut < width:
         out[:, cut:][j[cut:] > horizon[:, None]] = 0.0
-    out[base < 0.0, 1::2] *= -1.0
 
 
 def _put(out: np.ndarray, coef: np.ndarray, powers: np.ndarray, lag: int) -> None:
@@ -281,18 +305,20 @@ def _gram(model: PolynomialModel, base: np.ndarray, kind: np.ndarray) -> _Gram:
     # never depends on its batch.
     width = np.ceil((horizon + 3.0 + (kind == _NEAR_ORIGIN)) / _WIDTH_STEP) * _WIDTH_STEP
     width = np.where(width + _WIDTH_STEP > n + 1.0, n + 1.0, width)
-    shape = list(zip(kind.tolist(), width.astype(int).tolist()))
-    step = max(1, _CHUNK_ELEMENTS // (n + 1))
-    for start in range(0, len(base), step):
-        chunk = shape[start : start + step]
-        for key in sorted(set(chunk)):
-            rows = [start + i for i, k in enumerate(chunk) if k == key]
-            if key[0] == _PEELED:
-                basis = _outer_basis(n, base[rows], horizon[rows], cols, key[1])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(zip(kind.tolist(), width.astype(int).tolist())):
+        groups.setdefault(key, []).append(i)
+    for (row_kind, size), members in sorted(groups.items()):
+        step = max(1, _CHUNK_ELEMENTS // size)
+        for start in range(0, len(members), step):
+            rows = members[start : start + step]
+            if row_kind == _PEELED:
+                basis = _outer_basis(n, base[rows], horizon[rows], cols, size)
             else:
-                near = key[0] == _NEAR_ORIGIN
-                basis = _inner_basis(base[rows], horizon[rows], cols, key[1], near)
+                near = row_kind == _NEAR_ORIGIN
+                basis = _inner_basis(base[rows], horizon[rows], cols, size, near)
             out[:, rows] = _gram_sums(basis)
+            del basis  # freed before the next chunk's basis is built
     return _Gram(*out)
 
 

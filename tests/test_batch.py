@@ -1,5 +1,6 @@
 """The batched moments/density kernel against its one-point views."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 
 from rice_maxima import (
+    CountQuery,
     DegenerateCovariance,
     PolynomialModel,
+    expected_count,
     maxima_density,
     moments,
     split_points,
 )
-from rice_maxima.moments import _CHUNK_ELEMENTS
 from rice_maxima.quadrature import KRONROD_NODES
 from oracles import density_mp, moments_mp
+
+moments_module = importlib.import_module("rice_maxima.moments")
 
 INF = math.inf
 DEGREES = (3, 10, 100, 1000, 10_000)
@@ -80,12 +84,64 @@ def test_panel_straddling_the_unit_circle(n, centre):
     assert_matches_scalar(PolynomialModel(n), xs, 1.0)
 
 
-@pytest.mark.parametrize("n", (1000, 10_000))
-def test_batch_split_into_chunks(n):
-    xs = np.concatenate([six_piece_nodes(n), straddling_panel(n, 1.0)])
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (n + 1))
-    assert len(xs) > rows_per_chunk  # the kernel really works chunk by chunk
-    assert_matches_scalar(PolynomialModel(n), xs, 1.0)
+def record_bases(monkeypatch):
+    """Wrap the kernel's basis builders; the returned list gets the (builder,
+    rows, width) of every basis built, width as passed to the builder."""
+    built = []
+    for name, width_arg in (("_inner_basis", 3), ("_outer_basis", 4)):
+        build = getattr(moments_module, name)
+
+        def recorded(*args, name=name, width_arg=width_arg, build=build):
+            basis = build(*args)
+            built.append((name, basis.shape[1], args[width_arg]))
+            return basis
+
+        monkeypatch.setattr(moments_module, name, recorded)
+    return built
+
+
+# 320 far-tail points at n = 10^4: y = 1/x < 5e-4, so every row is 64
+# columns wide, one (kind, width) group of more rows than one chunk holds
+FAR_TAIL = np.geomspace(2e3, 8e3, 320)
+
+
+@pytest.mark.parametrize(
+    "n,xs",
+    [
+        (1000, np.concatenate([six_piece_nodes(1000)] + [straddling_panel(1000, c) for c in (-1, 1)])),
+        (10_000, np.concatenate([six_piece_nodes(10_000), straddling_panel(10_000, 1.0)])),
+        (10_000, FAR_TAIL),
+    ],
+    ids=("1000", "10000", "10000-far-tail"),
+)
+def test_batch_split_into_chunks(n, xs, monkeypatch):
+    # Rows are grouped by kind and width over the whole batch, and each group
+    # is cut into chunks by its own width.  Here some group spans several
+    # chunks (at n = 1000, 18 whole inner rows and 18 whole peeled ones, where
+    # a chunk holds 16), narrow rows share chunks even where whole rows take
+    # one each (n = 10^4), and every row still equals a one-point call on a
+    # fresh model.
+    built = record_bases(monkeypatch)
+    rows = moments(PolynomialModel(n), xs)
+    groups = [(name, width) for name, _, width in built]
+    assert len(groups) > len(set(groups)) and len(groups) < len(xs)
+    for i, x in enumerate(xs.tolist()):
+        one = moments(PolynomialModel(n), x)
+        for name, column in one._asdict().items():
+            assert column.tolist() == [getattr(rows, name)[i]], (x, name)
+
+
+def test_every_basis_fits_the_chunk_bound(monkeypatch):
+    # Whole-line counts build bases of many widths; a basis of more than one
+    # row never holds more than _CHUNK_ELEMENTS entries (rows x width).
+    built = record_bases(monkeypatch)
+    for n in (10, 100, 1000, 10_000):
+        expected_count(PolynomialModel(n), CountQuery(-INF, INF, 1.0))
+    moments(PolynomialModel(10_000), FAR_TAIL)
+    shared = [(rows, width) for _, rows, width in built if rows > 1]
+    assert shared
+    for rows, width in shared:
+        assert rows * width <= moments_module._CHUNK_ELEMENTS, (rows, width)
 
 
 @pytest.mark.parametrize("n", DEGREES)

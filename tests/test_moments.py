@@ -40,6 +40,15 @@ DIRECT_SUM_POINTS = [
     + (0.5, 1.0 - 1.0 / n, 1e-3, 1e-9, 1e-13)
     for sign in (1.0, -1.0)
 ] + [(100_000, 1e5), (3, 1e9), (3, 1e12)]
+# Rows of all n + 1 powers, from every block of the power table: n + 1 is no
+# multiple of its 64 columns, so the last block is a part one, and a negative
+# base puts its sign on the odd powers of the first.
+DIRECT_SUM_POINTS += [
+    (n, sign * (1.0 + offset / n))
+    for n in (1000, 10_000)
+    for offset in (-3.0, -30.0, 0.5)
+    for sign in (1.0, -1.0)
+]
 
 # Models whose rows stop at a precision horizon that the weights move: the
 # first weighted power (k0 = 61, 600), a wide spread of the weights (1.2^k,
