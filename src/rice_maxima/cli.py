@@ -50,7 +50,7 @@ from .errors import (
 )
 from .expansion import FAMILY_BOUNDS, FAMILY_INTERVALS, theorem_expansion
 from .model import PolynomialModel
-from .montecarlo import MCConfig, estimate_many
+from .montecarlo import _MINIMUMS, MCConfig, estimate_many
 from .reference import verify_constants
 
 __all__ = ["build_parser", "main"]
@@ -261,7 +261,7 @@ def _cmd_asymptotic(args, model):
 
 
 def _cmd_montecarlo(args, model):
-    config = MCConfig(args.trials, args.seed, args.points_per_unit, args.workers)
+    config = MCConfig(args.trials, args.seed, args.points_per_unit)
     (estimate,) = estimate_many(model, *args.interval, [args.u], config)
     body = _single_result(
         args, args.interval, "monte-carlo", float(estimate.mean),
@@ -299,7 +299,7 @@ def _cmd_compare(args, _model):
     family = _BOUNDS_TO_FAMILY.get(args.interval)
     cells = []
     code = _OK
-    config = MCConfig(args.trials, args.seed, args.points_per_unit, args.workers)
+    config = MCConfig(args.trials, args.seed, args.points_per_unit)
     for n in args.n_list:
         model = _load_model(n, args.sigma_file)
         estimates = estimate_many(model, lo, hi, args.u_list, config)
@@ -373,10 +373,9 @@ def _add_simulation(p, trials: int) -> None:
     """The Monte Carlo options; ``trials`` is the default sample size."""
     p.add_argument("--trials", type=_integer(1), default=trials, help="sample size")
     p.add_argument("--seed", type=_integer(0), default=0, help="base seed")
-    p.add_argument("--workers", type=_integer(1), default=1, help="worker threads")
     p.add_argument(
         "--points-per-unit",
-        type=_integer(1),
+        type=_integer(_MINIMUMS["points_per_unit"]),
         default=MCConfig.points_per_unit,
         help="critical-point scan resolution",
     )

@@ -50,16 +50,14 @@ class PolynomialModel:
 
     def __post_init__(self):
         n = require_integer("degree", self.degree, 1, DegenerateModel)
-        sigma = self.sigma
-        if sigma is None:
-            sigma = tuple(1.0 for _ in range(n))
-        else:
-            sigma = tuple(float(s) for s in sigma)
+        sigma = (1.0,) * n if self.sigma is None else tuple(map(float, self.sigma))
         if len(sigma) != n:
             raise DegenerateModel(
                 f"sigma must have exactly {n} entries, got {len(sigma)}"
             )
-        if any(not np.isfinite(s) or s < 0 for s in sigma):
+        values = np.array(sigma)
+        # NaN fails both comparisons
+        if not np.all((values >= 0.0) & (values < np.inf)):
             raise DegenerateModel("all sigma entries must be finite and >= 0")
         s0 = float(self.sigma0)
         if not np.isfinite(s0) or s0 < 0:
@@ -73,8 +71,9 @@ class PolynomialModel:
     @cached_property
     def effective_rank(self) -> int:
         """Number of strictly positive increment deviations (Gaussian
-        degrees of freedom feeding the polynomial), counted once."""
-        return sum(1 for s in self.sigma if s > 0) + (1 if self.sigma0 > 0 else 0)
+        degrees of freedom feeding the polynomial), counted once: the
+        nonzero ones, as none is negative."""
+        return int(np.count_nonzero(self.sigma)) + (1 if self.sigma0 > 0 else 0)
 
     def require_rank_for_density(self) -> None:
         """The joint law of (Q, Q', Q'') needs at least three independent

@@ -88,14 +88,11 @@ Reproducibility.  Trials come in blocks of ``_BLOCK`` = 256: block k draws
 all its rows from one generator seeded by ``SeedSequence(seed,
 spawn_key=(k,))``, and trial i is row i mod 256 of block i // 256.  A short
 last block draws only its rows, which equal the first rows of a full
-block.  The block is the generator unit; the work unit is a group of
-consecutive blocks, counted by one ``count_maxima_below`` call.  A run is
-one group, unless it would hold more than ``_ROW_ELEMENTS`` coefficients
-(then as few groups as fit, of one block at least) or
-``workers`` > 1 (then at least ``workers`` groups, which the threads
-share).  A trial's counts do not depend on the rows it is counted with, so
+block.  One ``count_maxima_below`` call counts a group of consecutive
+blocks, as many as hold at most ``_ROW_ELEMENTS`` coefficients (one at
+least).  A trial's counts do not depend on the rows it is counted with, so
 the estimate is a pure function of (model, interval, levels, trials, seed,
-points_per_unit), whatever the worker count.
+points_per_unit).
 """
 
 from __future__ import annotations
@@ -131,26 +128,22 @@ _TILE_ROWS = 128
 # whole-row product, each faster there in timings of the scan (module docstring)
 _MARGIN, _SMALL_WIDTH = 2.0**-48, 32
 # Smallest value of each integer setting, in ``MCConfig`` and the helpers.
-_MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8, "workers": 1}
+_MINIMUMS = {"trials": 1, "seed": 0, "points_per_unit": 8}
 
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Trial budget and execution knob for a Monte-Carlo run.
+    """Trial budget and sign grid of a Monte-Carlo run.
 
-    ``trials`` and ``seed`` define the estimate; ``points_per_unit`` sets
+    ``trials`` and ``seed`` define the sample; ``points_per_unit`` sets
     the sign grid that defines the count (points per unit of sigma =
     asinh(n ln|x|), so per unit of t = n ln|x| near |x| = 1), while its
-    cost follows the coarse cells the certificate leaves uncertain; with
-    ``workers`` > 1 a run is counted in at least that many groups of
-    256-trial blocks, which as many threads share (module docstring): this
-    affects speed only, never the result.
+    cost follows the coarse cells the certificate leaves uncertain.
     """
 
     trials: int
     seed: int = 0
     points_per_unit: int = 512
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for name, minimum in _MINIMUMS.items():
@@ -488,35 +481,25 @@ def count_maxima_below(
 # estimation
 
 
-def _groups(trials: int, n: int, workers: int) -> list[list[tuple[int, int]]]:
+def _groups(trials: int, n: int) -> list[list[tuple[int, int]]]:
     """The blocks of a run in groups of consecutive blocks, each counted by
-    one call: as few groups as hold at most ``_ROW_ELEMENTS`` coefficients
-    (one block at least), and at least ``workers``."""
+    one call and holding at most ``_ROW_ELEMENTS`` coefficients (one block
+    at least)."""
     blocks = _blocks(trials)
     per_group = max(1, _ROW_ELEMENTS // (_BLOCK * (n + 1)))
-    count = min(len(blocks), max(workers, -(-len(blocks) // per_group)))
-    cut = [len(blocks) * i // count for i in range(count + 1)]
-    return [blocks[i:j] for i, j in zip(cut, cut[1:])]
+    return [blocks[i : i + per_group] for i in range(0, len(blocks), per_group)]
 
 
 def _run_groups(model, lo, hi, levels, config):
     """Sums of the counts and of their squares per level, over all trials."""
-
-    def one(group):
+    total = total_sq = 0
+    for group in _groups(config.trials, model.degree):
         coeff = np.concatenate([_sample_block(model, config.seed, *b) for b in group])
         c = count_maxima_below(
             model, coeff, lo, hi, levels, points_per_unit=config.points_per_unit
         )
-        return c.sum(axis=0), (c * c).sum(axis=0)
-
-    groups = _groups(config.trials, model.degree, config.workers)
-    if config.workers == 1:
-        parts = [one(g) for g in groups]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parts = list(pool.map(one, groups))
-    return sum(c1 for c1, _ in parts), sum(c2 for _, c2 in parts)
+        total, total_sq = total + c.sum(axis=0), total_sq + (c * c).sum(axis=0)
+    return total, total_sq
 
 
 def estimate_many(

@@ -334,7 +334,7 @@ class TestMonteCarlo:
     def test_value_matches_library(self, capsys):
         code, out, err = run(capsys, *self.ARGS)
         assert code == 0
-        config = MCConfig(trials=400, seed=7, points_per_unit=32, workers=1)
+        config = MCConfig(trials=400, seed=7, points_per_unit=32)
         (estimate,) = estimate_many(PolynomialModel(3), -1.0, 1.0, [0.5], config)
         mean, plus_minus, stderr, detail = out.split(maxsplit=3)
         assert float(mean) == estimate.mean
@@ -344,9 +344,7 @@ class TestMonteCarlo:
     def test_repeated_runs_are_identical(self, capsys):
         _, out_a, _ = run(capsys, *self.ARGS)
         _, out_b, _ = run(capsys, *self.ARGS)
-        # worker threads never change the estimate
-        _, out_c, _ = run(capsys, *self.ARGS, "--workers", "3")
-        assert out_a == out_b == out_c
+        assert out_a == out_b
 
     def test_json_record_validates(self, capsys):
         code, out, err = run(capsys, *self.ARGS, "--json")
@@ -374,9 +372,17 @@ class TestMonteCarlo:
         assert code == 1
 
     def test_batch_size_is_not_an_option(self, capsys):
-        # trials run in fixed blocks; there is no work-unit size to set
-        code, out, err = run(capsys, *self.ARGS, "--batch-size", "64")
+        # trials run in fixed blocks on one thread; there is no work-unit
+        # size or worker count to set
+        for option in (("--batch-size", "64"), ("--workers", "2")):
+            code, out, err = run(capsys, *self.ARGS, *option)
+            assert code == 1, option
+
+    def test_points_per_unit_below_the_grid_minimum_is_usage_error(self, capsys):
+        # the parser's minimum is the one MCConfig enforces
+        code, out, err = run(capsys, *self.ARGS, "--points-per-unit", "4")
         assert code == 1
+        assert "usage:" in err and "--points-per-unit: must be >= 8, got 4" in err
 
 
 class TestVerifyConstants:

@@ -28,10 +28,18 @@ class TestConstruction:
         with pytest.raises(DegenerateModel):
             PolynomialModel(3, sigma=(1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [(-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (-1.0, 1.0, 1.0),
+            (math.nan, 1.0, 1.0),
+            (math.inf, 1.0, 1.0),
+            (1.0,) * 6000 + (-1e-300,) + (1.0,) * 3999,  # deep inside n = 10^4
+        ],
+    )
     def test_bad_sigma_entries_rejected(self, bad):
-        with pytest.raises(DegenerateModel):
-            PolynomialModel(3, sigma=bad)
+        with pytest.raises(DegenerateModel, match="finite and >= 0"):
+            PolynomialModel(len(bad), sigma=bad)
 
     def test_bad_sigma0_rejected(self):
         with pytest.raises(DegenerateModel):

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,7 +181,7 @@ class TestGroundTruthParity:
     def test_agrees_with_exact_engine(self):
         # n = 1000 is past the degrees the companion-matrix test reaches
         cases = [
-            (5, [0.5], MCConfig(trials=40_000, seed=31, workers=2)),
+            (5, [0.5], MCConfig(trials=40_000, seed=31)),
             (1000, [0.0, 30.0, INF], MCConfig(trials=3000, seed=3, points_per_unit=64)),
         ]
         for n, levels, config in cases:
@@ -496,10 +495,10 @@ class TestGroupsAndTiles:
     def test_a_run_in_many_groups_counts_as_one(self, monkeypatch):
         model = PolynomialModel(8)
         config = MCConfig(trials=3000, seed=29, points_per_unit=64)
-        assert len(montecarlo._groups(3000, 8, 1)) == 1
+        assert len(montecarlo._groups(3000, 8)) == 1
         want = estimate_many(model, -INF, INF, self.LEVELS, config)
         monkeypatch.setattr(montecarlo, "_ROW_ELEMENTS", 3000)
-        assert len(montecarlo._groups(3000, 8, 1)) == 12
+        assert len(montecarlo._groups(3000, 8)) == 12
         assert estimate_many(model, -INF, INF, self.LEVELS, config) == want
 
     def test_many_trials_at_low_degree_stay_within_the_row_budget(self):
@@ -508,7 +507,7 @@ class TestGroupsAndTiles:
         # near that budget (512 KiB), whatever the length of the run
         model = PolynomialModel(8)
         config = MCConfig(trials=30_000, seed=31, points_per_unit=64)
-        assert len(montecarlo._groups(30_000, 8, 1)) == 5
+        assert len(montecarlo._groups(30_000, 8)) == 5
         tracemalloc.start()
         try:
             estimate_many(model, -INF, INF, self.LEVELS, config)
@@ -605,27 +604,6 @@ class TestExecutionInvariance:
         second = estimate_many(model, -INF, INF, [0.0, 1.0], config)
         assert first == second
 
-    def test_workers_and_batching_never_change_the_estimate(self):
-        # 400 trials: one full block of 256 and a partial one of 144
-        model = PolynomialModel(6)
-        base = estimate_many(
-            model, -INF, INF, [0.5, INF],
-            MCConfig(trials=400, seed=5, points_per_unit=64, workers=1),
-        )
-        for workers in (2, 3, 4):
-            other = estimate_many(
-                model, -INF, INF, [0.5, INF],
-                MCConfig(trials=400, seed=5, points_per_unit=64, workers=workers),
-            )
-            assert other == base
-        # 1000 trials, four blocks (the last of 232 trials): one group with
-        # one worker, three groups shared by three
-        assert [len(g) for g in montecarlo._groups(1000, 6, 3)] == [1, 1, 2]
-        config = MCConfig(trials=1000, seed=5, points_per_unit=64)
-        one = estimate_many(model, -INF, INF, [0.5, INF], config)
-        three = estimate_many(model, -INF, INF, [0.5, INF], replace(config, workers=3))
-        assert three == one
-
     def test_level_minus_infinity_counts_nothing(self):
         (est,) = estimate_many(
             PolynomialModel(4), -INF, INF, [-INF], MCConfig(trials=200, seed=1)
@@ -653,21 +631,20 @@ class TestValidation:
             {"trials": 10, "seed": -1},
             {"trials": 10, "seed": 1.5},
             {"trials": 10, "points_per_unit": 4},
-            {"trials": 10, "workers": 0},
         ],
     )
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             MCConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit", "workers"])
+    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit"])
     def test_config_rejects_bools(self, field):
         # as PolynomialModel's degree: True is not the integer 1
         kwargs = {"trials": 10, field: True}
         with pytest.raises(ValueError, match=field):
             MCConfig(**kwargs)
 
-    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit", "workers"])
+    @pytest.mark.parametrize("field", ["trials", "seed", "points_per_unit"])
     def test_config_stores_numpy_integers_as_int(self, field):
         config = MCConfig(**{"trials": 10, field: np.int64(16)})
         assert type(getattr(config, field)) is int and getattr(config, field) == 16
