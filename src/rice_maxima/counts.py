@@ -23,10 +23,29 @@ spans a factor 3 of that profile.  Otherwise bisection has to find the
 profile level by level, evaluating and discarding a parent panel at each.
 The ratio is 3 because one Gauss-Kronrod panel of 1/t over [1, 3] already
 has an error estimate of 1.4e-8 of its value, while over [1, 4] it is 3e-7
-and needs bisecting.  Measured on the whole line at u = 1, rel_tol = 1e-8,
-ratio 3 takes 540 and 660 evaluations at n = 10^3 and 10^4, against 600
-and 780 for ratio 2, 600 and 810 for ratio 4, and 960 and 1350 with one
-layer cut on either side of +-1.
+and needs bisecting.
+
+Inside the innermost rungs the profile is not 1/t, and on the ladder alone
+the default rel_tol = 1e-8 still bisects the same five panels at every
+degree from 10^2 to 10^5.  In the layer coordinate t = n(|x| - 1) they are
+[-10, 0], its half [-5, 0], [-30, -10] and [0, 10] beside -1, and [-10, 0]
+beside +1: near |x| = 1 the density, over n, is close to a function of t
+alone, since the layers have width O(1/n) (Edelman and Kostlan 1995).
+``split_points`` cuts those panels where bisection would, at t = -2.5, -5,
+-20 and 5 beside -1 and t = -5 beside +1: a cut costs one panel, 15
+evaluations, where bisection evaluates the parent and then 30 more.
+Whole-line evaluations at u = 1 and rel_tol = 1e-8 fall from 420, 540, 660
+and 780 to 345, 465, 585 and 705 at n = 10^2, 10^3, 10^4 and 10^5, and no
+panel within 30/n of +-1 is bisected there or at u = inf.  On the ladder
+alone, ratio 3 took 540 and 660 at n = 10^3 and 10^4, against 600 and 780
+for ratio 2, 600 and 810 for ratio 4, and 960 and 1350 with one layer cut
+on either side of +-1.  The cuts at t = -20 and 5 beside -1 need a second rung of a
+full 3 delta_0 < 1/2: at n = 30 the one at t = 5 raised two counts at
+rel_tol = 1e-10.  The cost is at loose tolerances, where not all of these
+panels would be bisected: over the five canonical intervals at seven levels
+and n from 30 to 10^5, summed evaluations fall 8-17% a degree at rel_tol =
+1e-8 and 5-10% at 1e-10, but rise 5-7% a degree from n = 10^2 to 10^5 at
+1e-6, and 12-21% at 1e-4.
 
 The integrand is an array function: the quadrature hands it the x-nodes of
 a whole round of Gauss-Kronrod panels (every initial panel, or both halves
@@ -96,14 +115,28 @@ class NumericResult:
 
 
 def split_points(degree: int) -> tuple[float, ...]:
-    """Cut points around the unit layers and the origin, in x: 0 and
-    +-1 +- delta_k for the widths delta_0 = min(1/2, max(10/n, 1e-6)),
-    delta_{k+1} = min(1/2, 3 delta_k), up to and including 1/2."""
+    """Cut points around the unit layers and the origin, in x.
+
+    The ladder is 0 and +-1 +- delta_k for the widths delta_0 =
+    min(1/2, max(10/n, 1e-6)), delta_{k+1} = min(1/2, 3 delta_k), up to and
+    including 1/2.  Where delta_0 < 1/2, the panels that bisection would
+    split at rel_tol = 1e-8 (module docstring) are cut as well: at
+    -1 + delta_0 / 4, -1 + delta_0 / 2 and 1 - delta_0 / 2, and, where the
+    next rung is a full 3 delta_0 < 1/2, at -1 + 2 delta_0 and
+    -1 - delta_0 / 2.  At delta_0 = 10/n these sit at the same
+    t = n(|x| - 1) for every n: -2.5, -5, -5, -20 and 5.
+    """
     deltas = [min(0.5, max(10.0 / degree, 1e-6))]
     while deltas[-1] < 0.5:
         deltas.append(min(0.5, 3.0 * deltas[-1]))
     right = [1.0 - d for d in reversed(deltas)] + [1.0 + d for d in deltas]
-    return (*(-c for c in reversed(right)), 0.0, *right)
+    cuts = [*(-c for c in reversed(right)), 0.0, *right]
+    d = deltas[0]
+    if d < 0.5:
+        cuts += [-1.0 + 0.25 * d, -1.0 + 0.5 * d, 1.0 - 0.5 * d]
+    if 3.0 * d < 0.5:
+        cuts += [-1.0 - 0.5 * d, -1.0 + 2.0 * d]
+    return tuple(sorted(cuts))
 
 
 def expected_count(

@@ -102,5 +102,7 @@ class PolynomialModel:
     def _moments_memo(self) -> dict:
         """Rows of ``moments`` already computed on this model, keyed by the
         float x (filled and bounded by ``moments``)."""
-        return {}
+        from .moments import _Memo  # moments imports this module
+
+        return _Memo()
 

@@ -40,14 +40,16 @@ Reuse.  The rows do not depend on the level u (it enters the density only
 through q = u / sigma_U), so counts on one model at several levels, or on
 nested intervals, evaluate the same points again.  Each model therefore
 keeps a memo of the rows it has computed, keyed by the float x (0.0 and
--0.0 share a row, which is the same for both).  ``moments`` looks every
-point up first and computes only the misses, as one batch in batch order;
-because a row does not depend on its batch, a hit is bit-identical to
-recomputing.  A missed row is stored only after its batch has passed the
-rank check, so a failing batch stores nothing and fails again the same way
-on a repeat call.  The memo holds at most ``_MEMO_ROWS`` rows; past that,
-rows are computed and not stored.  Threads sharing a model may compute a
-row twice or pass the cap by a row each, but never store a wrong row.
+-0.0 share a row, which is the same for both).  The rows are the columns of
+one float array, so the hits of a call are one gather from it.  ``moments``
+looks every point up first and computes only the misses, as one batch in
+batch order; because a row does not depend on its batch, a hit is
+bit-identical to recomputing.  A missed row is stored only after its batch
+has passed the rank check, so a failing batch stores nothing and fails
+again the same way on a repeat call.  The memo holds at most ``_MEMO_ROWS``
+rows; past that, rows are computed and not stored.  Threads sharing a model
+may compute a row twice, but rows are stored under a lock, so none is
+stored wrong and the cap holds.
 
 Row kinds.  Each point's weighted basis is stacked as three rows (G, v, H),
 v the row of Q', in one of three kinds, chosen so that no conditioning
@@ -97,6 +99,8 @@ residual g or h is shorter than ``_RESIDUAL_RTOL`` of its row.
 from __future__ import annotations
 
 import math
+import threading
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -360,16 +364,48 @@ def moments(model: PolynomialModel, xs, *, clamp_rho: bool = False) -> MomentRow
         raise ValueError(f"x must be finite, got {float(xs[~np.isfinite(xs)][0])!r}")
     memo = model._moments_memo
     keys = xs.tolist()
-    rows = [memo.get(x) for x in keys]
-    missed = [i for i, row in enumerate(rows) if row is None]
-    if missed:
-        fresh = _fresh_rows(model, xs[missed])
-        for i, row in zip(missed, zip(*(column.tolist() for column in fresh))):
-            rows[i] = row
-            if len(memo) < _MEMO_ROWS:
-                memo[keys[i]] = row
-    table = np.array(rows, dtype=float).reshape(len(keys), len(MomentRows._fields))
-    return MomentRows(*table.T.copy())
+    index = np.fromiter(map(memo.get, keys, repeat(-1)), np.intp, len(keys))
+    missed = np.flatnonzero(index < 0)
+    if not missed.size:
+        return MomentRows(*memo.table[:, index])
+    fresh = np.array(_fresh_rows(model, xs[missed]))
+    memo.store([keys[i] for i in missed.tolist()], fresh)
+    out = np.empty((len(fresh), len(keys)))
+    hit = np.flatnonzero(index >= 0)
+    out[:, hit] = memo.table[:, index[hit]]
+    out[:, missed] = fresh
+    return MomentRows(*out)
+
+
+class _Memo(dict):
+    """The rows ``moments`` has computed on one model (module docstring,
+    Reuse): x -> the column of its row in ``table``, which holds the
+    ``MomentRows`` fields down its first axis, one column a row.
+
+    ``store`` writes a row's column before it enters the dict, and only
+    under the lock; ``table`` is replaced, never resized, when it grows.  So
+    a column found in the dict holds its row in any later ``table``.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.table = np.empty((len(MomentRows._fields), 0))
+        self._lock = threading.Lock()
+
+    def store(self, keys: list[float], rows: np.ndarray) -> None:
+        """Store the columns of ``rows`` under the points ``keys``, as many
+        of those not yet stored as fit under ``_MEMO_ROWS``."""
+        with self._lock:
+            new = {x: i for i, x in enumerate(keys) if x not in self}
+            start = len(self)
+            new_keys = list(new)[: _MEMO_ROWS - start]
+            stop = start + len(new_keys)
+            if stop > self.table.shape[1]:
+                grown = np.empty((len(rows), min(_MEMO_ROWS, max(stop, 2 * start))))
+                grown[:, :start] = self.table[:, :start]
+                self.table = grown
+            self.table[:, start:stop] = rows[:, [new[x] for x in new_keys]]
+            self.update(zip(new_keys, range(start, stop)))
 
 
 def _fresh_rows(model: PolynomialModel, xs: np.ndarray) -> tuple:

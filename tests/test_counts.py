@@ -90,15 +90,19 @@ class TestStructure:
         assert count(0.5, 1.0, INF) <= count(0.0, 1.5, INF) <= count(-INF, INF, INF)
 
     def test_split_points_track_the_layer_width(self):
-        # widths 10/n, 30/n, 90/n, ... up to and including 1/2
+        # widths 10/n, 30/n, 90/n, ... up to and including 1/2; at n = 40,
+        # delta_0 = 1/4 with its next rung clamped, so the only layer cuts
+        # are delta_0 / 4 and delta_0 / 2 inside -1 and delta_0 / 2 inside +1
         assert split_points(40) == (
-            -1.5, -1.25, -0.75, -0.5, 0.0, 0.5, 0.75, 1.25, 1.5
+            -1.5, -1.25, -0.9375, -0.875, -0.75, -0.5, 0.0, 0.5, 0.75, 0.875, 1.25, 1.5
         )
         assert split_points(5) == (-1.5, -0.5, 0.0, 0.5, 1.5)  # width clamps at 1/2
         cuts = split_points(20_000_000)  # the innermost width floors at 1e-6
-        inner = (max(c for c in cuts if 0.0 < c < 1.0), min(c for c in cuts if c > 1.0))
-        assert inner == pytest.approx((0.999999, 1.000001), abs=1e-15)
-        assert cuts[-1] == 1.5 and cuts == tuple(-c for c in reversed(cuts))
+        assert min(c for c in cuts if c > 1.0) == pytest.approx(1.000001, abs=1e-15)
+        # beside -1, the ladder's -1e-6 and 1e-6 and the layer cuts, fractions of it
+        beside_minus = [c + 1.0 for c in cuts if abs(c + 1.0) < 2.5e-6]
+        assert beside_minus == pytest.approx([-1e-6, -5e-7, 2.5e-7, 5e-7, 1e-6, 2e-6], abs=1e-15)
+        assert cuts[0] == -1.5 and cuts[-1] == 1.5
 
     def test_query_end_one_float_past_a_cut(self):
         # 1.5 (a cut at n = 3) and the next float map to the same s
@@ -132,6 +136,48 @@ def five_cut_count(model, query, rel_tol):
         abs_tol=counts._ABS_FLOOR,
         max_panels=counts._MAX_PANELS,
     )
+
+
+def ladder(n):
+    """The geometric cuts alone: 0 and +-1 +- 10/n, 30/n, ... up to 1/2."""
+    deltas = [min(0.5, 10.0 / n)]
+    while deltas[-1] < 0.5:
+        deltas.append(min(0.5, 3.0 * deltas[-1]))
+    right = [1.0 - d for d in reversed(deltas)] + [1.0 + d for d in deltas]
+    return (*(-c for c in reversed(right)), 0.0, *right)
+
+
+class TestLayerCuts:
+    @pytest.mark.parametrize("n", (1000, 10_000, 100_000))
+    def test_layer_cuts_sit_at_the_same_t_at_every_degree(self, n):
+        extra = sorted(set(split_points(n)) - set(ladder(n)))
+        assert len(split_points(n)) == len(ladder(n)) + 5
+        # t = n(|x| - 1), negative inside the unit interval
+        beside_minus = [n * (abs(x) - 1.0) for x in extra if x < 0.0]
+        beside_plus = [n * (abs(x) - 1.0) for x in extra if x > 0.0]
+        assert beside_minus == pytest.approx([5.0, -2.5, -5.0, -20.0], rel=1e-9)
+        assert beside_plus == pytest.approx([-5.0], rel=1e-9)
+
+    @pytest.mark.parametrize("n", (3, 5, 10, 19, 20))
+    def test_no_layer_cuts_where_the_first_rung_is_clamped(self, n):
+        assert split_points(n) == ladder(n)
+
+    @pytest.mark.parametrize("u", (1.0, INF))
+    @pytest.mark.parametrize("n,most", [(1000, 465), (10_000, 585)])
+    def test_whole_line_bisects_no_panel_near_the_unit_layers(self, monkeypatch, n, most, u):
+        rounds = []
+
+        def density(model, xs, level):
+            rounds.append(np.array(xs))
+            return maxima_density(model, xs, level)
+
+        monkeypatch.setattr(counts, "maxima_density", density)
+        result = expected_count(PolynomialModel(n), CountQuery(-INF, INF, u))
+        # every round after the initial panels is one bisection
+        for nodes in rounds[1:]:
+            assert np.abs(np.abs(nodes) - 1.0).min() > 30.0 / n
+        if u == 1.0:
+            assert result.metadata["evaluations"] <= most
 
 
 class TestGradedEdges:

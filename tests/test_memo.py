@@ -2,6 +2,9 @@
 
 import importlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,3 +89,24 @@ def test_signed_zeros_share_one_row():
         column = getattr(plus, name).tolist()
         assert column == getattr(minus, name).tolist() == getattr(fresh, name).tolist()
         assert all(math.isfinite(v) for v in column)
+
+
+def test_threads_sharing_a_model_store_only_right_rows():
+    # four threads switching often: overlapping batches race to store the
+    # same points while the table grows
+    batches = [np.linspace(0.05 + 0.01 * (i % 5), 2.5, 40 + i) for i in range(16)]
+    points = np.concatenate(batches)
+    fresh = moments(PolynomialModel(100), points)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            model = PolynomialModel(100)
+            with ThreadPoolExecutor(4) as pool:
+                list(pool.map(partial(moments, model), batches, timeout=120))
+            assert len(model._moments_memo) == len(set(points.tolist()))
+            warm = moments(model, points)
+            for name in warm._fields:
+                assert getattr(warm, name).tolist() == getattr(fresh, name).tolist(), name
+    finally:
+        sys.setswitchinterval(interval)
