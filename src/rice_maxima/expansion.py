@@ -165,9 +165,8 @@ def h_integral(family: int, pair) -> float:
     attached, when the integral does not reach the relative tolerance
     ``_QUAD_REL_TOL`` = 1e-9.
     """
-    if family not in (1, 2, 3, 4):
-        raise ValueError(f"family must be 1..4, got {family!r}")
-    key = tuple(sorted(set(int(i) for i in pair)))
+    family = require_integer("family", family, 1, maximum=4)
+    key = tuple(sorted({require_integer("pair index", i, 1) for i in pair}))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
     result = _integrals()[family, key]
@@ -259,8 +258,7 @@ def theorem_expansion(family: int, n: int, u: float) -> ExpansionResult:
     for pos-tail/unit, n^{1/4} for the two negative-side families) set the
     ``warned`` flag rather than raising.
     """
-    if family not in (1, 2, 3, 4):
-        raise ValueError(f"family must be 1..4, got {family!r}")
+    family = require_integer("family", family, 1, maximum=4)
     n = require_integer("n", n, 1)  # as PolynomialModel.degree
     if not u > 0.0 or not math.isfinite(u):
         raise ValueError(f"the expansion requires a finite level u > 0, got {u!r}")

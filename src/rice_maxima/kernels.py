@@ -34,23 +34,23 @@ for family 4.  The rest follow from two rules:
 
 Each family's four kernels thus share five brackets.  All brackets vanish
 at t = 0 (their constant terms cancel across rows, checked at import
-time), so the rows cancel badly for small t.  Each bracket is evaluated in
-one of three regimes, chosen per node:
+time), so the rows cancel badly for small t.  Two switches, the same for
+every bracket, give each node one of three regimes for all twenty brackets:
 
 * series, ``t <= 0.45``: a Taylor series whose coefficients are derived
   exactly from the rational tables;
-* double-double rows, up to a per-bracket switch point: the rows summed in
-  error-free float arithmetic (hi + lo pairs, ~32 digits), which absorbs
-  the remaining cancellation of up to ~1e16;
-* float rows beyond: plain float64, where the decaying rows underflow
-  harmlessly and the d = 0 row alone reproduces the tail law.
+* double-double rows, ``0.45 < t < 6.3``: the rows summed in error-free
+  float arithmetic (hi + lo pairs, ~32 digits), which absorbs the remaining
+  cancellation of up to ~1e16;
+* float rows, ``t >= 6.3``: plain float64, where the decaying rows
+  underflow harmlessly and the d = 0 row alone reproduces the tail law.
 
 Evaluation works on arrays of t, in one pass for all twenty brackets over
 tables stacked at import, with a gather that sums each bracket's rows in
 order: the series on (brackets, nodes), the double-double rows on (rows,
-nodes) with one table of e^{-dt}, and the float rows each run once, and
-each bracket takes its regime by mask.  The zero padding of the tables is
-exact, so the value at a node does not depend on the other nodes.
+nodes) with one table of e^{-dt}, and the float rows each run once, on
+their own nodes.  The zero padding of the tables is exact, so the value at
+a node does not depend on the other nodes.
 ``h_kernel`` evaluates one kernel at a float or an array, ``all_kernels``
 the sixteen at an array.  All constant tables are built from exact
 fractions; no arbitrary-precision library is used.
@@ -67,6 +67,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NonFiniteResult
+from .model import require_integer
 
 __all__ = ["KernelId", "h_kernel", "all_kernels", "TAIL_LAWS"]
 
@@ -301,35 +302,10 @@ _ROWS.update(
 _SERIES_CUTOFF = 0.45
 _SERIES_TERMS = 44
 
-# Smallest t (with safety margin) at which plain float64 row evaluation of
-# each bracket reaches ~1e-14 relative accuracy; the kernel tests check it
-# against a 60-digit evaluation of the rows.  Brackets vanish at t = 0 to
-# orders as high as t^20, so the rows keep cancelling well past the series
-# cutoff; between the series cutoff and this threshold the rows are summed
-# in double-double arithmetic.
-_FLOAT_CUTOFF: dict[str, float] = {
-    "p1": 4.8,
-    "p2": 3.6,
-    "p3": 6.3,
-    "n13": 2.8,
-    "z": 2.4,
-    "n21": 1.4,
-    "r2": 1.1,
-    "d21": 1.2,
-    "b23": 0.8,
-    "c23": 0.6,
-    "n31": 4.2,
-    "r3": 3.2,
-    "d31": 4.8,
-    "n34": 2.8,
-    "c33": 2.1,
-    "n41": 0.9,
-    "r4": 0.9,
-    "d41": 1.2,
-    "b44": 0.6,
-    "z43": 0.6,
-}
-_DD_LIMIT = max(_FLOAT_CUTOFF.values())
+# Double-double rows below this t, float64 rows from it on, for every
+# bracket: 6.3 is where the float rows of p3, the slowest bracket to stop
+# cancelling, reach ~1e-14 (the tests check all against a 60-digit sum).
+_DD_LIMIT = 6.3
 _MAX_DECAY = max(max(table) for table in _TABLES.values())
 
 # --------------------------------------------------------------------------
@@ -450,15 +426,14 @@ def _taylor(rows) -> tuple[int, tuple[float, ...]]:
 class _Bracket:
     """One decaying bracket: its exact rational rows, the order ``lead`` of
     its zero at t = 0 with the float Taylor coefficients ``series`` from
-    there on, and ``float_cutoff``.  ``_bracket_values`` evaluates every
-    bracket at once from the tables stacked from these."""
+    there on.  ``_bracket_values`` evaluates every bracket at once from the
+    tables stacked from these."""
 
-    __slots__ = ("name", "rows", "lead", "series", "float_cutoff")
+    __slots__ = ("name", "rows", "lead", "series")
 
     def __init__(self, name: str, rows: Mapping[int, tuple[Fraction, ...]]):
         self.name = name
         self.rows = sorted(rows.items())
-        self.float_cutoff = _FLOAT_CUTOFF[name]
         self.lead, self.series = _taylor(self.rows)
         if self.lead == 0:
             raise AssertionError(f"bracket {name!r} does not vanish at t=0")
@@ -476,7 +451,6 @@ _SERIES = np.array(
     list(zip_longest(*(b.series for b in _BRACKETS.values()), fillvalue=0.0))
 ).T
 _LEADS = np.array([[b.lead] for b in _BRACKETS.values()])
-_CUTOFFS = np.array([[b.float_cutoff] for b in _BRACKETS.values()])
 _STACKED = [(d, poly) for b in _BRACKETS.values() for d, poly in b.rows] + [(0, ())]
 _ROW_HI, _ROW_LO = np.array(
     list(zip_longest(*(map(_split_rational, p) for _, p in _STACKED), fillvalue=(0, 0)))
@@ -529,25 +503,23 @@ def _float_rows(t):
 
 def _bracket_values(t):
     """(brackets, len(t)) values of every bracket at the nodes ``t`` > 0:
-    each regime runs once, on the nodes where some bracket takes it, and
-    each bracket takes its regime by mask."""
+    each regime runs once, on its own nodes, for every bracket."""
     out = np.empty((len(_BRACKETS), t.size))
-    low = t <= _SERIES_CUTOFF
-    if low.any():
-        out[:, low] = _series(t[low])
-    window = ~low & (t < _DD_LIMIT)
-    if window.any():
-        out[:, window] = _double_double(t[window])
-    high = t >= _CUTOFFS.min()
-    if high.any():
-        th = t[high]
-        out[:, high] = np.where(th >= _CUTOFFS, _float_rows(th), out[:, high])
+    for regime, nodes in (
+        (_series, t <= _SERIES_CUTOFF),
+        (_double_double, (t > _SERIES_CUTOFF) & (t < _DD_LIMIT)),
+        (_float_rows, t >= _DD_LIMIT),
+    ):
+        if nodes.any():
+            out[:, nodes] = regime(t[nodes])
     return out
 
 
 def _positive(t) -> np.ndarray:
     """``t`` as a 1-d float array, every element positive and finite."""
     array = np.atleast_1d(np.asarray(t, dtype=float))
+    if array.ndim != 1:
+        raise ValueError(f"t must be a float or a 1-D array, got shape {array.shape}")
     bad = ~(np.isfinite(array) & (array > 0.0))
     if bad.any():
         raise ValueError(f"t must be positive and finite, got {float(array[bad][0])!r}")
@@ -562,10 +534,8 @@ class KernelId:
     index: int
 
     def __post_init__(self) -> None:
-        if self.family not in (1, 2, 3, 4):
-            raise ValueError(f"family must be 1..4, got {self.family!r}")
-        if self.index not in (1, 2, 3, 4):
-            raise ValueError(f"index must be 1..4, got {self.index!r}")
+        require_integer("family", self.family, 1, maximum=4)
+        require_integer("index", self.index, 1, maximum=4)
 
 
 # The kernels: ``b(name)`` is a bracket at the node array ``t``.  Square

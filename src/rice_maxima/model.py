@@ -27,11 +27,19 @@ from .errors import DegenerateModel
 __all__ = ["PolynomialModel"]
 
 
-def require_integer(name: str, value, minimum: int, error: type = ValueError) -> int:
-    """``value`` as an int, or ``error`` unless it is an integer of at least
-    ``minimum``: numpy integers are taken, bools and floats are not."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+def require_integer(
+    name: str, value, minimum: int, error: type = ValueError, maximum: float = np.inf
+) -> int:
+    """``value`` as an int, or ``error`` unless it is an integer from
+    ``minimum`` to ``maximum``: numpy integers are taken, bools and floats
+    are not."""
+    if (
+        not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or not minimum <= value <= maximum
+    ):
+        bounds = f">= {minimum}" if maximum == np.inf else f"in {minimum}..{maximum}"
+        raise error(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
 
 

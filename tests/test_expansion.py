@@ -113,6 +113,9 @@ class TestTheoremExpansion:
     def test_validation(self):
         with pytest.raises(ValueError, match="family"):
             theorem_expansion(0, 10, 1.0)
+        for bad_family in (5, True, 1.0):
+            with pytest.raises(ValueError, match="family"):
+                theorem_expansion(bad_family, 10, 1.0)
         with pytest.raises(ValueError, match="n"):
             theorem_expansion(1, 0, 1.0)
         for bad_u in (0.0, -1.0, math.inf, math.nan):

@@ -97,8 +97,15 @@ class TestValidation:
             h_integral(0, (1,))
         with pytest.raises(ValueError, match="family"):
             h_integral(5, (1,))
+        # integers only, as for the degree: no bools, no floats
+        with pytest.raises(ValueError, match="family"):
+            h_integral(True, (1,))
+        with pytest.raises(ValueError, match="family"):
+            h_integral(1.0, (1,))
 
-    @pytest.mark.parametrize("pair", [(), (2,), (1, 4), (2, 3), (1, 2, 3, 4)])
+    @pytest.mark.parametrize(
+        "pair", [(), (2,), (1, 4), (2, 3), (1, 2, 3, 4), (1, 3.7), (1.0,), (True,)]
+    )
     def test_bad_pair(self, pair):
         with pytest.raises(ValueError, match="pair"):
             h_integral(1, pair)

@@ -8,7 +8,7 @@ import pytest
 from oracles import bracket_names, bracket_taylor, bracket_value, bracket_value_mp
 from rice_maxima.kernels import (
     _BRACKETS,
-    _FLOAT_CUTOFF,
+    _DD_LIMIT,
     _SERIES_CUTOFF,
     _SERIES_TERMS,
     TAIL_LAWS,
@@ -22,9 +22,9 @@ SWEEP = (0.01, 0.1, 0.3, 0.4499, 0.45, 0.4501, 0.55, 1.0, 3.0, 10.0, 40.0)
 ALL_KERNELS = [KernelId(f, i) for f in (1, 2, 3, 4) for i in (1, 2, 3, 4)]
 
 # Regression pins (12 digits captured from a verified build): H_{f,1..4} at
-# one t in each bracket regime — t = 0.1 is in the series regime for every
-# bracket, t = 1 and t = 3 fall in the double-double or float regime
-# depending on the bracket, and t = 20 is in the float regime for all.
+# nodes in each bracket regime, the same for every bracket — t = 0.1 is in
+# the series regime, t = 1 and t = 3 in the double-double regime and t = 20
+# in the float regime.
 SPOT_VALUES = {
     0.1: {
         1: (1.030862600280e-02, 2.142110594925e01, 9.331826078174e-01, 1.998980351206e01),
@@ -68,24 +68,25 @@ class TestBrackets:
     @pytest.mark.parametrize("name", bracket_names())
     def test_double_double_rows_match_arbitrary_precision(self, name):
         # The rows cancel by up to ~1e16 between the series cutoff and the
-        # switch to plain float rows; here they are summed in double-double.
-        ts = np.linspace(_SERIES_CUTOFF, _FLOAT_CUTOFF[name], 122)[1:-1]
+        # switch to plain float rows; here they are summed in double-double,
+        # for every bracket over the whole window.
+        ts = np.linspace(_SERIES_CUTOFF, _DD_LIMIT, 122)[1:-1]
         got = bracket_value(name, ts)
         want = np.array([float(bracket_value_mp(name, t, dps=60)) for t in ts])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name", bracket_names())
     def test_float_rows_match_arbitrary_precision(self, name):
-        # The calibration of _FLOAT_CUTOFF: from its switch point on, the
-        # bracket's plain float64 rows are accurate to ~1e-14.
-        ts = np.linspace(_FLOAT_CUTOFF[name], 300.0, 80)
+        # The calibration of _DD_LIMIT: from it on, every bracket's plain
+        # float64 rows are accurate to ~1e-14.
+        ts = np.linspace(_DD_LIMIT, 300.0, 80)
         got = bracket_value(name, ts)
         want = np.array([float(bracket_value_mp(name, t, dps=60)) for t in ts])
         np.testing.assert_allclose(got, want, rtol=2e-14, atol=0.0)
 
     @pytest.mark.parametrize("name", bracket_names())
     def test_continuous_across_both_regime_switches(self, name):
-        for switch in (_SERIES_CUTOFF, _FLOAT_CUTOFF[name]):
+        for switch in (_SERIES_CUTOFF, _DD_LIMIT):
             ts = np.array([np.nextafter(switch, 0), switch, np.nextafter(switch, 9)])
             below, at, above = bracket_value(name, ts)
             assert at == pytest.approx(below, rel=1e-12, abs=0.0), (name, switch)
@@ -107,8 +108,8 @@ class TestBrackets:
         ts = np.geomspace(4.0**-9, 256.0, 360)
         regimes = (
             ts <= _SERIES_CUTOFF,
-            (ts > _SERIES_CUTOFF) & (ts < _FLOAT_CUTOFF[name]),
-            ts >= _FLOAT_CUTOFF[name],
+            (ts > _SERIES_CUTOFF) & (ts < _DD_LIMIT),
+            ts >= _DD_LIMIT,
         )
         assert all(regime.any() for regime in regimes)
         whole = bracket_value(name, ts)
@@ -160,6 +161,11 @@ class TestKernelEvaluation:
             h_kernel(KernelId(3, 1), ts)
         with pytest.raises(ValueError, match="positive and finite"):
             all_kernels(ts)
+        # a 2-D t is refused as by moments and maxima_density
+        with pytest.raises(ValueError, match="a float or a 1-D array"):
+            h_kernel(KernelId(1, 1), np.full((2, 2), 2.0))
+        with pytest.raises(ValueError, match="a float or a 1-D array"):
+            all_kernels(np.full((2, 3), 2.0))
 
     @pytest.mark.parametrize("kid", ALL_KERNELS, ids=str)
     def test_array_matches_scalar_calls(self, kid):
@@ -189,6 +195,16 @@ class TestKernelEvaluation:
             KernelId(3, 0)
         with pytest.raises(ValueError, match="index"):
             KernelId(2, 7)
+        # integers only, as for the degree: no bools, no floats
+        with pytest.raises(ValueError, match="family"):
+            KernelId(True, 2)
+        with pytest.raises(ValueError, match="family"):
+            KernelId(1.0, 2)
+        with pytest.raises(ValueError, match="index"):
+            KernelId(1, 2.0)
+        with pytest.raises(ValueError, match="index"):
+            KernelId(1, False)
+        assert KernelId(np.int64(2), np.int64(3)) == KernelId(2, 3)
 
 
 class TestTails:
