@@ -161,12 +161,13 @@ def h_integral(family: int, pair) -> float:
     For families 3 and 4 the integrand carries the standard tail
     subtraction (active for t >= 1) that makes the integral converge; the
     subtracted mass reappears in the closed-form log terms of the
-    expansion.  Raises ToleranceNotMet, with the quadrature result
-    attached, when the integral does not reach the relative tolerance
-    ``_QUAD_REL_TOL`` = 1e-9.
+    expansion.  Raises ``ValueError`` unless ``family`` is an integer in
+    1..4 and ``pair`` an iterable of one of those index sets, and
+    ToleranceNotMet, with the quadrature result attached, when the
+    integral does not reach the relative tolerance ``_QUAD_REL_TOL`` = 1e-9.
     """
     family = require_integer("family", family, 1, maximum=4)
-    key = tuple(sorted({require_integer("pair index", i, 1) for i in pair}))
+    key = np.iterable(pair) and tuple(sorted({require_integer("pair index", i, 1) for i in pair}))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
     result = _integrals()[family, key]

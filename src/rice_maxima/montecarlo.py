@@ -23,9 +23,13 @@ and is never counted.
 
 Evaluation.  One rule serves the sign grid, the refinement and the level
 test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
-|x| <= 1 that is the plain sum; beyond, it is the coefficient-reversed
-polynomial in y = 1/x times the sign of x^d, so every power lies in
-[-1, 1] and nothing overflows.  The level test multiplies |x|^n back in;
+|x| <= 1 that is the plain sum; beyond, it is sum_j c_j y^(d-j) in y =
+1/x times the sign of x^d, so every power lies in [-1, 1] and nothing
+overflows.  Each evaluation builds one folded table of its points with
+``_powers``: a point's column holds x^j inside and y^(d-j) beyond, the
+table and not the coefficient rows reversed, and a value is a coefficient
+row times that column times the sign, which is read from x (+1 inside),
+so x = -inf still gives it.  The level test multiplies |x|^n back in;
 values past the float range become +-inf, which still compare correctly
 with every finite level.
 
@@ -48,11 +52,12 @@ for x < 0 gives both), and one of |e_j| gives R + M. The margin M: the
 binomial terms of S = sum_j |e_j| (r + w)^j bound those weights, and each T_k
 and R err by at most (2d + 6) u times their terms (u = 2^-53), rounding m
 moves f by d u S, the test's sums and a fine point's cubic by 32 u S and the
-fine grid's sum by (2d + 1) u S, all below M = 2^-48 (d + 2) S; 2^-1000 sum
-|e_j| in M covers underflow for rows not all below 2^-900. A failing (trial,
-sign, coarse cell) reaches the fine grid: at its K + 1 points Q' takes the
-sign of sum T_k u^k where that exceeds R + M, else its value by the rule
-above. A down-crossing is Q' > 0 at a point and Q' < 0 at the next in the
+fine grid's sum by (2d + 1) u S (its folded table, like every power table
+here, comes from ``_powers``, which forms z^j with at most j - 1 roundings),
+all below M = 2^-48 (d + 2) S; 2^-1000 sum |e_j| in M covers underflow for
+rows not all below 2^-900. A failing (trial, sign, coarse cell) reaches the
+fine grid: at its K + 1 points Q' takes the sign of sum T_k u^k where that
+exceeds R + M, else its value by the rule above. A down-crossing is Q' > 0 at a point and Q' < 0 at the next in the
 order of x.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
@@ -68,13 +73,15 @@ x_lo and Q' < 0 at x_hi, starting from its grid cell, and steps from the
 bracket midpoint (``rtsafe`` in Press et al., Numerical Recipes).  An
 infinite query end is first pulled in to 2 max(1, |other end|), or
 further, to Fujiwara's bound on the roots of Q' of that trial, so the
-bracket holds a maximum that lies past the last grid point.  One
-power table of the folded point gives both Q' and Q'' by the rule above:
-on the outer side Q''/x^(d-1) = sum_i (d-i) c_(d-i) y^i uses the same
-powers as Q', and Q'/Q'' = x S/T there for the two sums S and T.  The
-sign of Q' moves one bracket end to the point; where Q' is exactly 0
-(x = 0 whenever A_1 = 0) its sign is read 2^-40 of the bracket toward
-x_hi, as at the grid ends.  The Newton point is taken only where Q'' < 0
+bracket holds a maximum that lies past the last grid point.  One folded
+table of the point gives both Q' and Q'' by the rule above, for Q' of
+degree d: S = Q' / max(1, |x|)^d, and T, the sum of j c_j times x^(j-1)
+inside and times y^(d-j) beyond, times the same sign.  So Q'' = T inside
+and |x|^d T / x beyond: Q'' < 0 where T > 0 for x < -1 and where T < 0
+elsewhere, and Q'/Q'' = S/T inside and x S/T beyond.  The sign of Q'
+moves one bracket end to the point; where Q' is exactly 0 (x = 0
+whenever A_1 = 0) its sign is read 2^-40 of the bracket toward x_hi, as
+at the grid ends.  The Newton point is taken only where Q'' < 0
 and it lies strictly inside the bracket, otherwise the bracket midpoint,
 so the iteration ends on a maximum, never on a minimum sharing the cell.
 A crossing is done when Q'' < 0 and the Newton correction is at most
@@ -204,25 +211,25 @@ def _build_grid(n: int, lo: float, hi: float, ppu: int) -> np.ndarray:
     return x
 
 
-def _fold(x: np.ndarray, deg: int):
+def _folded(x: np.ndarray, width: int):
     """The reversed-form rule (module docstring) at points x, for degree
-    ``deg``: (y, outer, sign) with outer = |x| > 1, y = 1/x there and x
-    elsewhere, and sign = the sign of x^deg on ``outer``, +1 elsewhere.
-    The sign reads x, not y: at x = -inf, y is -0.0.
-    """
+    deg = width - 1: (table, sign) such that Q(x) / max(1, |x|)^deg is
+    sign * (coefficient row @ column i of the table).  Column i holds x^j
+    where |x| <= 1 and y^(deg-j), y = 1/x, beyond; sign is the sign of
+    x^deg beyond, +1 inside.  The sign reads x, not y: at x = -inf, y is
+    -0.0."""
     outer = np.abs(x) > 1.0
-    y = np.divide(1.0, x, out=x.copy(), where=outer)
-    sign = np.where(outer & (x < 0.0) & (deg % 2 == 1), -1.0, 1.0)
-    return y, outer, sign
+    table = _powers(np.divide(1.0, x, out=x.copy(), where=outer), width)
+    table[:, outer] = table[::-1, outer]
+    sign = np.where(outer & (x < 0.0) & (width % 2 == 0), -1.0, 1.0)
+    return table, sign
 
 
 def _scaled_value(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Q(x) / max(1, |x|)^deg for coefficient row i (ascending powers) at
     x[i]; finite wherever the coefficients are."""
-    width = rows.shape[1]
-    y, outer, sign = _fold(x, width - 1)
-    rows = np.where(outer[:, None], rows[:, ::-1], rows)
-    return sign * np.vecdot(rows, np.vander(y, N=width, increasing=True))
+    table, sign = _folded(x, rows.shape[1])
+    return sign * np.vecdot(rows, table.T)
 
 
 def _powers(z: np.ndarray, width: int) -> np.ndarray:
@@ -309,9 +316,8 @@ def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
     # cells 0, a and b + a join an end point or the two signs, a -+ inner the
     # two runs: Q' at their points by the reversed-form rule, in one table
     edge = np.unique([0, a, b + a] + [a + s * inner for s, n in ((1, b), (-1, a)) if 0 < inner < n])
-    y, outer, sign = _fold(x[np.concatenate([edge, edge + 1])], width - 1)
-    power = np.vander(y, N=width, increasing=True)
-    at = dcoef @ np.where(outer[:, None], sign[:, None] * power[:, ::-1], power).T
+    table, sign = _folded(x[np.concatenate([edge, edge + 1])], width)
+    at = dcoef @ table * sign
     trial, k = np.nonzero((at[:, : edge.size] > 0.0) & (at[:, edge.size :] < 0.0))
     cells, rows = [edge[k]], [trial]
 
@@ -346,23 +352,15 @@ def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
 
 
 def _newton_terms(drows: np.ndarray, x: np.ndarray):
-    """(S, T, outer, sign) for derivative row i at x[i] by the reversed-form
-    rule: Q' = sign S max(1, |x|)^deg, and Q'' = T inside, x^(deg-1) T on
-    the ``outer`` side, from one power table of the folded point."""
-    width = drows.shape[1]
-    ramp = np.arange(1.0, width)
-    y, outer, sign = _fold(x, width - 1)
-    power = np.vander(y, N=width, increasing=True)
-    rows = np.where(outer[:, None], drows[:, ::-1], drows)
-    s = np.vecdot(rows, power)
-    # T over y^0 .. y^(deg-1): (j+1) c_(j+1) inside, (deg-j) times the
-    # reversed row on the outer side
-    t = np.where(
-        outer,
-        np.einsum("kj,kj,j->k", rows[:, :-1], power[:, :-1], ramp[::-1]),
-        np.einsum("kj,kj,j->k", rows[:, 1:], power[:, :-1], ramp),
-    )
-    return s, t, outer, sign
+    """(S, T, outer) for derivative row i at x[i] from one folded table:
+    Q' = S max(1, |x|)^deg, and Q'' = T inside, |x|^deg T / x on the
+    ``outer`` side, where |x| > 1."""
+    table, sign = _folded(x, drows.shape[1])
+    outer = np.abs(x) > 1.0
+    # j c_j, j = 1..deg, times x^(j-1) inside and y^(deg-j) beyond
+    ramped = drows[:, 1:] * np.arange(1.0, drows.shape[1])
+    t = np.where(outer, np.vecdot(ramped, table[1:].T), np.vecdot(ramped, table[:-1].T))
+    return sign * np.vecdot(drows, table.T), sign * t, outer
 
 
 def _root_bound(drows: np.ndarray) -> np.ndarray:
@@ -380,13 +378,11 @@ def _refine(drows: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray
     """A maximum of Q in each finite bracket (x_lo[i], x_hi[i]) across which
     Q' (derivative row i, ascending powers) goes from + to -: safeguarded
     Newton steps, each crossing on its own row (module docstring)."""
-    odd = drows.shape[1] % 2 == 1  # deg - 1 odd: x^(deg-1) < 0 for x < 0
     x = 0.5 * (x_lo + x_hi)
     root = np.empty_like(x)
     active = np.arange(x.size)
     for _ in range(_REFINE_STEPS):
-        s, t, outer, sign = _newton_terms(drows, x)
-        q = sign * s
+        q, t, outer = _newton_terms(drows, x)
         # a zero of Q' (x = 0 whenever A_1 = 0): read the sign just toward
         # x_hi, as at the grid ends
         zero = q == 0.0
@@ -396,9 +392,9 @@ def _refine(drows: np.ndarray, x_lo: np.ndarray, x_hi: np.ndarray) -> np.ndarray
         pos = q > 0.0
         x_lo = np.where(pos, x, x_lo)
         x_hi = np.where(pos, x_hi, x)
-        curved = np.where(outer & (x < 0.0) & odd, t > 0.0, t < 0.0)  # Q'' < 0
+        curved = np.where(outer & (x < 0.0), t > 0.0, t < 0.0)  # Q'' < 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(outer, x, 1.0) * (s / t)  # Q'/Q''
+            step = np.where(outer, x, 1.0) * (q / t)  # Q'/Q''
         newton = x - step
         tol = _REFINE_TOL * np.maximum(np.abs(x), 1.0)
         # a step from the root to rounding may end on x, now a bracket end;
@@ -431,9 +427,10 @@ def count_maxima_below(
 
     ``coeff`` is a (trials, n+1) coefficient matrix (see
     ``sample_coefficients``); returns an integer array of shape
-    (trials, len(levels)).  Raises ``ValueError`` unless lo < hi, every
-    level is a number (+-inf allowed) and ``points_per_unit`` is an integer
-    >= 8, as in ``MCConfig``.
+    (trials, len(levels)).  Raises ``ValueError`` unless ``coeff`` is a
+    2-D array of finite numbers with n + 1 columns, lo < hi, every level is
+    a number (+-inf allowed) and ``points_per_unit`` is an integer >= 8, as
+    in ``MCConfig``.
     """
     points_per_unit = require_integer(
         "points_per_unit", points_per_unit, _MINIMUMS["points_per_unit"]
@@ -444,6 +441,9 @@ def count_maxima_below(
     if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {levels.tolist()!r}")
     n = model.degree
+    coeff = np.asarray(coeff, dtype=float)
+    if coeff.ndim != 2 or coeff.shape[1] != n + 1 or not np.isfinite(coeff).all():
+        raise ValueError(f"coeff must be a finite (trials, {n + 1}) matrix, got shape {coeff.shape}")
     x = _build_grid(n, lo, hi, points_per_unit)
     dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)

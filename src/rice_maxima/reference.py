@@ -22,6 +22,7 @@ on them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .expansion import FAMILY_INTERVALS, h_integral, kernel_pieces
@@ -121,8 +122,15 @@ def verify_constants(rel_tol: float | None = None) -> tuple[VerifyRow, ...]:
     docstring); passing ``rel_tol`` replaces them all with a relative
     tolerance of ``rel_tol * |reference|``.  Rows outside their tolerance
     are returned marked failed, never raised; the integrals are computed
-    to a relative tolerance of 1e-9.
+    to a relative tolerance of 1e-9.  Raises ``ValueError`` unless
+    ``rel_tol`` is None or a finite number > 0.
     """
+    if rel_tol is not None and (
+        isinstance(rel_tol, bool)
+        or not isinstance(rel_tol, numbers.Real)
+        or not 0.0 < rel_tol < math.inf
+    ):
+        raise ValueError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
     rows: list[VerifyRow] = []
     for family in (1, 2, 3, 4):
         interval = FAMILY_INTERVALS[family]

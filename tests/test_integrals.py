@@ -104,7 +104,7 @@ class TestValidation:
             h_integral(1.0, (1,))
 
     @pytest.mark.parametrize(
-        "pair", [(), (2,), (1, 4), (2, 3), (1, 2, 3, 4), (1, 3.7), (1.0,), (True,)]
+        "pair", [(), (2,), (1, 4), (2, 3), (1, 2, 3, 4), (1, 3.7), (1.0,), (True,), 1]
     )
     def test_bad_pair(self, pair):
         with pytest.raises(ValueError, match="pair"):

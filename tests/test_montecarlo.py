@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -682,6 +683,22 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             count_maxima_below(model, coeff, lo, hi, levels)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda c: c[0],  # 1-D: one trial's row alone
+            lambda c: c[:, :-1],  # n columns, one short
+            lambda c: np.where(np.arange(9) == 4, INF, c),
+            lambda c: np.where(np.arange(9) == 4, math.nan, c),
+        ],
+        ids=["one-dim", "eight-columns", "inf", "nan"],
+    )
+    def test_count_rejects_a_bad_coefficient_matrix(self, bad):
+        model = PolynomialModel(8)
+        coeff = bad(sample_coefficients(model, 4, seed=0))
+        with pytest.raises(ValueError, match=r"coeff must be a finite \(trials, 9\) matrix"):
+            count_maxima_below(model, coeff, -INF, INF, [INF])
+
     @pytest.mark.parametrize("points_per_unit", [0, 1, 7, 8.0, True])
     def test_count_rejects_a_grid_the_config_rejects(self, points_per_unit):
         model = PolynomialModel(8)
@@ -710,3 +727,38 @@ class TestValidation:
             PolynomialModel(3), -INF, INF, [INF], MCConfig(trials=1, seed=0)
         )
         assert est.stderr == INF
+
+
+class TestRoundingModel:
+    """The rounding the certificate margin M assumes of every evaluation
+    (module docstring): z^j with at most j - 1 roundings, and a sum within
+    (2d + 1) u S of Q(x) / max(1, |x|)^d, S the same sum of |c_j x^j|."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 257])
+    def test_powers_round_at_most_j_minus_one_times(self, width):
+        z = [0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 1.0 - 2.0**-52, -(1.0 - 2.0**-52)]
+        table = montecarlo._powers(np.array(z), width)
+        assert table.shape == (width, len(z))
+        for i, zi in enumerate(z):
+            exact = Fraction(1)
+            for j in range(width):
+                bound = max(j - 1, 0) * Fraction(1, 2**53) * abs(exact)
+                assert abs(Fraction(table[j, i]) - exact) <= bound, (zi, j)
+                exact *= Fraction(zi)
+
+    @pytest.mark.parametrize("deg", [63, 64])
+    def test_scaled_value_within_the_margin_sum(self, deg):
+        c = np.random.default_rng(deg).standard_normal(deg + 1)
+        near = 1.0 + 2.0**-52
+        x = np.array([INF, -INF, -0.0, 1.0, -1.0, near, -near, 7.0, -7.0])
+        got = montecarlo._scaled_value(np.tile(c, (x.size, 1)), x)
+        for xi, value in zip(x.tolist(), got.tolist()):
+            if math.isinf(xi):  # sign(x)^d c_d
+                exact = Fraction(c[-1]) * (-1 if xi < 0 and deg % 2 else 1)
+                size = abs(Fraction(c[-1]))
+            else:
+                terms = [Fraction(cj) * Fraction(xi) ** j for j, cj in enumerate(c.tolist())]
+                scale = max(Fraction(1), abs(Fraction(xi))) ** deg
+                exact, size = sum(terms) / scale, sum(map(abs, terms)) / scale
+            bound = (2 * deg + 1) * Fraction(1, 2**53) * size
+            assert abs(Fraction(value) - exact) <= bound, xi

@@ -151,3 +151,8 @@ class TestRelativeToleranceOverride:
     def test_huge_rel_tol_passes_everything(self):
         rows = verify_constants(rel_tol=1000.0)
         assert all(row.passed for row in rows)
+
+    @pytest.mark.parametrize("rel_tol", [-1.0, 0.0, math.nan, math.inf, "1e-3", True])
+    def test_rejects_a_tolerance_that_is_not_a_positive_number(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be a finite number > 0"):
+            verify_constants(rel_tol=rel_tol)
