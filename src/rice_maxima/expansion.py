@@ -167,7 +167,8 @@ def h_integral(family: int, pair) -> float:
     integral does not reach the relative tolerance ``_QUAD_REL_TOL`` = 1e-9.
     """
     family = require_integer("family", family, 1, maximum=4)
-    key = np.iterable(pair) and tuple(sorted({require_integer("pair index", i, 1) for i in pair}))
+    indices = pair if np.iterable(pair) else ()  # a bare index is no pair
+    key = tuple(sorted({require_integer("pair index", i, 1) for i in indices}))
     if key not in _ALLOWED_PAIRS:
         raise ValueError(f"pair must be one of (1,), (1,2), (1,3), (1,3,4); got {pair!r}")
     result = _integrals()[family, key]

@@ -26,12 +26,11 @@ test: a degree-d polynomial is evaluated as Q(x) / max(1, |x|)^d.  For
 |x| <= 1 that is the plain sum; beyond, it is sum_j c_j y^(d-j) in y =
 1/x times the sign of x^d, so every power lies in [-1, 1] and nothing
 overflows.  Each evaluation builds one folded table of its points with
-``_powers``: a point's column holds x^j inside and y^(d-j) beyond, the
-table and not the coefficient rows reversed, and a value is a coefficient
-row times that column times the sign, which is read from x (+1 inside),
-so x = -inf still gives it.  The level test multiplies |x|^n back in;
-values past the float range become +-inf, which still compare correctly
-with every finite level.
+``_powers``: a point's column holds x^j inside and y^(d-j) beyond, so the
+table, not the coefficient rows, is reversed, and a value is a row times
+that column times the sign (+1 inside).  The level test multiplies |x|^n
+back in; values past the float range become +-inf, which still compare
+correctly with every finite level.
 
 Sign grid. Inside the query interval the grid is +-p for one set of magnitudes
 p; in z = p (p <= 1, the inner run) or 1/p (the outer run), Q'(+-p) / max(1,
@@ -57,8 +56,8 @@ here, comes from ``_powers``, which forms z^j with at most j - 1 roundings),
 all below M = 2^-48 (d + 2) S; 2^-1000 sum |e_j| in M covers underflow for
 rows not all below 2^-900. A failing (trial, sign, coarse cell) reaches the
 fine grid: at its K + 1 points Q' takes the sign of sum T_k u^k where that
-exceeds R + M, else its value by the rule above. A down-crossing is Q' > 0 at a point and Q' < 0 at the next in the
-order of x.
+exceeds R + M, else its value by the rule above. A down-crossing is Q' > 0
+at a point and Q' < 0 at the next in the order of x.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
 (16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
@@ -443,7 +442,8 @@ def count_maxima_below(
     n = model.degree
     coeff = np.asarray(coeff, dtype=float)
     if coeff.ndim != 2 or coeff.shape[1] != n + 1 or not np.isfinite(coeff).all():
-        raise ValueError(f"coeff must be a finite (trials, {n + 1}) matrix, got shape {coeff.shape}")
+        shape = coeff.shape
+        raise ValueError(f"coeff must be a finite (trials, {n + 1}) matrix, got shape {shape}")
     x = _build_grid(n, lo, hi, points_per_unit)
     dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
