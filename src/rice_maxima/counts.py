@@ -69,7 +69,7 @@ from typing import Any
 
 from .density import maxima_density
 from .errors import ToleranceNotMet
-from .model import PolynomialModel
+from .model import PolynomialModel, require_real
 from .quadrature import integrate_adaptive
 
 __all__ = ["CountQuery", "NumericResult", "expected_count", "split_points"]
@@ -86,7 +86,9 @@ class CountQuery:
 
     ``lo``/``hi`` delimit the x-interval (either may be infinite) and ``u``
     is the level below which a local maximum is counted (``inf`` counts all
-    local maxima, ``-inf`` none).
+    local maxima, ``-inf`` none).  Each is stored as a float; raises
+    ``ValueError`` unless all three are real numbers (a bool is not), none
+    NaN, and lo < hi.
     """
 
     lo: float
@@ -95,9 +97,7 @@ class CountQuery:
 
     def __post_init__(self) -> None:
         for name in ("lo", "hi", "u"):
-            value = getattr(self, name)
-            if math.isnan(value):
-                raise ValueError(f"{name} must not be NaN")
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if not self.lo < self.hi:
             raise ValueError(
                 f"empty interval: lo={self.lo!r} must be less than hi={self.hi!r}"
@@ -152,8 +152,10 @@ def expected_count(
     (the value/slope/curvature covariance is then singular everywhere),
     ToleranceNotMet — with the best available estimate attached — when the
     quadrature budget is exhausted before reaching ``rel_tol``, and
-    DegenerateCovariance if a node lands where the covariance lost rank.
+    DegenerateCovariance if a node lands where the covariance lost rank;
+    ``ValueError`` unless ``rel_tol`` is a real number in [1e-12, 1e-2].
     """
+    rel_tol = require_real("rel_tol", rel_tol)
     if not 1e-12 <= rel_tol <= 1e-2:
         raise ValueError(f"rel_tol must be in [1e-12, 1e-2], got {rel_tol!r}")
     # ``moments`` checks the rank too; u = -inf below evaluates no density

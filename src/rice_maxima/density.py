@@ -36,7 +36,7 @@ from math import erfc, exp, expm1
 import numpy as np
 
 from .errors import NonFiniteResult
-from .model import PolynomialModel
+from .model import PolynomialModel, require_real
 from .moments import moments
 
 __all__ = ["maxima_density"]
@@ -91,13 +91,13 @@ def maxima_density(model: PolynomialModel, x, u: float) -> float | np.ndarray:
     at ``x``, a float or a 1-D array of points (a float gives a float).
 
     ``u`` may be ``inf`` (count every local maximum) or ``-inf`` (zero).
-    Raises DegenerateModel when fewer than three increments carry noise,
+    Raises ``ValueError`` unless ``u`` is a real number (a bool is not)
+    other than NaN, DegenerateModel when fewer than three increments carry noise,
     DegenerateCovariance when the value/slope/curvature covariance at a
     point is singular, and NonFiniteResult if the evaluation produces a
     non-finite number; either error names the first failing point of ``x``.
     """
-    if math.isnan(u):
-        raise ValueError("u must not be NaN")
+    u = require_real("u", u)
     rows = moments(model, x)
     swb = rows.sigma_w_over_b
     if u == math.inf:

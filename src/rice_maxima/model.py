@@ -17,6 +17,8 @@ which is what every covariance computation in this package rests on.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +43,17 @@ def require_integer(
         bounds = f">= {minimum}" if maximum == np.inf else f"in {minimum}..{maximum}"
         raise error(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def require_real(name: str, value, error: type = ValueError) -> float:
+    """``value`` as a float, or ``error`` unless it is a real number other
+    than NaN (+-inf allowed): ints and numpy floats are taken, bools,
+    strings, arrays and None are not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if math.isnan(value):
+        raise error(f"{name} must not be NaN")
+    return float(value)
 
 
 @dataclass(frozen=True)

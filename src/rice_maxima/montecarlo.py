@@ -59,9 +59,25 @@ fine grid: at its K + 1 points Q' takes the sign of sum T_k u^k where that
 exceeds R + M, else its value by the rule above. A down-crossing is Q' > 0
 at a point and Q' < 0 at the next in the order of x.
 
+Plan.  What the scan needs besides the trials depends only on n, the
+query ends and ppu: the grid and its split into the two signs and the two
+runs, the edge cells with their folded table, the coarse cells, their
+certificate tables (the weights of T_k and of R + M, ``_certificate_tables``)
+and the layout of their fine points.  ``count_maxima_below`` takes this
+plan from a memo keyed by (n, lo, hi, ppu) and the module settings the plan
+reads (``_GRID_CHUNK_ELEMENTS``, ``_SMALL_WIDTH``, ``_MARGIN``), so every
+group of a run and every later call on the same grid reuses it; a plan
+holds the arrays a call would otherwise build, so the counts are the same
+bits.  The memo keeps plans while they hold at most ``_GRID_CHUNK_ELEMENTS``
+doubles in all, dropping the least recently used first, and keeps no plan
+larger than that; a plan whose certificate tables would take it past that
+keeps none, and each call builds them a chunk at a time.  Every array of a
+plan is read-only.
+
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
 (16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
-as many in the values of a tile (16 a cell and trial).  Every array with
+as many in the values of a tile (16 a cell and trial); the plans kept
+between calls hold at most as many again, in all.  Every array with
 a row per trial, crossing or fine point is at most as large as the call's
 coefficient matrix or ``_ROW_ELEMENTS`` = 2^16 doubles (512 KiB); a run
 counts its trials in groups that keep the coefficient matrix within that
@@ -104,11 +120,13 @@ points_per_unit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import PolynomialModel, require_integer
+from .model import PolynomialModel, require_integer, require_real
 
 __all__ = [
     "MCConfig",
@@ -252,18 +270,20 @@ def _coarse_cells(size: int, inner: int, short: int, step: int):
     return np.concatenate(first), np.concatenate(last)
 
 
-def _uncertain_cells(dcoef, mid, h, split, hold):
-    """(side, trial, cell, T_0 .. T_3, R + M) of each failing certificate (module
-    docstring) on a side that holds the cell, side 0 for x > 0; inner cells first."""
-    trials, width = dcoef.shape
+def _certificate_tables(mid, h, split, width):
+    """(start, table, size) of each chunk of the coarse cells from ``start``
+    (module docstring): ``table`` (width, 4, c) holds the weights C(j, k)
+    m^(j-k) w^k of e_j in T_k, with the odd ones negated in a second copy
+    along a third axis below ``_SMALL_WIDTH``, and ``size`` (width, c) those
+    of |e_j| in R + M, both reversed over the outer cells, the first
+    ``split`` being inner.  Built one chunk at a time."""
     j = np.arange(width, dtype=float)
     binom = np.cumprod([np.ones(width), j, j - 1.0, j - 2.0, j - 3.0], axis=0)
     binom /= [[1.0], [1.0], [2.0], [6.0], [24.0]]  # C(j, k)
-    found = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty((0, 4)), np.empty(0))]
     cols = max(1, _GRID_CHUNK_ELEMENTS // (16 * width))
     for start in range(0, mid.size, cols):
         cut = slice(start, start + cols)
-        c, w, inside = mid[cut].size, 0.5 * h[cut], max(0, split - start)
+        w, inside = 0.5 * h[cut], max(0, split - start)
         # the weights of e_j in T_k, column (k, cell), then of |e_j| in R + M
         table = _powers(mid[cut], width)[:, None] * (w / mid[cut]) ** np.arange(4)[:, None]
         table *= binom[:4].T[:, :, None]  # C(j, k) m^(j-k) w^k
@@ -274,6 +294,18 @@ def _uncertain_cells(dcoef, mid, h, split, hold):
         size[:, inside:] = size[::-1, inside:]
         if width < _SMALL_WIDTH:  # one product for both signs: odd weights negated for x < 0
             table = np.stack([table, table * np.where(j % 2, -1.0, 1.0)[:, None, None]], 2)
+        yield start, table, size
+
+
+def _uncertain_cells(dcoef, chunks, hold):
+    """(side, trial, cell, T_0 .. T_3, R + M) of each failing certificate (module
+    docstring) on a side that holds the cell, side 0 for x > 0; inner cells first.
+    ``chunks`` are ``_certificate_tables``' for the width of ``dcoef``."""
+    trials, width = dcoef.shape
+    found = [(np.empty(0, dtype=np.intp),) * 3 + (np.empty((0, 4)), np.empty(0))]
+    for start, table, size in chunks:
+        c = size.shape[1]
+        cut = slice(start, start + c)
         tile = max(1, min(trials, _TILE_ROWS, _GRID_CHUNK_ELEMENTS // (16 * c)))
         value_buf, abs_buf = np.empty(8 * c * tile), np.empty(8 * c * tile)
         for t in range(0, trials, tile):
@@ -299,13 +331,44 @@ def _uncertain_cells(dcoef, mid, h, split, hold):
     return [np.concatenate(v) for v in zip(*found)]
 
 
-def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
-    """(cell, trial) of every down-crossing of Q' between neighbouring
-    points of the sorted grid x, cell k lying between x[k] and x[k+1], for
-    the derivative rows ``dcoef`` (module docstring).  The points strictly inside
-    x are ``_build_grid``'s for degree n = the width of ``dcoef``: they are
-    mirrored, and K reads ppu back from the first two, 1/ppu apart in asinh(n ln p)."""
-    width = dcoef.shape[1]
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a sign-grid scan needs besides the trials (module docstring,
+    Plan); ``_plan`` makes every array read-only."""
+
+    x: np.ndarray  # the grid
+    a: int  # x[1..a] < 0 < x[a+1..a+b]
+    mag: np.ndarray  # the magnitudes p of the longer side, ascending
+    step: int  # K
+    edge: np.ndarray  # the cells whose Q' comes from the edge table
+    edge_table: np.ndarray
+    edge_sign: np.ndarray
+    mid: np.ndarray  # each coarse cell's midpoint and width in z
+    h: np.ndarray
+    hold: np.ndarray  # (2, cells): the cell lies on the side x > 0, x < 0
+    split: int  # the coarse cells before it are inner
+    point: np.ndarray  # the fine points of each coarse cell, indices into mag
+    u: np.ndarray  # and their u = (z - m) / (h/2)
+    chunks: tuple | None  # the certificate tables, or None: built on each call
+
+    def arrays(self) -> list:
+        """Every array of the plan, its certificate tables last."""
+        tables = [a for _, *chunk in self.chunks or () for a in chunk]
+        return [v for v in vars(self).values() if isinstance(v, np.ndarray)] + tables
+
+    @property
+    def doubles(self) -> int:
+        """The doubles its arrays hold (8 bytes counted as one)."""
+        return sum(v.nbytes for v in self.arrays()) // 8
+
+
+def _make_plan(x: np.ndarray, width: int, ppu: int | None = None) -> _Plan:
+    """The plan of the sorted grid x for derivative rows of ``width``
+    coefficients.  The points strictly inside x are ``_build_grid``'s for
+    degree n = ``width``: they are mirrored, and where ``ppu`` is None it is
+    read back from the first two, 1/ppu apart in asinh(n ln p).  The
+    certificate tables are kept where they and the rest of the plan hold at
+    most ``_GRID_CHUNK_ELEMENTS`` doubles."""
     a = int(np.searchsorted(x[1:-1], 0.0))  # x[1..a] < 0 < x[a+1..b+a]
     b = x.size - 2 - a
     mag = x[a + 1 : -1] if b >= a else -x[a:0:-1]
@@ -315,29 +378,79 @@ def _down_crossings(dcoef: np.ndarray, x: np.ndarray):
     # cells 0, a and b + a join an end point or the two signs, a -+ inner the
     # two runs: Q' at their points by the reversed-form rule, in one table
     edge = np.unique([0, a, b + a] + [a + s * inner for s, n in ((1, b), (-1, a)) if 0 < inner < n])
-    table, sign = _folded(x[np.concatenate([edge, edge + 1])], width)
-    at = dcoef @ table * sign
-    trial, k = np.nonzero((at[:, : edge.size] > 0.0) & (at[:, edge.size :] < 0.0))
-    cells, rows = [edge[k]], [trial]
+    edge_table, edge_sign = _folded(x[np.concatenate([edge, edge + 1])], width)
 
     # every other cell lies in one coarse cell of K (module docstring)
-    ppu = round(1.0 / np.diff(np.arcsinh(width * np.log(mag[:2])))[0]) if mag.size > 1 else 1
+    if ppu is None:
+        ppu = round(1.0 / np.diff(np.arcsinh(width * np.log(mag[:2])))[0]) if mag.size > 1 else 1
     step = max(1, ppu // (4 if width < _SMALL_WIDTH else 8))
     first, last = _coarse_cells(mag.size, inner, min(a, b), step)
     h, mid = np.abs(z[last] - z[first]), 0.5 * (z[first] + z[last])
     hold = last < np.array([[b], [a]])  # x > 0, x < 0
     split = int(np.count_nonzero(first < inner))
-    side, trial, cell, taylor, bound = _uncertain_cells(dcoef, mid, h, split, hold)
-
-    # their fine points in the order of p, at u = (z - m) / (h/2): the sign
-    # of Q' (negated for x < 0, where x descends with p) by the cubic or Q'
+    # their fine points in the order of p, at u = (z - m) / (h/2)
     point = np.minimum(first[:, None] + np.arange(step + 1), last[:, None])
     u = (z[point] - mid[:, None]) / (0.5 * h[:, None])
+    plan = _Plan(x, a, mag, step, edge, edge_table, edge_sign, mid, h, hold, split, point, u, None)
+    # _certificate_tables hold (8 + 1) width doubles a coarse cell below
+    # _SMALL_WIDTH, else (4 + 1) width
+    tables = (9 if width < _SMALL_WIDTH else 5) * width * mid.size
+    if plan.doubles + tables <= _GRID_CHUNK_ELEMENTS:
+        plan = replace(plan, chunks=tuple(_certificate_tables(mid, h, split, width)))
+    return plan
+
+
+# Plans kept between calls (module docstring, Plan), least recently used first
+_PLANS: OrderedDict = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _plan(n: int, lo: float, hi: float, ppu: int) -> _Plan:
+    """The plan of ``_build_grid(n, lo, hi, ppu)``, kept in ``_PLANS`` while
+    the plans there hold at most ``_GRID_CHUNK_ELEMENTS`` doubles."""
+    key = (n, float(lo), float(hi), ppu, _GRID_CHUNK_ELEMENTS, _SMALL_WIDTH, _MARGIN)
+    with _PLANS_LOCK:
+        plan = _PLANS.get(key)
+        if plan is not None:
+            _PLANS.move_to_end(key)
+            return plan
+    plan = _make_plan(_build_grid(n, lo, hi, ppu), n, ppu)
+    for array in plan.arrays():
+        array.flags.writeable = False
+    with _PLANS_LOCK:
+        if plan.doubles <= _GRID_CHUNK_ELEMENTS:
+            _PLANS[key] = plan
+            held = sum(p.doubles for p in _PLANS.values())
+            while held > _GRID_CHUNK_ELEMENTS:
+                held -= _PLANS.popitem(last=False)[1].doubles
+    return plan
+
+
+def _down_crossings(dcoef: np.ndarray, x):
+    """(cell, trial) of every down-crossing of Q' between neighbouring
+    points of the sorted grid, cell k lying between x[k] and x[k+1], for
+    the derivative rows ``dcoef`` (module docstring).  ``x`` is the grid's
+    ``_Plan``, or the grid itself, planned here by ``_make_plan``."""
+    width = dcoef.shape[1]
+    plan = x if isinstance(x, _Plan) else _make_plan(x, width)
+    at = dcoef @ plan.edge_table * plan.edge_sign
+    edge = plan.edge
+    trial, k = np.nonzero((at[:, : edge.size] > 0.0) & (at[:, edge.size :] < 0.0))
+    cells, rows = [edge[k]], [trial]
+
+    chunks = plan.chunks
+    if chunks is None:
+        chunks = _certificate_tables(plan.mid, plan.h, plan.split, width)
+    side, trial, cell, taylor, bound = _uncertain_cells(dcoef, chunks, plan.hold)
+
+    # the sign of Q' at the fine points (negated for x < 0, where x descends
+    # with p) by the cubic or Q'
+    step, point, a, mag = plan.step, plan.point, plan.a, plan.mag
     batch, chunk = max(1, _ROW_ELEMENTS // (8 * (step + 1))), max(1, _ROW_ELEMENTS // width)
     for start in range(0, cell.size, batch):
         part = slice(start, start + batch)
         c, t, sign = cell[part], trial[part], np.where(side[part] == 1, -1.0, 1.0)
-        coef, uc = taylor[part] * sign[:, None], u[c]
+        coef, uc = taylor[part] * sign[:, None], plan.u[c]
         value = coef[:, :1] + uc * (coef[:, 1:2] + uc * (coef[:, 2:3] + uc * coef[:, 3:]))
         p, q = np.divmod(np.flatnonzero(np.abs(value) <= bound[part, None]), step + 1)
         for s in range(0, p.size, chunk):
@@ -428,7 +541,7 @@ def count_maxima_below(
     ``sample_coefficients``); returns an integer array of shape
     (trials, len(levels)).  Raises ``ValueError`` unless ``coeff`` is a
     2-D array of finite numbers with n + 1 columns, lo < hi, every level is
-    a number (+-inf allowed) and ``points_per_unit`` is an integer >= 8, as
+    a real number other than NaN (+-inf allowed, a bool is not) and ``points_per_unit`` is an integer >= 8, as
     in ``MCConfig``.
     """
     points_per_unit = require_integer(
@@ -436,19 +549,19 @@ def count_maxima_below(
     )
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
-    levels = np.atleast_1d(np.asarray(levels, dtype=float))
-    if np.isnan(levels).any():
-        raise ValueError(f"levels must not be NaN, got {levels.tolist()!r}")
+    levels = [levels] if np.ndim(levels) == 0 else levels
+    levels = np.array([require_real("level", u) for u in levels], dtype=float)
     n = model.degree
     coeff = np.asarray(coeff, dtype=float)
     if coeff.ndim != 2 or coeff.shape[1] != n + 1 or not np.isfinite(coeff).all():
         shape = coeff.shape
         raise ValueError(f"coeff must be a finite (trials, {n + 1}) matrix, got shape {shape}")
-    x = _build_grid(n, lo, hi, points_per_unit)
+    plan = _plan(n, lo, hi, points_per_unit)
+    x = plan.x
     dcoef = coeff[:, 1:] * np.arange(1, n + 1, dtype=float)  # j A_j, j = 1..n
     counts = np.zeros((coeff.shape[0], levels.size), dtype=np.int64)
 
-    cells, rows = _down_crossings(dcoef, x)
+    cells, rows = _down_crossings(dcoef, plan)
     # refined and tested together, in batches of at most _ROW_ELEMENTS
     # coefficients
     step = max(1, _ROW_ELEMENTS // (n + 1))
@@ -514,7 +627,7 @@ def estimate_many(
     All levels share the same trials, so estimates are comparable across
     levels with no extra simulation cost.
     """
-    levels = [float(u) for u in levels]
+    levels = [require_real("level", u) for u in levels]
     if not levels:
         raise ValueError("levels must be non-empty")
     n = config.trials

@@ -5,8 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from rice_maxima import DegenerateModel, PolynomialModel
+from rice_maxima import (
+    CountQuery,
+    DegenerateModel,
+    MCConfig,
+    PolynomialModel,
+    count_maxima_below,
+    estimate_many,
+    expected_count,
+    maxima_density,
+)
+from rice_maxima.model import require_real
 from oracles import scale_model
+
+INF = math.inf
 
 
 class TestConstruction:
@@ -77,3 +89,68 @@ class TestScaleModel:
     def test_bad_factor_rejected(self, c):
         with pytest.raises((ValueError, DegenerateModel)):
             scale_model(PolynomialModel(3), c)
+
+
+class TestRealArguments:
+    """Every real scalar argument goes through ``require_real``."""
+
+    @pytest.mark.parametrize(
+        "value", [1, -3, 0.5, -INF, INF, np.float64(2.5), np.float32(0.25), np.int64(7)]
+    )
+    def test_takes_ints_floats_and_numpy_numbers(self, value):
+        got = require_real("u", value)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize(
+        "value", [True, np.bool_(False), "1", None, 1j, np.array([1.0, 2.0]), [1.0]]
+    )
+    def test_refuses_what_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="u must be a real number"):
+            require_real("u", value)
+
+    def test_refuses_nan(self):
+        with pytest.raises(ValueError, match="u must not be NaN"):
+            require_real("u", math.nan)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CountQuery(0.0, 1.0, True),
+            lambda: CountQuery(True, 2.0, 1.0),
+            lambda: CountQuery(0, 1, "1"),
+            lambda: expected_count(PolynomialModel(5), CountQuery(0.0, 1.0, 1.0), rel_tol="1e-8"),
+            lambda: maxima_density(PolynomialModel(5), 0.5, None),
+            lambda: maxima_density(PolynomialModel(5), 0.5, np.array([1.0, 2.0])),
+            lambda: estimate_many(PolynomialModel(3), 0, 1, [True], MCConfig(10)),
+            lambda: count_maxima_below(PolynomialModel(3), np.ones((2, 4)), 0, 1, [1.0, True]),
+        ],
+        ids=[
+            "query-level-bool",
+            "query-end-bool",
+            "query-level-str",
+            "rel-tol-str",
+            "density-level-none",
+            "density-level-array",
+            "estimate-level-bool",
+            "count-level-bool",
+        ],
+    )
+    def test_public_calls_refuse_what_is_not_a_real_number(self, call):
+        with pytest.raises(ValueError, match="must be a real number"):
+            call()
+
+    def test_int_and_numpy_arguments_still_work(self):
+        query = CountQuery(0, 1, 1)
+        assert (query.lo, query.hi, query.u) == (0.0, 1.0, 1.0)
+        assert all(type(v) is float for v in (query.lo, query.hi, query.u))
+        model = PolynomialModel(5)
+        assert maxima_density(model, 0.5, 1) == maxima_density(model, 0.5, 1.0)
+        got = expected_count(model, CountQuery(0.0, 1.0, np.float64(1.0)), rel_tol=np.float32(1e-6))
+        assert got.value == expected_count(model, CountQuery(0.0, 1.0, 1.0), rel_tol=1e-6).value
+        config = MCConfig(50, seed=3, points_per_unit=64)
+        want = estimate_many(PolynomialModel(6), -INF, INF, [1.0, INF], config)
+        assert estimate_many(PolynomialModel(6), -INF, INF, [1, np.float64(INF)], config) == want
+        coeff = np.ones((2, 7))
+        one = count_maxima_below(PolynomialModel(6), coeff, -INF, INF, 1, points_per_unit=64)
+        many = count_maxima_below(PolynomialModel(6), coeff, -INF, INF, np.array([1.0]))
+        assert one.shape == (2, 1) and np.array_equal(one, many)

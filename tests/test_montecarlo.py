@@ -1,7 +1,11 @@
 """Monte-Carlo engine: reproducibility, invariances, ground-truth parity."""
 
+import hashlib
 import math
+import sys
 import tracemalloc
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -595,6 +599,164 @@ class TestPinnedEstimates:
         config = MCConfig(trials=trials, seed=2026, points_per_unit=ppu)
         got = estimate_many(PolynomialModel(n), lo, hi, self.LEVELS, config)
         assert [(e.mean, e.stderr) for e in got] == self.CASES[case]
+
+
+def walk_rows(trials, n, seed):
+    """(trials, n + 1) random-walk coefficients from a 64-bit linear
+    congruential generator in pure Python: each increment is uniform on
+    [-1, 1) and exact in a double, so the rows do not depend on numpy."""
+    state, rows = seed, []
+    for _ in range(trials):
+        a, row = 0.0, []
+        for _ in range(n + 1):
+            state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+            a += (state >> 11) / 2**52 - 1.0
+            row.append(a)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestGoldenCounts:
+    # sha256 (first 16 hex digits) of the count arrays at one degree, 64
+    # rows of walk_rows(64, n, n), over ppu 8 and 64 and three intervals at
+    # four levels, and the maxima they count at u = inf; recorded with the
+    # sign grid and its tables rebuilt on every call: a change that moves
+    # one count of a trial moves its hash
+    HASHES = {
+        3: ("7c3be7f1fe9de4cd", 90),
+        8: ("902108da41d033ea", 188),
+        64: ("4e510ae30704003d", 312),
+        256: ("25b6d93d2641580f", 306),
+    }
+
+    @pytest.mark.parametrize("n", list(HASHES))
+    def test_per_trial_counts_are_unchanged(self, n):
+        model, coeff = PolynomialModel(n), walk_rows(64, n, n)
+        digest, maxima = hashlib.sha256(), 0
+        for ppu in (8, 64):
+            for lo, hi in ((-INF, INF), (-7.0, 0.2), (1.0, INF)):
+                got = count_maxima_below(
+                    model, coeff, lo, hi, [-0.5, 0.0, 1.0, INF], points_per_unit=ppu
+                )
+                digest.update(got.astype("<i8").tobytes())
+                maxima += int(got[:, -1].sum())
+        assert (digest.hexdigest()[:16], maxima) == self.HASHES[n]
+
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty memo of plans for one test; the module's own is restored
+    after it."""
+    plans = OrderedDict()
+    monkeypatch.setattr(montecarlo, "_PLANS", plans)
+    return plans
+
+
+class TestPlan:
+    LEVELS = [-1.0, 0.0, 1.0, INF]
+
+    def test_cold_cached_and_other_weights_count_alike(self, monkeypatch, fresh_plans):
+        # the plan depends on the degree and the grid, never on the weights
+        made = []
+        real = montecarlo._make_plan
+        monkeypatch.setattr(montecarlo, "_make_plan", lambda *a: made.append(1) or real(*a))
+        model = PolynomialModel(64)
+        coeff = sample_coefficients(model, 200, seed=53)
+        cold = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        assert len(made) == 1 and len(fresh_plans) == 1
+        (plan,) = fresh_plans.values()
+        assert plan.chunks is not None
+        cached = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        weights = [1.0 + 0.5 * math.sin(k) for k in range(1, 65)]
+        other = PolynomialModel(64, sigma=weights, sigma0=0.7)
+        again = count_maxima_below(other, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        assert len(made) == 1
+        assert np.array_equal(cold, cached) and np.array_equal(cold, again)
+        assert cold[:, -1].sum() >= 200
+
+    def test_plan_arrays_refuse_writes(self, fresh_plans):
+        plan = montecarlo._plan(8, -7.0, 0.2, 64)
+        arrays = plan.arrays()
+        assert plan.chunks is not None and len(arrays) == 12
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_tables_over_the_budget_are_built_on_each_call(self, fresh_plans):
+        # n = 4096: 172 coarse cells of 5 * 4096 doubles each pass 2^21
+        plan = montecarlo._plan(4096, -INF, INF, 64)
+        assert plan.chunks is None
+        assert list(fresh_plans.values()) == [plan]
+
+    def test_a_plan_over_the_budget_is_not_kept(self, monkeypatch, fresh_plans):
+        model = PolynomialModel(64)
+        coeff = sample_coefficients(model, 40, seed=59)
+        want = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        fresh_plans.clear()
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 3000)
+        small = montecarlo._plan(2, 0.0, 1.0, 8)  # 348 doubles
+        got = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        assert np.array_equal(got, want)
+        # nor does it push out the plans that fit
+        assert list(fresh_plans.values()) == [small]
+
+    def test_the_memo_keeps_its_budget_least_recently_used_first(self, monkeypatch, fresh_plans):
+        budget = 20_000
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", budget)
+        ends = [(-INF, INF), (-7.0, 0.2), (0.0, 1.0), (1.0, INF), (-1.0, 0.0), (0.5, 3.0)]
+        plans = [montecarlo._plan(8, lo, hi, 64) for lo, hi in ends[:2]]
+        assert all(plan.chunks is not None for plan in plans)
+        for lo, hi in ends[2:]:
+            assert montecarlo._plan(8, *ends[0], 64) is plans[0]  # used again: kept
+            plans.append(montecarlo._plan(8, lo, hi, 64))
+            kept = list(fresh_plans.values())
+            assert kept[-2:] == [plans[0], plans[-1]]
+            assert sum(plan.doubles for plan in kept) <= budget
+        assert plans[1] not in kept and len(kept) < len(plans)
+
+    def test_threads_share_the_memo(self, monkeypatch, fresh_plans):
+        # more threads than cores, counting on grids that push each other
+        # out of a small memo: each count as a lone one, the memo in budget
+        budget = 20_000
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", budget)
+        model = PolynomialModel(8)
+        coeff = sample_coefficients(model, 20, seed=61)
+        ends = [(-INF, INF), (-7.0, 0.2), (0.0, 1.0), (1.0, INF), (-1.0, 0.0), (0.5, 3.0)]
+        count = lambda lo, hi: count_maxima_below(  # noqa: E731
+            model, coeff, lo, hi, self.LEVELS, points_per_unit=64
+        )
+        want = {end: count(*end) for end in ends}
+        fresh_plans.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                jobs = [(end, pool.submit(count, *end)) for end in ends * 32]
+                for end, job in jobs:
+                    assert np.array_equal(job.result(timeout=60), want[end])
+        finally:
+            sys.setswitchinterval(interval)
+        assert 0 < sum(plan.doubles for plan in fresh_plans.values()) <= budget
+
+    def test_the_chunk_setting_is_part_of_the_key(self, monkeypatch, fresh_plans):
+        # a plan made for the default chunks must not serve smaller ones:
+        # the certificate then runs in chunks of at most 2 coarse cells
+        model = PolynomialModel(8)
+        coeff = sample_coefficients(model, 40, seed=19)
+        want = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        widths = []
+        real = montecarlo._uncertain_cells
+
+        def spy(dcoef, chunks, hold):
+            chunks = list(chunks)
+            widths.extend(size.shape[1] for _, _, size in chunks)
+            return real(dcoef, chunks, hold)
+
+        monkeypatch.setattr(montecarlo, "_uncertain_cells", spy)
+        monkeypatch.setattr(montecarlo, "_GRID_CHUNK_ELEMENTS", 16 * 8 * 2)
+        got = count_maxima_below(model, coeff, -INF, INF, self.LEVELS, points_per_unit=64)
+        assert np.array_equal(got, want)
+        assert len(widths) == 18 and max(widths) == 2
 
 
 class TestExecutionInvariance:
