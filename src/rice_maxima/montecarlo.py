@@ -76,8 +76,10 @@ plan is read-only.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
 (16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
-as many in the values of a tile (16 a cell and trial); the plans kept
-between calls hold at most as many again, in all.  Every array with
+as many in the values of a tile (16 a cell and trial), of which each
+thread keeps a buffer of up to ``_SCRATCH_ELEMENTS`` = 2^18 doubles (2 MiB)
+between calls; the plans kept between calls hold at most
+``_GRID_CHUNK_ELEMENTS`` doubles in all.  Every array with
 a row per trial, crossing or fine point is at most as large as the call's
 coefficient matrix or ``_ROW_ELEMENTS`` = 2^16 doubles (512 KiB); a run
 counts its trials in groups that keep the coefficient matrix within that
@@ -148,6 +150,11 @@ _GRID_CHUNK_ELEMENTS = 1 << 21
 _ROW_ELEMENTS = 1 << 16
 # Most trials whose coarse-cell values one sign-grid product gives.
 _TILE_ROWS = 128
+# The values of a tile, in one buffer per thread kept between calls up to
+# this many doubles (2 MiB).  A new array that large may be mapped afresh
+# by the allocator on every call: at n = 64, ppu 64 and 400 trials its ~320
+# page faults took 0.6 ms of a 4.7 ms count (2-core Xeon).
+_SCRATCH, _SCRATCH_ELEMENTS = threading.local(), 1 << 18
 # Certificate margin per (d + 2) S; below _SMALL_WIDTH coefficients K = ppu/4 and one
 # whole-row product, each faster there in timings of the scan (module docstring)
 _MARGIN, _SMALL_WIDTH = 2.0**-48, 32
@@ -297,6 +304,17 @@ def _certificate_tables(mid, h, split, width):
         yield start, table, size
 
 
+def _scratch(size: int) -> np.ndarray:
+    """``size`` doubles of the calling thread's scratch buffer, kept between
+    calls up to ``_SCRATCH_ELEMENTS`` doubles; a new array where larger."""
+    if size > _SCRATCH_ELEMENTS:
+        return np.empty(size)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size]
+
+
 def _uncertain_cells(dcoef, chunks, hold):
     """(side, trial, cell, T_0 .. T_3, R + M) of each failing certificate (module
     docstring) on a side that holds the cell, side 0 for x > 0; inner cells first.
@@ -307,7 +325,7 @@ def _uncertain_cells(dcoef, chunks, hold):
         c = size.shape[1]
         cut = slice(start, start + c)
         tile = max(1, min(trials, _TILE_ROWS, _GRID_CHUNK_ELEMENTS // (16 * c)))
-        value_buf, abs_buf = np.empty(8 * c * tile), np.empty(8 * c * tile)
+        value_buf, abs_buf = _scratch(16 * c * tile).reshape(2, -1)
         for t in range(0, trials, tile):
             block = dcoef[t : t + tile]
             r = block.shape[0]

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -737,6 +738,17 @@ class TestPlan:
         finally:
             sys.setswitchinterval(interval)
         assert 0 < sum(plan.doubles for plan in fresh_plans.values()) <= budget
+
+    def test_scratch_is_kept_within_its_bound(self, monkeypatch):
+        # tile values of a count at n = 1000 (16 * 131 cells * 128 trials
+        # doubles) pass the bound, so only the n = 64 buffer stays
+        monkeypatch.setattr(montecarlo, "_SCRATCH", threading.local())
+        for n in (64, 1000):
+            model = PolynomialModel(n)
+            coeff = sample_coefficients(model, 128, seed=67)
+            count_maxima_below(model, coeff, -INF, INF, [INF], points_per_unit=64)
+            assert montecarlo._SCRATCH.buf.size == 16 * 106 * 128
+        assert montecarlo._SCRATCH.buf.size <= montecarlo._SCRATCH_ELEMENTS
 
     def test_the_chunk_setting_is_part_of_the_key(self, monkeypatch, fresh_plans):
         # a plan made for the default chunks must not serve smaller ones:
