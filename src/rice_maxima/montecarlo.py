@@ -72,7 +72,7 @@ bits.  The memo keeps plans while they hold at most ``_GRID_CHUNK_ELEMENTS``
 doubles in all, dropping the least recently used first, and keeps no plan
 larger than that; a plan whose certificate tables would take it past that
 keeps none, and each call builds them a chunk at a time.  Every array of a
-plan is read-only.
+plan that ``count_maxima_below`` uses is read-only.
 
 Memory.  A count holds at most ``_GRID_CHUNK_ELEMENTS`` = 2^21 doubles
 (16 MiB) in the tables of a chunk of 2^21 / (16 (d+1)) coarse cells, and
